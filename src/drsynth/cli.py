@@ -1,7 +1,9 @@
 """Command-line entry points.
 
-Verbs mirror the pipeline stages; ``run`` executes the whole experiment and
-``resume`` re-runs a workdir, skipping stages whose digest chain is intact.
+``run`` executes the whole stage table and ``resume`` re-runs a workdir,
+skipping stages whose digest chain is intact. Each stage verb runs the
+table's stages of its kinds (``STAGE_VERBS``); their upstream artifacts must
+already exist.
 Exit codes: 0 success, 2 configuration error, 3 backend/transport error.
 """
 
@@ -36,7 +38,11 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         config = PipelineConfig.from_mapping({})
     overrides = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = [args.seed]
+        # a generation seed for ``generate``, the one run seed elsewhere
+        if getattr(args, "verb", None) == "generate":
+            overrides["generation.seed"] = args.seed
+        else:
+            overrides["seeds"] = [args.seed]
     if getattr(args, "domain", None):
         overrides["domains"] = [args.domain]
     if getattr(args, "llm", None):
@@ -109,33 +115,24 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+STAGE_VERBS: dict[str, tuple[str, ...]] = {
+    "train-base": ("train-base",),
+    "generate": ("generate",),
+    "screen": ("screen",),
+    "adapt": ("adapt",),
+    "pseudo-label": ("pseudo-label",),
+    "evaluate": ("evaluate", "adapt"),
+    "report": ("report",),
+}
+
+
 def cmd_stage(args: argparse.Namespace) -> int:
-    """Run one named pipeline stage (with its upstream requirements assumed)."""
+    """Run the stages of one verb's kinds (upstream artifacts assumed)."""
     runner = _runner(args)
-    verb = args.verb
-    if verb == "train-base":
-        for seed in runner.seeds:
-            runner._train_base(seed)
-    elif verb == "generate":
-        runner._generate()
-    elif verb == "screen":
-        runner._screen()
-    elif verb == "pseudo-label":
-        runner._pseudo_label()
-    elif verb == "adapt":
-        for method, mode in runner._variants():
-            for seed in runner.seeds:
-                runner._adapt_and_evaluate(method, mode, seed)
-    elif verb == "evaluate":
-        for seed in runner.seeds:
-            runner._evaluate_baseline(seed)
-        for method, mode in runner._variants():
-            for seed in runner.seeds:
-                runner._adapt_and_evaluate(method, mode, seed)
-    elif verb == "report":
-        runner._report()
-    else:
-        raise ConfigurationError(f"unknown stage {verb!r}")
+    kinds = STAGE_VERBS[args.verb]
+    if not any(stage.kind in kinds for stage in runner.stages()):
+        raise ConfigurationError(f"this config has no {args.verb} stage")
+    runner.run(kinds=kinds)
     return EXIT_OK
 
 
@@ -164,11 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("manifest", help="run-manifest.json or its workdir")
     resume.set_defaults(handler=cmd_resume)
 
-    for verb in ("train-base", "generate", "screen", "adapt", "pseudo-label", "evaluate", "report"):
+    for verb in STAGE_VERBS:
         stage = sub.add_parser(verb, help=f"run the {verb} stage")
         stage.add_argument("--config", default=None)
         stage.add_argument("--workdir", default=None)
-        stage.add_argument("--seed", type=int, default=None)
+        seed_help = "generation seed" if verb == "generate" else "restrict to one seed"
+        stage.add_argument("--seed", type=int, default=None, help=seed_help)
         if verb == "generate":
             stage.add_argument("--domain", default=None, help="restrict to one domain")
             stage.add_argument("--llm", default=None, help="backend name override")

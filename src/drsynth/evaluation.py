@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .taxonomy import RelationLabel
+from .taxonomy import RelationLabel, resolve_label
 
 
 class EvalProtocol(str, Enum):
@@ -97,6 +97,36 @@ class MetricReport:
     @property
     def macro_f1_pct(self) -> float:
         return float(self.macro_f1) * 100.0
+
+
+def report_payload(report: MetricReport) -> dict:
+    """JSON form of a report: fractions as [numerator, denominator] pairs."""
+    return {
+        "accuracy": [report.accuracy.numerator, report.accuracy.denominator],
+        "macro_f1": [report.macro_f1.numerator, report.macro_f1.denominator],
+        "n_items": report.n_items,
+        "protocol": report.protocol.value,
+        "run_id": report.run_id,
+        "per_class": {
+            label.level2: [cs.tp, cs.fp, cs.fn] for label, cs in report.per_class.items()
+        },
+    }
+
+
+def report_from_payload(payload: dict) -> MetricReport:
+    """Inverse of ``report_payload``."""
+    per_class = {
+        resolve_label(name): ClassScores(*counts)
+        for name, counts in payload["per_class"].items()
+    }
+    return MetricReport(
+        accuracy=Fraction(*payload["accuracy"]),
+        per_class=per_class,
+        macro_f1=Fraction(*payload["macro_f1"]),
+        n_items=int(payload["n_items"]),
+        protocol=EvalProtocol(payload["protocol"]),
+        run_id=payload.get("run_id", ""),
+    )
 
 
 def score(

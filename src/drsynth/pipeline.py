@@ -1,22 +1,32 @@
 """Experiment orchestration: ingest, train, generate, screen, adapt, evaluate.
 
 A run is driven by a flat key-path config file (``key = value`` lines with
-JSON-typed values and ``include`` support). Every stage records its config
-slice, input digests, and output digests in the run manifest; re-running a
-finished workdir skips every stage whose digest chain is intact, so a
-changed screening setting re-runs screening and everything downstream while
-reusing the generation cache untouched.
+JSON-typed values and ``include`` support). ``ExperimentRunner.stages()``
+turns a config into one ordered table of ``Stage`` records; ``run``,
+``resume``, ``--dry-run`` and every CLI stage verb walk that table. A stage
+digest covers the stage's name, config slice and input digests, and its
+action receives exactly that slice, so an undeclared config key fails as
+``KeyError`` instead of leaving a stale output. Re-running a workdir skips
+every stage whose digest matches and whose outputs are intact: a changed
+screening setting re-runs screening and everything downstream while reusing
+the generation cache.
 
-Stage graph and artifact layout under the workdir:
+The stage table, in order (``S`` ranges over ``seeds``, ``V`` over the
+``adaptation.methods`` x ``adaptation.domain_modes`` variants), with the
+outputs under the workdir:
 
-  data/            canonicalized corpora (train/dev/target/raw)
-  models/          one directory per model artifact
-  synthetic/       generated candidates, screened data, screening reports
-  pseudo/          pseudo-labeled data
-  eval/            per-(variant, seed, domain) metric reports
-  results.txt      formatted comparison table (stars mark significance)
-  results.tsv      machine-readable companion
-  run-manifest.json
+  fixtures               data/{source,target,raw}.jsonl (``fixtures:`` corpora only)
+  ingest                 data/{train,dev,eval,raw-canonical}.jsonl
+  train-base:seedS       models/base-seedS/
+  generate               synthetic/candidates.jsonl (unless every method is pseudo)
+  screen                 synthetic/screened.jsonl, screening-report.json
+  pseudo-label           pseudo/labeled.jsonl (if pseudo is a method)
+  evaluate:baseline:seedS  eval/baseline-seedS.json, -predictions.jsonl
+  adapt:V:seedS          models/V-seedS/, eval/V-seedS.json, -predictions.jsonl
+  report                 results.txt (stars mark significance), results.tsv
+
+``run-manifest.json`` records each stage's digests and wall clock; the
+generation cache and telemetry in ``synthetic/`` are outside every digest.
 """
 
 from __future__ import annotations
@@ -29,9 +39,9 @@ import random
 import shutil
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from . import fixtures
 from .adaptation import (
@@ -60,6 +70,8 @@ from .evaluation import (
     VariantMeta,
     aggregate_runs,
     render_results_table,
+    report_from_payload,
+    report_payload,
     results_tsv,
     score,
     t_test,
@@ -103,8 +115,8 @@ from .screening import (
 )
 from .taxonomy import (
     ConfusionMap,
-    RelationLabel,
     derive_confusion_map,
+    generation_label_set,
     load_confusion_map,
     resolve_label,
 )
@@ -265,10 +277,7 @@ class RunManifest:
             self.data["stages"] = stored.get("stages", {})
 
     def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.data, sort_keys=True, indent=2) + "\n", "utf-8")
-        os.replace(tmp, self.path)
+        _write_text(self.path, json.dumps(self.data, sort_keys=True, indent=2) + "\n")
 
     def stage(self, name: str) -> dict | None:
         return self.data["stages"].get(name)
@@ -304,288 +313,291 @@ class RunManifest:
         return _digest_bytes(json.dumps(stripped, sort_keys=True).encode())
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
+
+    ``inputs`` and ``outputs`` are the paths the action reads and writes.
+    ``action`` is called with exactly the ``config_keys`` slice of the config,
+    the same slice the stage digest covers.
+    """
+
+    name: str
+    config_keys: tuple[str, ...]
+    inputs: Mapping[str, Path]
+    outputs: Mapping[str, Path]
+    action: Callable[[Mapping[str, object]], None]
+
+    @property
+    def kind(self) -> str:
+        """``adapt:prefix-mixed-syn:seed1`` -> ``adapt``."""
+        return self.name.split(":", 1)[0]
+
+
+_CORPORA = ("source", "target", "raw")
+# config slices of the stages whose key lists do not fit on their table row
+_GENERATE_KEYS = (
+    "domains", "generation.backends", "generation.template", "generation.include_similarity",
+    "generation.n_arg1", "generation.seed", "generation.connective_choice",
+    "generation.mock_fidelity",
+)
+_EVAL_KEYS = ("domains", "evaluation.protocol", "evaluation.vote_threshold")
+_ADAPT_KEYS = _EVAL_KEYS + (
+    "adaptation.epochs", "adaptation.learning_rate", "adaptation.lambda",
+    "adaptation.mixed_target_size", "base.epochs", "base.learning_rate",
+)
+_REPORT_KEYS = (
+    "domains", "seeds", "adaptation.methods", "adaptation.domain_modes",
+    "generation.backends", "generation.template", "screening.kind", "evaluation.alpha",
+)
+_MODEL_NAMES = {"concat": "base+syn", "prefix": "base>syn", "invariance": "base>IV>syn"}
+
+
 class ExperimentRunner:
-    """Execute (or resume) the full experiment graph in a workdir."""
+    """Execute (or resume) the experiment's stage table in a workdir."""
 
     def __init__(self, config: PipelineConfig, workdir: str | Path | None = None):
         self.config = config
         self.workdir = Path(workdir if workdir is not None else str(config.get("workdir")))
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.manifest = RunManifest(self.workdir / "run-manifest.json", config.snapshot())
-        self.domains: list[str] = list(config.get("domains"))
-        self.seeds: list[int] = [int(s) for s in config.get("seeds")]
-        self._dry_run_plan: list[str] | None = None
-        self._touched: list[str] = []
-
-    # --- stage engine -----------------------------------------------------
-
-    def _stage(
-        self,
-        name: str,
-        config_keys: Sequence[str],
-        inputs: Mapping[str, Path],
-        outputs: Mapping[str, Path],
-        action: Callable[[], None],
-    ) -> None:
-        if self._dry_run_plan is not None:
-            self._dry_run_plan.append(name)
-            return
-        self._touched.append(name)
-        config_slice = {key: self.config.get(key) for key in config_keys}
-        payload = json.dumps(
-            {
-                "name": name,
-                "config": config_slice,
-                "inputs": {key: digest_path(path) for key, path in sorted(inputs.items())},
-            },
-            sort_keys=True,
-        )
-        digest = _digest_bytes(payload.encode())
-        existing = self.manifest.stage(name)
-        if existing and existing["digest"] == digest:
-            intact = True
-            for key, path in outputs.items():
-                recorded = existing["outputs"].get(key)
-                full = self.workdir / path if not Path(path).is_absolute() else Path(path)
-                if recorded is None or not full.exists() or digest_path(full) != recorded:
-                    intact = False
-                    logger.warning("stage %s output %s stale or corrupted; re-running", name, key)
-                    break
-            if intact:
-                logger.info("stage %s: up to date, skipping", name)
-                return
-        logger.info("stage %s: running", name)
-        started = time.perf_counter()
-        action()
-        recorded_outputs = {}
-        for key, path in outputs.items():
-            full = self.workdir / path if not Path(path).is_absolute() else Path(path)
-            recorded_outputs[key] = digest_path(full)
-        self.manifest.record_stage(name, digest, recorded_outputs, time.perf_counter() - started)
 
     def _path(self, relative: str) -> Path:
         return self.workdir / relative
 
-    # --- data -------------------------------------------------------------
+    # --- stage table and engine ---------------------------------------------
 
-    def _materialize_fixtures(self) -> None:
-        seed = int(self.config.get("data.fixture_seed"))
-        spec = str(self.config.get("data.source"))
+    def stages(self) -> list[Stage]:
+        """The ordered stage table for this runner's config."""
+        seeds = [int(s) for s in self.config.get("seeds")]
+        methods = list(self.config.get("adaptation.methods"))
+        specs = {kind: str(self.config.get(f"data.{kind}")) for kind in _CORPORA}
+        corpora = {
+            kind: self._path(f"data/{kind}.jsonl") if spec.startswith("fixtures:") else Path(spec)
+            for kind, spec in specs.items()
+        }
+        train, dev = self._path("data/train.jsonl"), self._path("data/dev.jsonl")
+        eval_data, raw = self._path("data/eval.jsonl"), self._path("data/raw-canonical.jsonl")
+        candidates = self._path("synthetic/candidates.jsonl")
+        screened = self._path("synthetic/screened.jsonl")
+        labeled = self._path("pseudo/labeled.jsonl")
+        base = {seed: self._path(f"models/base-seed{seed}") for seed in seeds}
+
+        def eval_outputs(variant: str, seed: int) -> dict[str, Path]:
+            return {
+                "eval": self._path(f"eval/{variant}-seed{seed}.json"),
+                "predictions": self._path(f"eval/{variant}-seed{seed}-predictions.jsonl"),
+            }
+
+        table: list[Stage] = []
+        if any(spec.startswith("fixtures:") for spec in specs.values()):
+            table.append(Stage(
+                "fixtures", ("data.source", "data.fixture_seed", "domains"), {},
+                {kind: self._path(f"data/{kind}.jsonl") for kind in _CORPORA}, self._fixtures,
+            ))
+        table.append(Stage(
+            "ingest", ("data.split", "domains"), corpora,
+            {"train": train, "dev": dev, "eval": eval_data, "raw": raw},
+            partial(self._ingest, corpora=corpora),
+        ))
+        for seed in seeds:
+            table.append(Stage(
+                f"train-base:seed{seed}", ("base.epochs", "base.learning_rate"),
+                {"train": train, "dev": dev}, {"model": base[seed]},
+                partial(self._train_base, seed=seed),
+            ))
+        if any(method != "pseudo" for method in methods):
+            table.append(Stage(
+                "generate", _GENERATE_KEYS, {"raw": raw}, {"candidates": candidates},
+                self._generate,
+            ))
+            table.append(Stage(
+                "screen", ("domains", "screening.kind", "screening.cmap", "screening.freq_scope"),
+                {"candidates": candidates, "base": base[seeds[0]]},
+                {"screened": screened, "report": self._path("synthetic/screening-report.json")},
+                partial(self._screen, base_seed=seeds[0]),
+            ))
+        if "pseudo" in methods:
+            table.append(Stage(
+                "pseudo-label", ("domains", "pseudo.per_domain_n", "generation.seed"),
+                {"raw": raw, "base": base[seeds[0]]}, {"labeled": labeled},
+                partial(self._pseudo_label, base_seed=seeds[0]),
+            ))
+        for seed in seeds:
+            table.append(Stage(
+                f"evaluate:baseline:seed{seed}", _EVAL_KEYS,
+                {"base": base[seed], "eval": eval_data}, eval_outputs("baseline", seed),
+                partial(self._evaluate_baseline, seed=seed),
+            ))
+        for method, mode in _variants(self.config.values):
+            variant = _variant_id(method, mode)
+            for seed in seeds:
+                table.append(Stage(
+                    f"adapt:{variant}:seed{seed}", _ADAPT_KEYS,
+                    {"data": labeled if method == "pseudo" else screened, "base": base[seed],
+                     "train": train, "eval": eval_data},
+                    {
+                        "model": self._path(f"models/{variant}-seed{seed}"),
+                        **eval_outputs(variant, seed),
+                    },
+                    partial(self._adapt, method=method, mode=mode, seed=seed),
+                ))
+        # the report reads every evaluating stage's metric report
+        table.append(Stage(
+            "report", _REPORT_KEYS,
+            {stage.name: stage.outputs["eval"] for stage in table if "eval" in stage.outputs},
+            {"table": self._path("results.txt"), "tsv": self._path("results.tsv")},
+            self._report,
+        ))
+        return table
+
+    def _execute(self, stage: Stage) -> None:
+        """Run one stage unless its digest matches and its outputs are intact."""
+        config_slice = {key: self.config.get(key) for key in stage.config_keys}
+        payload = {
+            "name": stage.name,
+            "config": config_slice,
+            "inputs": {key: digest_path(path) for key, path in sorted(stage.inputs.items())},
+        }
+        digest = _digest_bytes(json.dumps(payload, sort_keys=True).encode())
+        existing = self.manifest.stage(stage.name)
+        if existing and existing["digest"] == digest:
+            stale = [
+                key
+                for key, path in stage.outputs.items()
+                if not path.exists() or digest_path(path) != existing["outputs"].get(key)
+            ]
+            if not stale:
+                logger.info("stage %s: up to date, skipping", stage.name)
+                return
+            logger.warning("stage %s outputs %s stale or corrupted; re-running", stage.name, stale)
+        logger.info("stage %s: running", stage.name)
+        started = time.perf_counter()
+        stage.action(config_slice)
+        outputs = {key: digest_path(path) for key, path in stage.outputs.items()}
+        self.manifest.record_stage(stage.name, digest, outputs, time.perf_counter() - started)
+
+    def run(self, dry_run: bool = False, kinds: Collection[str] | None = None) -> RunManifest:
+        """Execute the stage table, or only its stages of ``kinds`` (then nothing is pruned).
+
+        A dry run only stores the plan in ``manifest.data["plan"]``.
+        """
+        stages = [stage for stage in self.stages() if kinds is None or stage.kind in kinds]
+        if dry_run:
+            self.manifest.data["plan"] = [stage.name for stage in stages]
+            logger.info("dry run plan: %s", self.manifest.data["plan"])
+            return self.manifest
+        self.manifest.save()
+        for stage in stages:
+            self._execute(stage)
+        if kinds is None:
+            self.manifest.prune_except([stage.name for stage in stages])
+        return self.manifest
+
+    # --- stage actions: each reads config only from its ``cfg`` slice ---------
+
+    def _fixtures(self, cfg: Mapping[str, object]) -> None:
+        seed = int(cfg["data.fixture_seed"])
         data_dir = self._path("data")
-
-        def build() -> None:
-            data_dir.mkdir(parents=True, exist_ok=True)
-            if spec == "fixtures:full":
-                fixtures.build_source_corpus(data_dir / "source.jsonl", seed=seed)
-                fixtures.build_target_corpus(data_dir / "target.jsonl", seed=seed + 1)
-                fixtures.build_raw_corpus(
-                    data_dir / "raw.jsonl",
-                    domains=self.domains,
-                    docs_per_domain=8,
-                    sentences_per_doc=60,
-                    seed=seed + 2,
-                )
-            else:
-                fixtures.build_source_corpus(
-                    data_dir / "source.jsonl", counts=fixtures.tiny_source_counts(), seed=seed
-                )
-                fixtures.build_target_corpus(
-                    data_dir / "target.jsonl",
-                    counts=fixtures.tiny_target_counts(per_domain=4),
-                    domains=self.domains,
-                    seed=seed + 1,
-                    no_relation_extra=3,
-                )
-                fixtures.build_raw_corpus(
-                    data_dir / "raw.jsonl",
-                    domains=self.domains,
-                    docs_per_domain=3,
-                    sentences_per_doc=16,
-                    seed=seed + 2,
-                )
-
-        self._stage(
-            "fixtures",
-            ("data.source", "data.fixture_seed", "domains"),
-            inputs={},
-            outputs={
-                "source": Path("data/source.jsonl"),
-                "target": Path("data/target.jsonl"),
-                "raw": Path("data/raw.jsonl"),
-            },
-            action=build,
+        data_dir.mkdir(parents=True, exist_ok=True)
+        if str(cfg["data.source"]) == "fixtures:full":
+            fixtures.build_source_corpus(data_dir / "source.jsonl", seed=seed)
+            fixtures.build_target_corpus(data_dir / "target.jsonl", seed=seed + 1)
+            docs_per_domain, sentences_per_doc = 8, 60
+        else:
+            fixtures.build_source_corpus(
+                data_dir / "source.jsonl", counts=fixtures.tiny_source_counts(), seed=seed
+            )
+            fixtures.build_target_corpus(
+                data_dir / "target.jsonl",
+                counts=fixtures.tiny_target_counts(per_domain=4),
+                domains=cfg["domains"],
+                seed=seed + 1,
+                no_relation_extra=3,
+            )
+            docs_per_domain, sentences_per_doc = 3, 16
+        fixtures.build_raw_corpus(
+            data_dir / "raw.jsonl",
+            domains=cfg["domains"],
+            docs_per_domain=docs_per_domain,
+            sentences_per_doc=sentences_per_doc,
+            seed=seed + 2,
         )
 
-    def _source_paths(self) -> dict[str, Path]:
-        paths = {}
-        for kind in ("source", "target", "raw"):
-            configured = str(self.config.get(f"data.{kind}"))
-            if configured.startswith("fixtures:"):
-                paths[kind] = self._path(f"data/{kind}.jsonl")
-            else:
-                paths[kind] = Path(configured)
-        return paths
-
-    def _ingest(self) -> None:
-        raw_paths = self._source_paths()
-        split = SplitSpec.parse(str(self.config.get("data.split")))
-
-        def action() -> None:
-            ingest = ingest_source_corpus(raw_paths["source"], split)
-            # canonicalized copies; sections riding along for round-trips
+    def _ingest(self, cfg: Mapping[str, object], corpora: Mapping[str, Path]) -> None:
+        ingest = ingest_source_corpus(corpora["source"], SplitSpec.parse(str(cfg["data.split"])))
+        # canonicalized copies; sections riding along for round-trips
+        for name, section, instances in (("train", 0, ingest.train), ("dev", 1, ingest.dev)):
             write_records(
-                (source_record(inst, section=0) for inst in ingest.train),
-                self._path("data/train.jsonl"),
+                (source_record(inst, section=section) for inst in instances),
+                self._path(f"data/{name}.jsonl"),
             )
-            write_records(
-                (source_record(inst, section=1) for inst in ingest.dev),
-                self._path("data/dev.jsonl"),
-            )
-            target = ingest_target_corpus(raw_paths["target"])
-            write_records((target_record(i) for i in target), self._path("data/eval.jsonl"))
-            docs = ingest_raw_corpus(raw_paths["raw"])
-            write_raw_corpus(docs, self._path("data/raw-canonical.jsonl"))
+        target = ingest_target_corpus(corpora["target"])
+        write_records((target_record(i) for i in target), self._path("data/eval.jsonl"))
+        docs = ingest_raw_corpus(corpora["raw"])
+        write_raw_corpus(docs, self._path("data/raw-canonical.jsonl"))
 
-        self._stage(
-            "ingest",
-            ("data.split", "domains"),
-            inputs=raw_paths,
-            outputs={
-                "train": Path("data/train.jsonl"),
-                "dev": Path("data/dev.jsonl"),
-                "eval": Path("data/eval.jsonl"),
-                "raw": Path("data/raw-canonical.jsonl"),
-            },
-            action=action,
-        )
-
-    # --- models -------------------------------------------------------------
-
-    def _backend(self) -> ReferenceBackend:
-        return ReferenceBackend()
-
-    def _base_config(self, seed: int) -> TrainingConfig:
-        return TrainingConfig(
-            epochs=int(self.config.get("base.epochs")),
-            learning_rate=float(self.config.get("base.learning_rate")),
+    def _train_base(self, cfg: Mapping[str, object], seed: int) -> None:
+        train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
+        dev_set = ingest_source_corpus(self._path("data/dev.jsonl"), _ALL_DEV).dev
+        config = TrainingConfig(
+            epochs=int(cfg["base.epochs"]),
+            learning_rate=float(cfg["base.learning_rate"]),
             seed=seed,
         )
-
-    def _train_base(self, seed: int) -> None:
-        model_dir = Path(f"models/base-seed{seed}")
-
-        def action() -> None:
-            train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
-            dev_set = ingest_source_corpus(self._path("data/dev.jsonl"), _ALL_DEV).dev
-            model, confusion = train_base(
-                train, dev_set, self._base_config(seed), self._backend()
-            )
-            save_model(model, self.workdir / model_dir)
-            confusion_payload = {
-                true.level2: {pred.level2: n for pred, n in sorted(row.items(), key=lambda kv: kv[0].level2)}
-                for true, row in sorted(confusion.items(), key=lambda kv: kv[0].level2)
-            }
-            _write_text(
-                self.workdir / model_dir / "dev-confusion.json",
-                json.dumps(confusion_payload, sort_keys=True, indent=2) + "\n",
-            )
-
-        self._stage(
-            f"train-base:seed{seed}",
-            ("base.epochs", "base.learning_rate"),
-            inputs={"train": self._path("data/train.jsonl"), "dev": self._path("data/dev.jsonl")},
-            outputs={"model": model_dir},
-            action=action,
-        )
+        model, confusion = train_base(train, dev_set, config, ReferenceBackend())
+        model_dir = self._path(f"models/base-seed{seed}")
+        save_model(model, model_dir)
+        confusion_payload = {  # key order comes from _write_json's sort_keys
+            true.level2: {pred.level2: n for pred, n in row.items()} for true, row in confusion.items()
+        }
+        _write_json(model_dir / "dev-confusion.json", confusion_payload)
 
     def _load_base(self, seed: int) -> Model:
-        return load_model(self._path(f"models/base-seed{seed}"), self._backend())
+        return load_model(self._path(f"models/base-seed{seed}"), ReferenceBackend())
 
-    # --- generation and screening -------------------------------------------
-
-    def _generation_backends(self) -> list[Backend]:
-        backends: list[Backend] = []
-        decoding = DecodingParams(seed=int(self.config.get("generation.seed")))
-        for name in self.config.get("generation.backends"):
-            if str(name).startswith("mock"):
-                backends.append(
-                    MockBackend(
-                        name=str(name),
-                        decoding=decoding,
-                        fidelity=float(self.config.get("generation.mock_fidelity")),
-                    )
-                )
-            else:
-                endpoint = os.environ.get(ENDPOINT_ENV, "")
-                if not endpoint:
-                    raise ConfigurationError(
-                        f"backend {name!r} needs {ENDPOINT_ENV} set to an endpoint URL"
-                    )
-                backends.append(
-                    HTTPBackend(
-                        BackendDescriptor(name=str(name), endpoint=endpoint, decoding=decoding)
-                    )
-                )
-        return backends
-
-    def _generate(self) -> None:
-        def action() -> None:
-            docs = ingest_raw_corpus(self._path("data/raw-canonical.jsonl"))
-            seed = int(self.config.get("generation.seed"))
-            n_arg1 = int(self.config.get("generation.n_arg1"))
-            sentences_by_domain: dict[str, list[str]] = {}
-            for domain in self.domains:
-                pool = [s for d in docs if d.domain == domain for s in d.sentences]
-                if not pool:
-                    raise PipelineError(f"no raw sentences for domain {domain}")
-                rng = random.Random(seed + hash_domain(domain))
-                take = min(n_arg1, len(pool))
-                sentences_by_domain[domain] = rng.sample(pool, take)
-            labels = _generation_labels(self.config)
-            template = PromptTemplateKind(self.config.get("generation.template"))
-            choice = self.config.get("generation.connective_choice")
-            cache = GenerationCache(self._path("synthetic/cache.jsonl"))
-            result = generate_batch(
-                sentences_by_domain,
-                labels,
-                self._generation_backends(),
-                template,
-                fixtures.example_pool(self.domains),
-                seed=seed,
-                cache=cache,
-                definitions=load_definitions(),
-                connective_choice=None if choice in (None, "") else int(choice),
-            )
-            write_synthetic_records(result.instances, self._path("synthetic/candidates.jsonl"))
-            _write_text(
-                self._path("synthetic/failures.json"),
-                json.dumps([f._asdict() for f in result.failures], indent=2) + "\n",
-            )
-
-        self._stage(
-            "generate",
-            (
-                "generation.backends",
-                "generation.template",
-                "generation.include_similarity",
-                "generation.n_arg1",
-                "generation.seed",
-                "generation.connective_choice",
-                "generation.mock_fidelity",
-            ),
-            inputs={"raw": self._path("data/raw-canonical.jsonl")},
-            outputs={"candidates": Path("synthetic/candidates.jsonl")},
-            action=action,
+    def _generate(self, cfg: Mapping[str, object]) -> None:
+        docs = ingest_raw_corpus(self._path("data/raw-canonical.jsonl"))
+        seed = int(cfg["generation.seed"])
+        n_arg1 = int(cfg["generation.n_arg1"])
+        sentences_by_domain: dict[str, list[str]] = {}
+        for domain in cfg["domains"]:
+            pool = [s for d in docs if d.domain == domain for s in d.sentences]
+            if not pool:
+                raise PipelineError(f"no raw sentences for domain {domain}")
+            rng = random.Random(seed + hash_domain(domain))
+            sentences_by_domain[domain] = rng.sample(pool, min(n_arg1, len(pool)))
+        choice = cfg["generation.connective_choice"]
+        result = generate_batch(
+            sentences_by_domain,
+            generation_label_set(bool(cfg["generation.include_similarity"])),
+            _generation_backends(cfg),
+            PromptTemplateKind(cfg["generation.template"]),
+            fixtures.example_pool(cfg["domains"]),
+            seed=seed,
+            cache=GenerationCache(self._path("synthetic/cache.jsonl")),
+            definitions=load_definitions(),
+            connective_choice=None if choice in (None, "") else int(choice),
         )
+        write_synthetic_records(result.instances, self._path("synthetic/candidates.jsonl"))
+        _write_text(
+            self._path("synthetic/failures.json"),
+            json.dumps([f._asdict() for f in result.failures], indent=2) + "\n",
+        )
+        stats = {
+            "requests": len(result.instances) + len(result.failures),
+            "cache_hits": sum(inst.cache_hit for inst in result.instances),
+            "rejected": len(result.failures),
+        }
+        # telemetry, not a declared output: cache state stays out of the manifest identity
+        _write_json(self._path("synthetic/generation-stats.json"), stats)
 
-    def _confusion_map(self, base_seed: int) -> ConfusionMap:
-        choice = str(self.config.get("screening.cmap"))
+    def _confusion_map(self, base_seed: int, choice: str) -> ConfusionMap:
         if choice == "bundled":
             return load_confusion_map()
         if choice == "derived":
-            payload = json.loads(
-                (self._path(f"models/base-seed{base_seed}/dev-confusion.json")).read_text("utf-8")
-            )
+            dev_confusion = self._path(f"models/base-seed{base_seed}/dev-confusion.json")
+            payload = json.loads(dev_confusion.read_text("utf-8"))
             matrix = {
                 resolve_label(true): {resolve_label(p): n for p, n in row.items()}
                 for true, row in payload.items()
@@ -593,400 +605,190 @@ class ExperimentRunner:
             return derive_confusion_map(matrix)
         return load_confusion_map(choice)
 
-    def _screen(self) -> None:
-        base_seed = self.seeds[0]
-
-        def action() -> None:
-            candidates = read_synthetic_records(self._path("synthetic/candidates.jsonl"))
-            base = self._load_base(base_seed)
-            predictions, _ = batch_predict(base, [c.pair for c in candidates])
-            for candidate, label in zip(candidates, predictions):
-                candidate.set_predicted(label)
-            kind = ScreenKind(self.config.get("screening.kind"))
-            cmap = freq = None
-            if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
-                cmap = self._confusion_map(base_seed)
-            if kind is ScreenKind.COMBI:
-                train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
-                freq = frequency_table_from_instances(
-                    train, scope=str(self.config.get("screening.freq_scope"))
-                )
-            kept, report = screen_batch(candidates, kind, cmap, freq)
-            write_synthetic_records(kept, self._path("synthetic/screened.jsonl"))
-            _write_text(self._path("synthetic/screening-report.json"), report_to_json(report) + "\n")
-            _write_text(
-                self._path("synthetic/screening-report.txt"),
-                render_screening_report([report], self.domains),
-            )
-            meta = {"base_artifact_id": base.artifact_id, "screen": kind.value}
-            _write_text(
-                self._path("synthetic/screening-meta.json"),
-                json.dumps(meta, sort_keys=True, indent=2) + "\n",
-            )
-
-        self._stage(
-            "screen",
-            ("screening.kind", "screening.cmap", "screening.freq_scope"),
-            inputs={
-                "candidates": self._path("synthetic/candidates.jsonl"),
-                "base": self._path(f"models/base-seed{base_seed}"),
-            },
-            outputs={
-                "screened": Path("synthetic/screened.jsonl"),
-                "report": Path("synthetic/screening-report.json"),
-            },
-            action=action,
+    def _screen(self, cfg: Mapping[str, object], base_seed: int) -> None:
+        candidates = read_synthetic_records(self._path("synthetic/candidates.jsonl"))
+        base = self._load_base(base_seed)
+        predictions, _ = batch_predict(base, [c.pair for c in candidates])
+        for candidate, label in zip(candidates, predictions):
+            candidate.set_predicted(label)
+        kind = ScreenKind(cfg["screening.kind"])
+        cmap = freq = None
+        if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
+            cmap = self._confusion_map(base_seed, str(cfg["screening.cmap"]))
+        if kind is ScreenKind.COMBI:
+            train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
+            freq = frequency_table_from_instances(train, scope=str(cfg["screening.freq_scope"]))
+        kept, report = screen_batch(candidates, kind, cmap, freq)
+        write_synthetic_records(kept, self._path("synthetic/screened.jsonl"))
+        _write_text(self._path("synthetic/screening-report.json"), report_to_json(report) + "\n")
+        _write_text(
+            self._path("synthetic/screening-report.txt"),
+            render_screening_report([report], cfg["domains"]),
+        )
+        _write_json(
+            self._path("synthetic/screening-meta.json"),
+            {"base_artifact_id": base.artifact_id, "screen": kind.value},
         )
 
-    def _pseudo_label(self) -> None:
-        base_seed = self.seeds[0]
-
-        def action() -> None:
-            docs = ingest_raw_corpus(self._path("data/raw-canonical.jsonl"))
-            base = self._load_base(base_seed)
-            instances = pseudo_label_corpus(
-                docs,
-                base,
-                per_domain_n=int(self.config.get("pseudo.per_domain_n")),
-                seed=int(self.config.get("generation.seed")),
-                domains=self.domains,
-            )
-            write_pseudo_records(instances, self._path("pseudo/labeled.jsonl"))
-
-        self._stage(
-            "pseudo-label",
-            ("pseudo.per_domain_n", "generation.seed"),
-            inputs={
-                "raw": self._path("data/raw-canonical.jsonl"),
-                "base": self._path(f"models/base-seed{base_seed}"),
-            },
-            outputs={"labeled": Path("pseudo/labeled.jsonl")},
-            action=action,
+    def _pseudo_label(self, cfg: Mapping[str, object], base_seed: int) -> None:
+        instances = pseudo_label_corpus(
+            ingest_raw_corpus(self._path("data/raw-canonical.jsonl")),
+            self._load_base(base_seed),
+            per_domain_n=int(cfg["pseudo.per_domain_n"]),
+            seed=int(cfg["generation.seed"]),
+            domains=cfg["domains"],
         )
+        write_pseudo_records(instances, self._path("pseudo/labeled.jsonl"))
 
-    # --- adaptation and evaluation -------------------------------------------
+    def _evaluate_baseline(self, cfg: Mapping[str, object], seed: int) -> None:
+        base = self._load_base(seed)
+        models = {domain: (base, False) for domain in cfg["domains"]}
+        self._evaluate(cfg, "baseline", seed, models, dict.fromkeys(models, 0))
 
-    def _adapt_config(self, seed: int, method: str) -> TrainingConfig:
-        loss = LossSpec(
-            kind=LossKind.CE_MINUS_IV if method == "invariance" else LossKind.CE,
-            lam=float(self.config.get("adaptation.lambda")),
-        )
-        groups = ("prefix",) if method == "prefix" else ("encoder", "head")
-        if method in ("concat", "pseudo"):
-            # from-scratch trainings on the combined pool use base-scale settings;
-            # the adaptation epochs/rate apply to continued training only
-            epochs = int(self.config.get("base.epochs"))
-            rate = float(self.config.get("base.learning_rate"))
-        else:
-            epochs = int(self.config.get("adaptation.epochs"))
-            rate = float(self.config.get("adaptation.learning_rate"))
-        return TrainingConfig(
-            epochs=epochs,
-            learning_rate=rate,
-            seed=seed,
-            loss=loss,
-            trainable_groups=groups,
-        )
-
-    def _variant_id(self, method: str, mode: str) -> str:
-        data = "pseudo" if method == "pseudo" else "syn"
-        return f"{method}-{mode}-{data}"
-
-    def _adaptation_data(self, method: str) -> dict[str, list]:
-        """Per-domain target-side training pools for one method."""
+    def _adapt(self, cfg: Mapping[str, object], method: str, mode: str, seed: int) -> None:
+        variant = _variant_id(method, mode)
+        model_dir = self._path(f"models/{variant}-seed{seed}")
+        shutil.rmtree(model_dir, ignore_errors=True)
         if method == "pseudo":
             pool = read_pseudo_records(self._path("pseudo/labeled.jsonl"))
         else:
             pool = read_synthetic_records(self._path("synthetic/screened.jsonl"))
-        by_domain: dict[str, list] = {domain: [] for domain in self.domains}
-        for inst in pool:
-            if inst.domain in by_domain:
-                by_domain[inst.domain].append(inst)
-        return by_domain
-
-    def _adapt_and_evaluate(self, method: str, mode: str, seed: int) -> None:
-        variant = self._variant_id(method, mode)
-        name = f"adapt:{variant}:seed{seed}"
-        data_input = (
-            self._path("pseudo/labeled.jsonl")
-            if method == "pseudo"
-            else self._path("synthetic/screened.jsonl")
-        )
-        model_out = Path(f"models/{variant}-seed{seed}")
-        eval_out = Path(f"eval/{variant}-seed{seed}.json")
-        predictions_out = Path(f"eval/{variant}-seed{seed}-predictions.jsonl")
-
-        def action() -> None:
-            shutil.rmtree(self.workdir / model_out, ignore_errors=True)
-            by_domain = self._adaptation_data(method)
-            config = self._adapt_config(seed, method)
-            base = self._load_base(seed)
-            train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
-            eval_instances = ingest_target_corpus(self._path("data/eval.jsonl"))
-            sizes: dict[str, int] = {}
-            reports: dict[str, dict] = {}
-            prediction_rows: list[dict] = []
-
-            def evaluate(model: Model, domain: str, tagged: bool) -> None:
-                items = [inst for inst in eval_instances if inst.domain == domain]
-                if not items:
-                    raise PipelineError(f"no evaluation items for domain {domain}")
-                tokens = [domain_token_literal(domain) if tagged else None] * len(items)
-                predicted, _ = batch_predict(model, [i.pair for i in items], tokens)
-                prediction_rows.extend(
-                    {**target_record(inst), "predicted": label.level2}
-                    for inst, label in zip(items, predicted)
-                )
-                records = _prediction_records(items, predicted, self.config)
-                report = score(
-                    records,
-                    EvalProtocol(self.config.get("evaluation.protocol")),
-                    run_id=f"seed{seed}",
-                )
-                reports[domain] = _report_payload(report)
-
-            if mode == "specific":
-                for domain in self.domains:
-                    domain_data = by_domain[domain]
-                    if not domain_data:
-                        raise PipelineError(f"no {method} data for domain {domain}")
-                    model = self._adapt_one(method, base, domain_data, train, config)
-                    save_model(model, self.workdir / model_out / domain)
-                    sizes[domain] = len(domain_data)
-                    evaluate(model, domain, tagged=False)
-            else:
-                tagged_pool = [
-                    prepend_domain_token(inst)
-                    for domain in self.domains
-                    for inst in by_domain[domain]
-                ]
-                target_size = min(
-                    int(self.config.get("adaptation.mixed_target_size")), len(tagged_pool)
-                )
-                mixed = stratified_downsample(tagged_pool, target_size, seed=seed)
-                model = self._adapt_one(method, base, mixed, train, config)
-                save_model(model, self.workdir / model_out / "mixed")
-                for domain in self.domains:
-                    sizes[domain] = len(mixed)
-                    evaluate(model, domain, tagged=True)
-
-            payload = {"variant": variant, "seed": seed, "sizes": sizes, "reports": reports}
-            _write_text(
-                self.workdir / eval_out,
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            )
-            write_records(prediction_rows, self.workdir / predictions_out)
-
-        self._stage(
-            name,
-            (
-                "adaptation.epochs",
-                "adaptation.learning_rate",
-                "adaptation.lambda",
-                "adaptation.mixed_target_size",
-                "base.epochs",
-                "base.learning_rate",
-                "evaluation.protocol",
-                "evaluation.vote_threshold",
+        by_domain = {domain: [i for i in pool if i.domain == domain] for domain in cfg["domains"]}
+        # from-scratch trainings on the combined pool (concat, pseudo) use base-scale
+        # settings; the adaptation epochs/rate apply to continued training only
+        scale = "base" if method in ("concat", "pseudo") else "adaptation"
+        config = TrainingConfig(
+            epochs=int(cfg[f"{scale}.epochs"]),
+            learning_rate=float(cfg[f"{scale}.learning_rate"]),
+            seed=seed,
+            loss=LossSpec(
+                kind=LossKind.CE_MINUS_IV if method == "invariance" else LossKind.CE,
+                lam=float(cfg["adaptation.lambda"]),
             ),
-            inputs={
-                "data": data_input,
-                "base": self._path(f"models/base-seed{seed}"),
-                "train": self._path("data/train.jsonl"),
-                "eval": self._path("data/eval.jsonl"),
-            },
-            outputs={"model": model_out, "eval": eval_out, "predictions": predictions_out},
-            action=action,
+            trainable_groups=("prefix",) if method == "prefix" else ("encoder", "head"),
         )
+        base = self._load_base(seed)
+        train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
 
-    def _adapt_one(
-        self,
-        method: str,
-        base: Model,
-        target_data: list,
-        train: list,
-        config: TrainingConfig,
-    ) -> Model:
-        if method == "concat":
-            return adapt_concat(train, target_data, config, base.backend)
-        if method == "prefix":
-            return adapt_prefix(base, target_data, config)
-        if method == "invariance":
-            return adapt_invariance(base, target_data, train, config)
-        if method == "pseudo":
-            return adapt_concat(train, target_data, config, base.backend)
-        raise ConfigurationError(f"unknown adaptation method {method!r}")
+        def adapt(target_data: list, out: str) -> Model:
+            if method == "prefix":
+                model = adapt_prefix(base, target_data, config)
+            elif method == "invariance":
+                model = adapt_invariance(base, target_data, train, config)
+            else:
+                model = adapt_concat(train, target_data, config, base.backend)
+            save_model(model, model_dir / out)
+            return model
 
-    def _evaluate_baseline(self, seed: int) -> None:
-        eval_out = Path(f"eval/baseline-seed{seed}.json")
-        predictions_out = Path(f"eval/baseline-seed{seed}-predictions.jsonl")
-
-        def action() -> None:
-            base = self._load_base(seed)
-            eval_instances = ingest_target_corpus(self._path("data/eval.jsonl"))
-            reports = {}
-            prediction_rows: list[dict] = []
-            for domain in self.domains:
-                items = [inst for inst in eval_instances if inst.domain == domain]
-                if not items:
-                    raise PipelineError(f"no evaluation items for domain {domain}")
-                predicted, _ = batch_predict(base, [i.pair for i in items])
-                prediction_rows.extend(
-                    {**target_record(inst), "predicted": label.level2}
-                    for inst, label in zip(items, predicted)
-                )
-                records = _prediction_records(items, predicted, self.config)
-                report = score(
-                    records,
-                    EvalProtocol(self.config.get("evaluation.protocol")),
-                    run_id=f"seed{seed}",
-                )
-                reports[domain] = _report_payload(report)
-            payload = {
-                "variant": "baseline",
-                "seed": seed,
-                "sizes": {domain: 0 for domain in self.domains},
-                "reports": reports,
-            }
-            _write_text(
-                self.workdir / eval_out,
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            )
-            write_records(prediction_rows, self.workdir / predictions_out)
-
-        self._stage(
-            f"evaluate:baseline:seed{seed}",
-            ("evaluation.protocol", "evaluation.vote_threshold"),
-            inputs={
-                "base": self._path(f"models/base-seed{seed}"),
-                "eval": self._path("data/eval.jsonl"),
-            },
-            outputs={"eval": eval_out, "predictions": predictions_out},
-            action=action,
-        )
-
-    # --- reporting -------------------------------------------------------------
-
-    def _variants(self) -> list[tuple[str, str]]:
-        return [
-            (method, mode)
-            for method in self.config.get("adaptation.methods")
-            for mode in self.config.get("adaptation.domain_modes")
-        ]
-
-    def _report(self) -> None:
-        variant_ids = ["baseline"] + [
-            self._variant_id(method, mode) for method, mode in self._variants()
-        ]
-        eval_inputs = {
-            f"{variant}-seed{seed}": self._path(f"eval/{variant}-seed{seed}.json")
-            for variant in variant_ids
-            for seed in self.seeds
-        }
-
-        def action() -> None:
-            alpha = float(self.config.get("evaluation.alpha"))
-            template = str(self.config.get("generation.template"))
-            screen = ScreenKind(self.config.get("screening.kind")).short_name
-            llm = ",".join(str(b) for b in self.config.get("generation.backends"))
-
-            variants = [
-                VariantMeta(variant_id="baseline", model="baseline", baseline=True)
+        if mode == "specific":
+            models, sizes = {}, {}
+            for domain, domain_data in by_domain.items():
+                if not domain_data:
+                    raise PipelineError(f"no {method} data for domain {domain}")
+                models[domain] = (adapt(domain_data, domain), False)
+                sizes[domain] = len(domain_data)
+        else:
+            tagged_pool = [
+                prepend_domain_token(inst) for pool in by_domain.values() for inst in pool
             ]
-            for method, mode in self._variants():
-                variant_id = self._variant_id(method, mode)
-                if method == "pseudo":
-                    meta = VariantMeta(variant_id, model="base+pseudo", config=mode)
-                else:
-                    model_name = {
-                        "concat": "base+syn",
-                        "prefix": "base>syn",
-                        "invariance": "base>IV>syn",
-                    }[method]
-                    meta = VariantMeta(
-                        variant_id, model=model_name, llm=llm, template=template,
-                        screen=screen, config=mode,
-                    )
-                variants.append(meta)
+            target_size = min(int(cfg["adaptation.mixed_target_size"]), len(tagged_pool))
+            mixed = stratified_downsample(tagged_pool, target_size, seed=seed)
+            model = adapt(mixed, "mixed")
+            models = {domain: (model, True) for domain in by_domain}
+            sizes = dict.fromkeys(by_domain, len(mixed))
+        self._evaluate(cfg, variant, seed, models, sizes)
 
-            summaries: dict[tuple[str, str], RunSummary] = {}
-            significance: dict[tuple[str, str, str], SignificanceResult] = {}
-            sizes: dict[tuple[str, str], int] = {}
-            for meta in variants:
-                runs: dict[str, list[MetricReport]] = {d: [] for d in self.domains}
-                for seed in self.seeds:
-                    payload = json.loads(
-                        (self._path(f"eval/{meta.variant_id}-seed{seed}.json")).read_text("utf-8")
-                    )
-                    for domain in self.domains:
-                        runs[domain].append(_report_from_payload(payload["reports"][domain]))
-                        sizes[(meta.variant_id, domain)] = payload["sizes"][domain]
-                for domain in self.domains:
-                    summaries[(meta.variant_id, domain)] = aggregate_runs(runs[domain])
-
-            if len(self.seeds) >= 2:
-                for meta in variants:
-                    if meta.baseline:
-                        continue
-                    for domain in self.domains:
-                        for metric in ("macro_f1", "accuracy"):
-                            significance[(meta.variant_id, domain, metric)] = t_test(
-                                summaries[(meta.variant_id, domain)].runs(metric),
-                                summaries[("baseline", domain)].runs(metric),
-                                alpha=alpha,
-                                metric=metric,
-                            )
-
-            table = render_results_table(variants, summaries, significance, sizes, self.domains)
-            _write_text(self._path("results.txt"), table)
-            _write_text(
-                self._path("results.tsv"),
-                results_tsv(variants, summaries, significance, sizes, self.domains),
+    def _evaluate(
+        self,
+        cfg: Mapping[str, object],
+        variant: str,
+        seed: int,
+        models: Mapping[str, tuple[Model, bool]],
+        sizes: Mapping[str, int],
+    ) -> None:
+        """Score each domain's (model, tagged) pair; write the report and predictions."""
+        eval_instances = ingest_target_corpus(self._path("data/eval.jsonl"))
+        protocol = EvalProtocol(cfg["evaluation.protocol"])
+        threshold = float(cfg["evaluation.vote_threshold"])
+        reports: dict[str, dict] = {}
+        prediction_rows: list[dict] = []
+        for domain in cfg["domains"]:
+            model, tagged = models[domain]
+            items = [inst for inst in eval_instances if inst.domain == domain]
+            if not items:
+                raise PipelineError(f"no evaluation items for domain {domain}")
+            tokens = [domain_token_literal(domain) if tagged else None] * len(items)
+            predicted, _ = batch_predict(model, [i.pair for i in items], tokens)
+            prediction_rows.extend(
+                {**target_record(inst), "predicted": label.level2}
+                for inst, label in zip(items, predicted)
             )
-
-        self._stage(
-            "report",
-            ("evaluation.alpha",),
-            inputs=eval_inputs,
-            outputs={"table": Path("results.txt"), "tsv": Path("results.tsv")},
-            action=action,
+            records = [
+                PredictionRecord(
+                    item_id=f"{inst.pair.doc_id}#{index}",
+                    predicted=label,
+                    gold=frozenset(gold_label_set(inst, threshold)),
+                    majority=majority_label(inst),
+                    domain=inst.domain,
+                )
+                for index, (inst, label) in enumerate(zip(items, predicted))
+            ]
+            reports[domain] = report_payload(score(records, protocol, run_id=f"seed{seed}"))
+        _write_json(
+            self._path(f"eval/{variant}-seed{seed}.json"),
+            {"variant": variant, "seed": seed, "sizes": dict(sizes), "reports": reports},
         )
+        write_records(prediction_rows, self._path(f"eval/{variant}-seed{seed}-predictions.jsonl"))
 
-    # --- top level ---------------------------------------------------------------
+    def _report(self, cfg: Mapping[str, object]) -> None:
+        domains = cfg["domains"]
+        seeds = [int(s) for s in cfg["seeds"]]
+        llm = ",".join(str(b) for b in cfg["generation.backends"])
+        screen = ScreenKind(cfg["screening.kind"]).short_name
+        variants = [VariantMeta(variant_id="baseline", model="baseline", baseline=True)]
+        for method, mode in _variants(cfg):
+            variant_id = _variant_id(method, mode)
+            if method == "pseudo":
+                variants.append(VariantMeta(variant_id, model="base+pseudo", config=mode))
+            else:
+                variants.append(VariantMeta(
+                    variant_id, model=_MODEL_NAMES[method], llm=llm,
+                    template=str(cfg["generation.template"]), screen=screen, config=mode,
+                ))
 
-    def run(self, dry_run: bool = False) -> RunManifest:
-        if dry_run:
-            self._dry_run_plan = []
-        else:
-            self.manifest.save()
-        needs_fixtures = any(
-            str(self.config.get(f"data.{kind}")).startswith("fixtures:")
-            for kind in ("source", "target", "raw")
+        summaries: dict[tuple[str, str], RunSummary] = {}
+        significance: dict[tuple[str, str, str], SignificanceResult] = {}
+        sizes: dict[tuple[str, str], int] = {}
+        for meta in variants:
+            runs: dict[str, list[MetricReport]] = {d: [] for d in domains}
+            for seed in seeds:
+                payload = json.loads(
+                    self._path(f"eval/{meta.variant_id}-seed{seed}.json").read_text("utf-8")
+                )
+                for domain in domains:
+                    runs[domain].append(report_from_payload(payload["reports"][domain]))
+                    sizes[(meta.variant_id, domain)] = payload["sizes"][domain]
+            for domain in domains:
+                summaries[(meta.variant_id, domain)] = aggregate_runs(runs[domain])
+
+        if len(seeds) >= 2:
+            alpha = float(cfg["evaluation.alpha"])
+            for meta in variants[1:]:  # every variant against the baseline
+                for domain in domains:
+                    for metric in ("macro_f1", "accuracy"):
+                        significance[(meta.variant_id, domain, metric)] = t_test(
+                            summaries[(meta.variant_id, domain)].runs(metric),
+                            summaries[("baseline", domain)].runs(metric),
+                            alpha=alpha,
+                            metric=metric,
+                        )
+
+        table = render_results_table(variants, summaries, significance, sizes, domains)
+        _write_text(self._path("results.txt"), table)
+        _write_text(
+            self._path("results.tsv"),
+            results_tsv(variants, summaries, significance, sizes, domains),
         )
-        if needs_fixtures:
-            self._materialize_fixtures()
-        self._ingest()
-        for seed in self.seeds:
-            self._train_base(seed)
-        methods = list(self.config.get("adaptation.methods"))
-        if any(m != "pseudo" for m in methods):
-            self._generate()
-            self._screen()
-        if "pseudo" in methods:
-            self._pseudo_label()
-        for seed in self.seeds:
-            self._evaluate_baseline(seed)
-        for method, mode in self._variants():
-            for seed in self.seeds:
-                self._adapt_and_evaluate(method, mode, seed)
-        self._report()
-        if dry_run:
-            plan, self._dry_run_plan = self._dry_run_plan, None
-            logger.info("dry run plan: %s", plan)
-            self.manifest.data["plan"] = plan
-        else:
-            self.manifest.prune_except(self._touched)
-        return self.manifest
 
 
 # split specs that route every section to one bucket, for canonical re-reads
@@ -998,56 +800,37 @@ def hash_domain(domain: str) -> int:
     return int.from_bytes(hashlib.sha256(domain.encode()).digest()[:4], "big")
 
 
-def _generation_labels(config: PipelineConfig) -> list[RelationLabel]:
-    from .taxonomy import generation_label_set
-
-    return generation_label_set(bool(config.get("generation.include_similarity")))
+def _write_json(path: Path, payload: object) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _prediction_records(items, predicted, config: PipelineConfig) -> list[PredictionRecord]:
-    threshold = float(config.get("evaluation.vote_threshold"))
-    records = []
-    for index, (inst, label) in enumerate(zip(items, predicted)):
-        records.append(
-            PredictionRecord(
-                item_id=f"{inst.pair.doc_id}#{index}",
-                predicted=label,
-                gold=frozenset(gold_label_set(inst, threshold)),
-                majority=majority_label(inst),
-                domain=inst.domain,
-            )
-        )
-    return records
+def _variants(cfg: Mapping[str, object]) -> list[tuple[str, str]]:
+    return [
+        (method, mode)
+        for method in cfg["adaptation.methods"]
+        for mode in cfg["adaptation.domain_modes"]
+    ]
 
 
-def _report_payload(report: MetricReport) -> dict:
-    return {
-        "accuracy": [report.accuracy.numerator, report.accuracy.denominator],
-        "macro_f1": [report.macro_f1.numerator, report.macro_f1.denominator],
-        "n_items": report.n_items,
-        "protocol": report.protocol.value,
-        "run_id": report.run_id,
-        "per_class": {
-            label.level2: [cs.tp, cs.fp, cs.fn] for label, cs in report.per_class.items()
-        },
-    }
+def _variant_id(method: str, mode: str) -> str:
+    data = "pseudo" if method == "pseudo" else "syn"
+    return f"{method}-{mode}-{data}"
 
 
-def _report_from_payload(payload: dict) -> MetricReport:
-    from .evaluation import ClassScores
-
-    per_class = {
-        resolve_label(name): ClassScores(*counts)
-        for name, counts in payload["per_class"].items()
-    }
-    return MetricReport(
-        accuracy=Fraction(*payload["accuracy"]),
-        per_class=per_class,
-        macro_f1=Fraction(*payload["macro_f1"]),
-        n_items=int(payload["n_items"]),
-        protocol=EvalProtocol(payload["protocol"]),
-        run_id=payload.get("run_id", ""),
-    )
+def _generation_backends(cfg: Mapping[str, object]) -> list[Backend]:
+    backends: list[Backend] = []
+    decoding = DecodingParams(seed=int(cfg["generation.seed"]))
+    fidelity = float(cfg["generation.mock_fidelity"])
+    for name in map(str, cfg["generation.backends"]):
+        if name.startswith("mock"):
+            backends.append(MockBackend(name=name, decoding=decoding, fidelity=fidelity))
+            continue
+        endpoint = os.environ.get(ENDPOINT_ENV, "")
+        if not endpoint:
+            raise ConfigurationError(f"backend {name!r} needs {ENDPOINT_ENV} set to an endpoint URL")
+        descriptor = BackendDescriptor(name=name, endpoint=endpoint, decoding=decoding)
+        backends.append(HTTPBackend(descriptor))
+    return backends
 
 
 def run_experiment(

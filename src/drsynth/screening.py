@@ -59,7 +59,7 @@ class SyntheticInstance:
     predicted: RelationLabel | None = None
     connective: str | None = None
     example_id: str = ""
-    cache_hit: bool = False
+    cache_hit: bool = False  # in memory only: records must not depend on cache state
     decoding: Mapping[str, object] = field(default_factory=dict)
     verdicts: dict[ScreenKind, bool] = field(default_factory=dict)
 
@@ -224,7 +224,6 @@ def synthetic_record(inst: SyntheticInstance) -> dict:
         "backend": inst.backend,
         "template": inst.template,
         "example_id": inst.example_id,
-        "cache_hit": inst.cache_hit,
         "decoding": dict(inst.decoding),
         "verdicts": {kind.value: keep for kind, keep in inst.verdicts.items()},
     }
@@ -256,7 +255,6 @@ def read_synthetic_records(path: str | Path) -> list[SyntheticInstance]:
             domain=record["domain"],
             connective=record.get("connective"),
             example_id=record.get("example_id", ""),
-            cache_hit=bool(record.get("cache_hit", False)),
             decoding=record.get("decoding", {}),
         )
         if "predicted" in record:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import logging
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from drsynth.pipeline import (
     run_experiment,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
+
 SMOKE_OVERRIDES = {
     "adaptation.methods": ["prefix", "pseudo"],
     "adaptation.domain_modes": ["specific"],
@@ -24,6 +30,15 @@ SMOKE_OVERRIDES = {
 def _config(workdir, **overrides):
     mapping = {"workdir": str(workdir), **SMOKE_OVERRIDES, **overrides}
     return PipelineConfig.from_mapping(mapping)
+
+
+def _stages_run(caplog) -> list[str]:
+    """Names of the stages whose actions ran while ``caplog`` was capturing."""
+    return [r.args[0] for r in caplog.records if r.msg == "stage %s: running"]
+
+
+def _file_corpora(corpus_dir) -> dict[str, str]:
+    return {f"data.{kind}": str(corpus_dir / f"{kind}.jsonl") for kind in ("source", "target", "raw")}
 
 
 class TestConfigParsing:
@@ -114,6 +129,23 @@ class TestRunExperiment:
         assert before == after
         assert again.identity_digest() == manifest.identity_digest()
 
+    def test_outputs_match_golden_digests(self, finished_run):
+        """Results and metric reports are pinned across commits, not only across re-runs.
+
+        Model ``.npy`` bytes are left out: float64 parameters depend on the BLAS build.
+        """
+        workdir, _, _ = finished_run
+        golden = {}
+        for line in (GOLDEN / "pipeline_smoke.sha256").read_text().splitlines():
+            digest, name = line.split("  ", 1)
+            golden[name] = digest
+        produced = ["results.txt", "results.tsv"] + sorted(
+            path.relative_to(workdir).as_posix() for path in (workdir / "eval").glob("*.json")
+        )
+        assert sorted(golden) == sorted(produced)
+        for name in produced:
+            assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == golden[name], name
+
     def test_variant_eval_reports_cover_all_seeds_and_domains(self, finished_run):
         workdir, _, _ = finished_run
         for variant in ("baseline", "prefix-specific-syn", "pseudo-specific-pseudo"):
@@ -147,6 +179,39 @@ class TestResume:
         target.unlink()
         resume(workdir)
         assert target.read_bytes() == payload_before
+
+    def test_regenerate_reruns_only_generate(self, tmp_path, caplog):
+        workdir = tmp_path / "run"
+        manifest = run_experiment(_config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]}))
+        (workdir / "synthetic/candidates.jsonl").unlink()
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        resumed = resume(workdir)
+        assert _stages_run(caplog) == ["generate"]
+        assert resumed.identity_digest() == manifest.identity_digest()
+        stats = json.loads((workdir / "synthetic/generation-stats.json").read_text())
+        assert stats["cache_hits"] == stats["requests"] > 0
+        candidate = json.loads((workdir / "synthetic/candidates.jsonl").read_text().splitlines()[0])
+        assert "cache_hit" not in candidate
+
+    def test_relative_corpus_paths(self, tiny_corpus_dir, tmp_path, monkeypatch, caplog):
+        shutil.copytree(tiny_corpus_dir, tmp_path / "corpora")
+        monkeypatch.chdir(tmp_path)
+        corpora = _file_corpora(Path("corpora"))  # relative to the working directory
+        config = _config("work", seeds=[1], **{"adaptation.methods": ["prefix"]}, **corpora)
+        manifest = run_experiment(config)
+        assert "fixtures" not in manifest.data["stages"]
+        before = json.loads(Path("work/run-manifest.json").read_text())
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        assert resume("work").identity_digest() == manifest.identity_digest()
+        assert _stages_run(caplog) == []
+        assert json.loads(Path("work/run-manifest.json").read_text()) == before
+
+        with Path("corpora/target.jsonl").open("a") as handle:  # one more item, same shape
+            handle.write(Path("corpora/target.jsonl").read_text().splitlines()[0] + "\n")
+        caplog.clear()
+        resume("work")
+        assert "ingest" in _stages_run(caplog)
+        assert "generate" not in _stages_run(caplog)
 
     def test_completed_manifest_noop(self, tmp_path):
         workdir = tmp_path / "run"
@@ -275,6 +340,31 @@ class TestConfigChangeClosure:
             != before["adapt:prefix-specific-syn:seed1"]
         )
 
+    def test_changed_screen_reaches_the_report(self, tmp_path):
+        workdir = tmp_path / "run"
+        overrides = {"adaptation.methods": ["prefix"]}
+        run_experiment(_config(workdir, seeds=[1], **overrides))
+        combi = {**overrides, "screening.kind": "combi"}
+        manifest = run_experiment(_config(workdir, seeds=[1], **combi))
+        fresh = run_experiment(_config(tmp_path / "fresh", seeds=[1], **combi))
+        table = (workdir / "results.txt").read_text()
+        row = next(line for line in table.splitlines() if line.startswith("base>syn"))
+        assert "combi" in row.split() and "strict" not in table
+        assert table == (tmp_path / "fresh" / "results.txt").read_text()
+        assert manifest.identity_digest() == fresh.identity_digest()
+
+    def test_dropped_domain_with_file_corpora_matches_fresh_run(self, tiny_corpus_dir, tmp_path):
+        workdir = tmp_path / "run"
+        overrides = {"adaptation.methods": ["prefix"], **_file_corpora(tiny_corpus_dir)}
+        run_experiment(_config(workdir, seeds=[1], **overrides))
+        two = {**overrides, "domains": ["EP", "WK"]}
+        manifest = run_experiment(_config(workdir, seeds=[1], **two))
+        fresh = run_experiment(_config(tmp_path / "fresh", seeds=[1], **two))
+        table = (workdir / "results.txt").read_bytes()
+        assert b"NV" not in table
+        assert table == (tmp_path / "fresh" / "results.txt").read_bytes()
+        assert manifest.identity_digest() == fresh.identity_digest()
+
     def test_removed_variant_pruned_to_match_fresh_run(self, tmp_path):
         workdir = tmp_path / "run"
         run_experiment(_config(workdir, seeds=[1]))
@@ -318,6 +408,29 @@ class TestStageVerbOverrides:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert main(["adapt", "--config", str(cfg), "--method", "prefix"]) == 0
+        # a stage verb runs part of the table and prunes nothing
+        stages = json.loads((tmp_path / "work" / "run-manifest.json").read_text())["stages"]
+        assert "adapt:concat-specific-syn:seed1" in stages
+
+    def test_generate_seed_flag_sets_generation_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f'workdir = "{tmp_path / "work"}"\n'
+            'adaptation.methods = ["prefix"]\n'
+            "seeds = [1]\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        candidates = tmp_path / "work" / "synthetic" / "candidates.jsonl"
+        before = candidates.read_bytes()
+        assert main(["generate", "--config", str(cfg), "--seed", "7"]) == 0
+        assert candidates.read_bytes() != before
+        first = json.loads(candidates.read_text().splitlines()[0])
+        assert first["decoding"]["seed"] == 7
+
+    def test_verb_without_a_stage_in_the_table_is_config_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'workdir = "{tmp_path / "work"}"\nadaptation.methods = ["prefix"]\n')
+        assert main(["pseudo-label", "--config", str(cfg)]) == 2
 
 
 def test_combi_screen_pipeline_path(tmp_path):
@@ -349,7 +462,7 @@ def test_derived_confusion_map_from_dev_confusion(tmp_path):
             }
         )
     )
-    cmap = runner._confusion_map(1)
+    cmap = runner._confusion_map(1, "derived")
     assert cmap.confusion_of(resolve_label("cause+belief")) == resolve_label("cause")
     assert cmap.confusion_of(resolve_label("purpose")) == resolve_label("condition")
     assert resolve_label("cause") not in cmap
