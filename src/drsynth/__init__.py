@@ -10,11 +10,9 @@ from .taxonomy import (  # noqa: F401
     FrequencyTable,
     RelationLabel,
     confusion_of,
-    connectives_for,
     derive_confusion_map,
     is_rare,
     load_confusion_map,
-    load_connective_map,
     resolve_label,
     training_label_set,
 )
@@ -66,14 +64,12 @@ from .adaptation import (  # noqa: F401
     adapt_invariance,
     adapt_prefix,
     batch_predict,
-    predict,
     prepend_domain_token,
     stratified_downsample,
     train_base,
 )
 from .pseudo_label import (  # noqa: F401
     PseudoLabeledInstance,
-    filter_by_confidence,
     pseudo_label_corpus,
 )
 from .evaluation import (  # noqa: F401

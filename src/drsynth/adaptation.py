@@ -261,15 +261,6 @@ def train_base(
     return model, confusion
 
 
-def predict(
-    model: Model, pair: ArgumentPair, domain_token: str | None = None
-) -> tuple[RelationLabel, np.ndarray]:
-    """Label (argmax with global-order tie-break) and raw score vector."""
-    x = model.backend.featurize(pair, domain_token)[None, :]
-    scores = model.backend.score_matrix(model.params, x)[0]
-    return model.labels[int(np.argmax(scores))], scores
-
-
 def batch_predict(
     model: Model,
     pairs: Sequence[ArgumentPair],

@@ -25,6 +25,7 @@ from .records import (
     ingest_source_corpus,
     ingest_target_corpus,
 )
+from .taxonomy import LabelError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except (ConfigurationError, CorpusFormatError, FileNotFoundError) as exc:
+    except (ConfigurationError, CorpusFormatError, FileNotFoundError, LabelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TransportError as exc:

@@ -242,44 +242,30 @@ def t_test(
     model_runs: Sequence[float],
     baseline_runs: Sequence[float],
     alpha: float = 0.05,
-    paired: bool = False,
     metric: str = "",
 ) -> SignificanceResult:
-    """Two-tailed t-test of model vs baseline runs.
+    """Two-tailed Welch t-test of model vs baseline runs.
 
-    Unpaired is Welch's test with Welch-Satterthwaite degrees of freedom;
-    no pairing across runs is assumed unless requested. Two zero-variance
-    samples yield p=1.0 at equal means (no effect) and p=0.0 otherwise.
+    Welch-Satterthwaite degrees of freedom; no pairing across runs is
+    assumed. Two zero-variance samples yield p=1.0 at equal means (no
+    effect) and p=0.0 otherwise.
     """
     if len(model_runs) < 2 or len(baseline_runs) < 2:
         raise EvaluationError("t-test needs at least two runs per side")
-    if paired and len(model_runs) != len(baseline_runs):
-        raise EvaluationError("paired t-test needs equal-length run lists")
-    mean_m = sum(model_runs) / len(model_runs)
-    mean_b = sum(baseline_runs) / len(baseline_runs)
-
-    if paired:
-        diffs = [m - b for m, b in zip(model_runs, baseline_runs)]
-        mean_d = sum(diffs) / len(diffs)
-        var_d = sum((d - mean_d) ** 2 for d in diffs) / (len(diffs) - 1)
-        if var_d == 0.0:
-            t_stat, p_value = _degenerate(mean_d)
-        else:
-            t_stat = mean_d / math.sqrt(var_d / len(diffs))
-            p_value = _two_tailed_p(t_stat, len(diffs) - 1)
+    n_m, n_b = len(model_runs), len(baseline_runs)
+    mean_m = sum(model_runs) / n_m
+    mean_b = sum(baseline_runs) / n_b
+    var_m = sum((x - mean_m) ** 2 for x in model_runs) / (n_m - 1)
+    var_b = sum((x - mean_b) ** 2 for x in baseline_runs) / (n_b - 1)
+    if var_m == 0.0 and var_b == 0.0:
+        t_stat, p_value = _degenerate(mean_m - mean_b)
     else:
-        n_m, n_b = len(model_runs), len(baseline_runs)
-        var_m = sum((x - mean_m) ** 2 for x in model_runs) / (n_m - 1)
-        var_b = sum((x - mean_b) ** 2 for x in baseline_runs) / (n_b - 1)
-        if var_m == 0.0 and var_b == 0.0:
-            t_stat, p_value = _degenerate(mean_m - mean_b)
-        else:
-            se_sq = var_m / n_m + var_b / n_b
-            t_stat = (mean_m - mean_b) / math.sqrt(se_sq)
-            df = se_sq**2 / (
-                (var_m / n_m) ** 2 / (n_m - 1) + (var_b / n_b) ** 2 / (n_b - 1)
-            )
-            p_value = _two_tailed_p(t_stat, df)
+        se_sq = var_m / n_m + var_b / n_b
+        t_stat = (mean_m - mean_b) / math.sqrt(se_sq)
+        df = se_sq**2 / (
+            (var_m / n_m) ** 2 / (n_m - 1) + (var_b / n_b) ** 2 / (n_b - 1)
+        )
+        p_value = _two_tailed_p(t_stat, df)
 
     return SignificanceResult(
         metric=metric,

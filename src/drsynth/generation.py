@@ -20,10 +20,9 @@ import logging
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from .fixtures import marker_token
 from .prompts import (
@@ -35,10 +34,9 @@ from .prompts import (
     render_dr_prompt,
     select_example,
 )
-from .records import ArgumentPair
+from .records import ArgumentPair, CorpusFormatError
 from .screening import SyntheticInstance
 from .taxonomy import (
-    ConnectiveMap,
     RelationLabel,
     default_connective_map,
     resolve_label,
@@ -186,6 +184,10 @@ class GenerationCache:
 
     Safe for concurrent readers; writes are serialized. Existing entries
     are never overwritten, so a hit always returns the first stored text.
+    Every stored record ends with a newline, so a last line without one is
+    a write that was cut short: loading drops it with a warning and
+    truncates the file, and the next ``put`` starts on a fresh line. A
+    malformed line anywhere else is a ``CorpusFormatError``.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -193,13 +195,23 @@ class GenerationCache:
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
         if self._path is not None and self._path.exists():
-            with open(self._path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._entries.setdefault(record["key"], record["raw"])
+            self._load(self._path)
+
+    def _load(self, path: Path) -> None:
+        data = path.read_bytes()
+        complete, _, torn = data.rpartition(b"\n")
+        for lineno, line in enumerate(complete.split(b"\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                self._entries.setdefault(record["key"], record["raw"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: malformed cache record: {exc}") from exc
+        if torn:
+            logger.warning("%s: dropping an unterminated last line (interrupted write)", path)
+            with open(path, "r+b") as handle:
+                handle.truncate(len(data) - len(torn))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -286,14 +298,11 @@ class MockBackend:
         decoding: DecodingParams | None = None,
         fidelity: float = 0.85,
         two_sentence_rate: float = 0.1,
-        cmap: ConnectiveMap | None = None,
-        token_fn: Callable[[RelationLabel], str] = marker_token,
     ):
         self.descriptor = BackendDescriptor(name=name, decoding=decoding or DecodingParams())
         self._fidelity = fidelity
         self._two_sentence_rate = two_sentence_rate
-        self._token_fn = token_fn
-        cmap = cmap or default_connective_map()
+        cmap = default_connective_map()
         self._by_connective = {
             conn: label for label, options in cmap.entries.items() for conn in options
         }
@@ -324,7 +333,7 @@ class MockBackend:
             label = self._labels[digest[4] % len(self._labels)]
         filler = _MOCK_FILLERS[digest[5] % len(_MOCK_FILLERS)]
         tail = _MOCK_FILLERS[digest[6] % len(_MOCK_FILLERS)]
-        text = f"{filler} {self._token_fn(label)} before long."
+        text = f"{filler} {marker_token(label)} before long."
         if rolls[1] < self._two_sentence_rate:
             text += f" Then {tail}."
         return text
@@ -398,33 +407,28 @@ def generate_batch(
     example_pool: Sequence[InContextExample],
     seed: int = 0,
     cache: GenerationCache | None = None,
-    cmap: ConnectiveMap | None = None,
-    definitions: Mapping[RelationLabel, str] | None = None,
     connective_choice: int | None = None,
-    max_workers: int = 1,
 ) -> BatchResult:
     """One candidate per (sentence, label) per backend per domain.
 
-    Item failures are recorded and excluded; the batch never aborts on a
-    rejected generation. Output order is the request-tuple order
-    (domain, backend, sentence, label) regardless of completion order.
+    Prompts use the bundled connectives and definitions, and all of them are
+    rendered before the first backend call. Requests run serially in (domain,
+    backend, sentence, label) order, which is the output order. Item failures
+    are recorded and excluded; the batch never aborts on a rejected generation.
     """
-    cmap = cmap or default_connective_map()
-    if template is PromptTemplateKind.DR and definitions is None:
-        definitions = load_definitions()
-
-    jobs: list[tuple[tuple, GenerationRequest, Backend]] = []
+    definitions = load_definitions() if template is PromptTemplateKind.DR else {}
+    jobs: list[tuple[GenerationRequest, Backend]] = []
     for domain in sorted(sentences_by_domain):
         sentences = sentences_by_domain[domain]
         examples = {
             label: select_example(example_pool, domain, label, seed) for label in labels
         }
-        for b_idx, backend in enumerate(backends):
-            for s_idx, sentence in enumerate(sentences):
-                for l_idx, label in enumerate(labels):
+        for backend in backends:
+            for sentence in sentences:
+                for label in labels:
                     if template is PromptTemplateKind.DC:
                         prompt = render_dc_prompt(
-                            sentence, label, examples[label], cmap,
+                            sentence, label, examples[label],
                             choice=connective_choice, seed=seed,
                         )
                     else:
@@ -434,49 +438,36 @@ def generate_batch(
                     request = GenerationRequest(
                         prompt=prompt, arg1=sentence.strip(), intended=label, domain=domain
                     )
-                    jobs.append(((domain, b_idx, s_idx, l_idx), request, backend))
-
-    def run_one(job):
-        key, request, backend = job
-        try:
-            return key, request, backend, generate_arg2(request, backend, cache=cache), None
-        except GenerationRejected as exc:
-            return key, request, backend, None, str(exc)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = [run_one(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
+                    jobs.append((request, backend))
 
     instances: list[SyntheticInstance] = []
     failures: list[BatchFailure] = []
-    for key, request, backend, result, error in outcomes:
-        domain = key[0]
-        if result is None:
+    for request, backend in jobs:
+        try:
+            result = generate_arg2(request, backend, cache=cache)
+        except GenerationRejected as exc:
             failures.append(
                 BatchFailure(
-                    domain=domain,
+                    domain=request.domain,
                     arg1=request.arg1,
                     label=request.intended.level2,
                     backend=backend.descriptor.name,
-                    error=error or "rejected",
+                    error=str(exc) or "rejected",
                 )
             )
             logger.warning(
-                "generation rejected (%s, %s): %s", domain, request.intended.level2, error
+                "generation rejected (%s, %s): %s", request.domain, request.intended.level2, exc
             )
             continue
         instances.append(
             SyntheticInstance(
-                pair=ArgumentPair(arg1=result.request.arg1, arg2=result.arg2),
-                intended=result.request.intended,
+                pair=ArgumentPair(arg1=request.arg1, arg2=result.arg2),
+                intended=request.intended,
                 backend=result.backend.name,
-                template=result.request.prompt.kind.value,
-                domain=domain,
-                connective=result.request.prompt.connective,
-                example_id=result.request.prompt.example_id,
+                template=request.prompt.kind.value,
+                domain=request.domain,
+                connective=request.prompt.connective,
+                example_id=request.prompt.example_id,
                 cache_hit=result.cache_hit,
                 decoding=result.backend.decoding.as_dict(),
             )

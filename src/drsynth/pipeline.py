@@ -85,7 +85,7 @@ from .generation import (
     MockBackend,
     generate_batch,
 )
-from .prompts import PromptTemplateKind, load_definitions
+from .prompts import PromptTemplateKind
 from .pseudo_label import (
     pseudo_label_corpus,
     read_pseudo_records,
@@ -162,8 +162,8 @@ _VALID_METHODS = ("concat", "prefix", "invariance", "pseudo")
 _VALID_MODES = ("specific", "mixed")
 
 
-class PipelineError(RuntimeError):
-    pass
+class PipelineError(ConfigurationError):
+    """A workdir or corpus state the config cannot run on (CLI exit 2)."""
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -225,6 +225,9 @@ class PipelineConfig:
                 raise ConfigurationError(f"unknown domain mode {mode!r}")
         if self.get("generation.template") not in ("DC", "DR"):
             raise ConfigurationError("generation.template must be DC or DR")
+        if self.get("generation.include_similarity") and self.get("generation.template") == "DC":
+            # the connective map covers only the training labels
+            raise ConfigurationError("generation.include_similarity needs generation.template DR")
         if self.get("screening.kind") not in ("strict", "confusion", "combi"):
             raise ConfigurationError("screening.kind must be strict, confusion, or combi")
         EvalProtocol(self.get("evaluation.protocol"))
@@ -576,7 +579,6 @@ class ExperimentRunner:
             fixtures.example_pool(cfg["domains"]),
             seed=seed,
             cache=GenerationCache(self._path("synthetic/cache.jsonl")),
-            definitions=load_definitions(),
             connective_choice=None if choice in (None, "") else int(choice),
         )
         write_synthetic_records(result.instances, self._path("synthetic/candidates.jsonl"))

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Sequence
 
 from .taxonomy import (
-    ConnectiveMap,
     LabelError,
     RelationLabel,
     _read_resource,
@@ -107,17 +106,16 @@ def _stable_choice(n: int, seed: int, *parts: str) -> int:
 
 def pick_connective(
     label: RelationLabel,
-    cmap: ConnectiveMap | None = None,
     choice: int | None = None,
     seed: int = 0,
     context: str = "",
 ) -> str:
-    """One of the label's two connective options.
+    """One of the label's two bundled connective options.
 
     ``choice`` pins option 0 or 1; otherwise the pick is a uniform seeded
     function of (label, seed, context).
     """
-    options = (cmap or default_connective_map()).options(label)
+    options = default_connective_map().options(label)
     if choice is None:
         choice = _stable_choice(2, seed, "connective", label.level2, context)
     if choice not in (0, 1):
@@ -129,23 +127,20 @@ def render_dc_prompt(
     arg1: str,
     label: RelationLabel,
     example: InContextExample,
-    cmap: ConnectiveMap | None = None,
     choice: int | None = None,
     seed: int = 0,
-    example_choice: int = 0,
 ) -> RenderedPrompt:
     """Render a connective-lexicalized completion prompt.
 
-    The example block uses the example's own label to pick its connective
-    (option ``example_choice``), so a demonstration of another relation
-    renders with the connective that actually signals it.
+    The example block uses the first connective option of the example's own
+    label, so a demonstration of another relation renders with the
+    connective that actually signals it.
     """
     arg1 = arg1.strip()
     if not arg1:
         raise PromptError("Arg1 must be non-empty")
-    cmap = cmap or default_connective_map()
-    task_connective = pick_connective(label, cmap, choice=choice, seed=seed, context=arg1)
-    example_connective = cmap.options(example.label)[example_choice]
+    task_connective = pick_connective(label, choice=choice, seed=seed, context=arg1)
+    example_connective = default_connective_map().options(example.label)[0]
     text = DC_TEMPLATE.format(
         example_arg1=example.arg1,
         example_connective=example_connective,
@@ -192,15 +187,10 @@ def render_dr_prompt(
     )
 
 
-def load_definitions(path: str | None = None) -> dict[RelationLabel, str]:
-    """Bundled label definitions, or a user-edited copy from ``path``."""
-    text = (
-        _read_resource("definitions.txt")
-        if path is None
-        else open(path, encoding="utf-8").read()
-    )
+def load_definitions() -> dict[RelationLabel, str]:
+    """The bundled label definitions."""
     definitions: dict[RelationLabel, str] = {}
-    for line in _strip_comments(text):
+    for line in _strip_comments(_read_resource("definitions.txt")):
         name, sep, body = line.partition(":")
         if not sep or not body.strip():
             raise ValueError(f"expected 'label: definition': {line!r}")

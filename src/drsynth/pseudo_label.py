@@ -2,7 +2,7 @@
 
 The baseline classifier labels every adjacent pair; a per-domain uniform
 sample of the requested size becomes training data. No confidence
-thresholding is applied by default; the filter exists as an opt-in.
+thresholding is applied.
 """
 
 from __future__ import annotations
@@ -116,15 +116,6 @@ def pseudo_label_corpus(
             )
     assert_argmax_consistent(out, model.labels)
     return out
-
-
-def filter_by_confidence(
-    instances: Sequence[PseudoLabeledInstance], min_confidence: float
-) -> list[PseudoLabeledInstance]:
-    """Keep instances at or above the confidence floor; 0 keeps everything."""
-    if not 0.0 <= min_confidence <= 1.0:
-        raise PseudoLabelError("confidence threshold must be within [0, 1]")
-    return [inst for inst in instances if inst.confidence >= min_confidence]
 
 
 def pseudo_record(inst: PseudoLabeledInstance) -> dict:

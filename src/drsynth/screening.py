@@ -8,8 +8,10 @@ confusion map, frequency table):
              frequent misprediction
   combi      confusion screen for rare intended labels, strict otherwise
 
-An exact match always survives the confusion screen (confuse(L') != L' by
-construction), so per instance strict pass => combi pass => confusion pass.
+An intended label without a confusion-map entry has no misprediction to
+screen out, so the confusion screen keeps it. An exact match always
+survives the confusion screen (confuse(L') != L' by construction), so per
+instance strict pass => combi pass => confusion pass.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .records import ArgumentPair
 from .taxonomy import (
     ConfusionMap,
     FrequencyTable,
-    LabelError,
-    RARE_THRESHOLD,
     RelationLabel,
     is_rare,
     resolve_label,
@@ -84,38 +84,19 @@ def strict_screen(inst: SyntheticInstance) -> bool:
     return inst._require_prediction() == inst.intended
 
 
-def confusion_screen(
-    inst: SyntheticInstance,
-    cmap: ConfusionMap,
-    missing_label: str = "error",
-) -> bool:
+def confusion_screen(inst: SyntheticInstance, cmap: ConfusionMap) -> bool:
     """Keep unless the prediction equals confuse(intended).
 
-    Labels missing from the map are an error by default; configure
-    ``missing_label="pass"`` to wave such instances through with a warning.
+    An intended label without a map entry has no misprediction to screen
+    out, so its instances are kept.
     """
     predicted = inst._require_prediction()
-    if inst.intended not in cmap:
-        if missing_label == "pass":
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "label %s missing from confusion map; passing instance through",
-                inst.intended,
-            )
-            return True
-        raise LabelError(f"label {inst.intended} missing from confusion map")
-    return predicted != cmap.confusion_of(inst.intended)
+    return inst.intended not in cmap or predicted != cmap.confusion_of(inst.intended)
 
 
-def combi_screen(
-    inst: SyntheticInstance,
-    cmap: ConfusionMap,
-    freq: FrequencyTable,
-    rare_threshold: float = RARE_THRESHOLD,
-) -> bool:
+def combi_screen(inst: SyntheticInstance, cmap: ConfusionMap, freq: FrequencyTable) -> bool:
     """Confusion screen for rare intended labels, strict screen otherwise."""
-    if is_rare(inst.intended, freq, rare_threshold):
+    if is_rare(inst.intended, freq):
         return confusion_screen(inst, cmap)
     return strict_screen(inst)
 
@@ -164,7 +145,6 @@ def screen_batch(
     kind: ScreenKind,
     cmap: ConfusionMap | None = None,
     freq: FrequencyTable | None = None,
-    rare_threshold: float = RARE_THRESHOLD,
 ) -> tuple[list[SyntheticInstance], ScreeningReport]:
     """Apply one screen to a whole batch, preserving input order."""
     if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI) and cmap is None:
@@ -179,7 +159,7 @@ def screen_batch(
         elif kind is ScreenKind.CONFUSION:
             verdict = confusion_screen(inst, cmap)
         else:
-            verdict = combi_screen(inst, cmap, freq, rare_threshold)
+            verdict = combi_screen(inst, cmap, freq)
         inst.set_verdict(kind, verdict)
         report.record(inst, verdict)
         if verdict:

@@ -23,11 +23,12 @@ from typing import Iterable, Mapping
 
 logger = logging.getLogger(__name__)
 
-LEVEL1_GROUPS = ("Expansion", "Contingency", "Contrast", "Temporal")
-
 
 class LabelError(KeyError):
     """Unknown label string or a label missing from a map."""
+
+    def __str__(self) -> str:  # KeyError would quote the message
+        return str(self.args[0]) if self.args else ""
 
 
 @dataclass(frozen=True)
@@ -186,22 +187,9 @@ def parse_connective_map(text: str) -> ConnectiveMap:
     return ConnectiveMap(entries)
 
 
-def load_connective_map(path: str | None = None) -> ConnectiveMap:
-    """Load the bundled connective map, or a user-edited copy from ``path``."""
-    if path is None:
-        return default_connective_map()
-    with open(path, encoding="utf-8") as handle:
-        return parse_connective_map(handle.read())
-
-
 @lru_cache(maxsize=1)
 def default_connective_map() -> ConnectiveMap:
     return parse_connective_map(_read_resource("connectives.txt"))
-
-
-def connectives_for(label: RelationLabel, cmap: ConnectiveMap | None = None) -> tuple[str, str]:
-    """The two connective options for a training label."""
-    return (cmap or default_connective_map()).options(label)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from drsynth.adaptation import (
     default_prefix_length,
     domain_token_literal,
     load_model,
-    predict,
     prefix_parameter_count,
     prepend_domain_token,
     save_model,
@@ -101,7 +100,7 @@ class TestPredict:
     def test_memorizes_training_item(self, tiny_source, base_model):
         model, _ = base_model
         inst = tiny_source.train[0]
-        label, _ = predict(model, inst.pair)
+        (label,), _ = batch_predict(model, [inst.pair])
         assert label == inst.label
 
     def test_all_equal_scores_tie_break_to_first_label(self, base_model):
@@ -113,7 +112,7 @@ class TestPredict:
             artifact_id="tied",
             manifest={},
         )
-        label, scores = predict(tied, ArgumentPair(arg1="anything", arg2="else"))
+        (label,), (scores,) = batch_predict(tied, [ArgumentPair(arg1="anything", arg2="else")])
         assert len(set(scores.tolist())) == 1
         assert label == training_label_set()[0]
 
@@ -122,7 +121,7 @@ class TestPredict:
         pairs = [inst.pair for inst in tiny_source.dev[:25]]
         batched, batch_scores = batch_predict(model, pairs)
         for i, pair in enumerate(pairs):
-            single, single_scores = predict(model, pair)
+            (single,), (single_scores,) = batch_predict(model, [pair])
             assert single == batched[i]
             assert np.allclose(single_scores, batch_scores[i])
 

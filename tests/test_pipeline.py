@@ -213,6 +213,24 @@ class TestResume:
         assert "ingest" in _stages_run(caplog)
         assert "generate" not in _stages_run(caplog)
 
+    def test_torn_cache_line_tolerated(self, tmp_path):
+        workdir = tmp_path / "run"
+        overrides = {"adaptation.methods": ["prefix"], "generation.n_arg1": 3}
+        run_experiment(_config(workdir, seeds=[1], **overrides))
+        cache = workdir / "synthetic" / "cache.jsonl"
+        entries = len(cache.read_text("utf-8").splitlines())
+        with open(cache, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "abc", "raw": "tor')  # a write cut short by a kill
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "\n".join(f"{key} = {json.dumps(value)}" for key, value in overrides.items())
+            + f'\nworkdir = "{workdir}"\nseeds = [1]\ngeneration.n_arg1 = 4\n'
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        lines = cache.read_text("utf-8").splitlines()
+        assert len(lines) > entries
+        assert all(json.loads(line)["key"] != "abc" for line in lines)
+
     def test_completed_manifest_noop(self, tmp_path):
         workdir = tmp_path / "run"
         run_experiment(_config(workdir, seeds=[1]))
@@ -280,6 +298,44 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "report" in out.splitlines()[-1] or "report" in out
+
+    def _config_error(self, tmp_path, capsys, argv, *lines) -> str:
+        """Run ``argv`` on a one-seed prefix config; expect exit 2, return stderr."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "\n".join(
+                [f'workdir = "{tmp_path / "work"}"', 'adaptation.methods = ["prefix"]', "seeds = [1]"]
+                + list(lines)
+            )
+            + "\n"
+        )
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        return err
+
+    def test_stage_verb_on_fresh_workdir_is_config_error(self, tmp_path, capsys):
+        err = self._config_error(tmp_path, capsys, ["screen"])
+        assert "artifact missing" in err and "base-seed1" in err
+
+    def test_domain_without_raw_sentences_is_config_error(self, tiny_corpus_dir, tmp_path, capsys):
+        corpora = [f'{key} = "{path}"' for key, path in _file_corpora(tiny_corpus_dir).items()]
+        err = self._config_error(tmp_path, capsys, ["run"], 'domains = ["EP", "ZZ"]', *corpora)
+        assert "no raw sentences for domain ZZ" in err
+
+    def test_label_missing_from_frequency_table_is_config_error(self, tmp_path, capsys):
+        err = self._config_error(
+            tmp_path, capsys, ["run"], "generation.include_similarity = true",
+            'generation.template = "DR"', 'screening.kind = "combi"', "generation.n_arg1 = 2",
+        )
+        assert "label similarity not covered by frequency table" in err
+
+    def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
+        with pytest.raises(ConfigurationError, match="include_similarity"):
+            PipelineConfig.from_mapping({"generation.include_similarity": True})
+        err = self._config_error(tmp_path, capsys, ["run"], "generation.include_similarity = true")
+        assert "generation.template DR" in err
+        assert not (tmp_path / "work" / "data").exists()
 
 
 def test_digest_path_covers_files_and_directories(tmp_path):
@@ -443,6 +499,24 @@ def test_combi_screen_pipeline_path(tmp_path):
     report = json.loads((workdir / "synthetic" / "screening-report.json").read_text())
     assert report["screen"] == "combi"
     assert (workdir / "results.txt").exists()
+
+
+def test_confusion_screen_with_derived_map(tmp_path):
+    # the derived map omits labels the base model never mispredicts on dev;
+    # the confusion screen keeps their candidates
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f'workdir = "{tmp_path / "work"}"\n'
+        'adaptation.methods = ["prefix"]\n'
+        "seeds = [1]\n"
+        'screening.kind = "confusion"\n'
+        'screening.cmap = "derived"\n'
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "work" / "synthetic" / "screening-report.json").read_text())
+    assert report["screen"] == "confusion"
+    kept = {label for s in report["strata"] for label in s["kept_per_label"]}
+    assert "level-of-detail" in kept
 
 
 def test_derived_confusion_map_from_dev_confusion(tmp_path):

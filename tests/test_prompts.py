@@ -15,7 +15,7 @@ from drsynth.prompts import (
 )
 from drsynth.taxonomy import (
     LabelError,
-    connectives_for,
+    default_connective_map,
     resolve_label,
     training_label_set,
 )
@@ -73,7 +73,7 @@ def test_dc_all_labels_both_options_distinct_and_verbatim():
     for label in training_label_set():
         for choice in (0, 1):
             prompt = render_dc_prompt("A lead sentence.", label, FIG_DC_EXAMPLE, choice=choice)
-            connective = connectives_for(label)[choice]
+            connective = default_connective_map().options(label)[choice]
             assert f"A lead sentence. {connective} ..." in prompt.text
             texts.add(prompt.text)
     assert len(texts) == 28
@@ -119,7 +119,7 @@ def test_no_unfilled_placeholders():
 
 def test_pick_connective_seeded_and_pinned():
     cause = resolve_label("cause")
-    options = connectives_for(cause)
+    options = default_connective_map().options(cause)
     assert pick_connective(cause, choice=0) == options[0]
     assert pick_connective(cause, choice=1) == options[1]
     seeded = {pick_connective(cause, seed=s, context="x") for s in range(40)}

@@ -5,7 +5,6 @@ from drsynth.fixtures import make_raw_documents, marker_token
 from drsynth.pseudo_label import (
     PseudoLabelError,
     assert_argmax_consistent,
-    filter_by_confidence,
     pseudo_label_corpus,
     read_pseudo_records,
     write_pseudo_records,
@@ -71,33 +70,6 @@ class TestPseudoLabelCorpus:
         out = pseudo_label_corpus(docs, model, per_domain_n=80, seed=1)
         hits = sum(marker_token(inst.label) in inst.pair.arg2 for inst in out)
         assert hits / len(out) >= 0.8
-
-
-class TestFilterByConfidence:
-    def test_zero_threshold_is_identity(self, base_model):
-        model, _ = base_model
-        out = pseudo_label_corpus(_docs("EP", 2, 15), model, per_domain_n=20, seed=0)
-        assert filter_by_confidence(out, 0.0) == out
-
-    def test_full_threshold_keeps_only_certainty(self, base_model):
-        model, _ = base_model
-        out = pseudo_label_corpus(_docs("EP", 2, 15), model, per_domain_n=20, seed=0)
-        kept = filter_by_confidence(out, 1.0)
-        assert all(inst.confidence >= 1.0 for inst in kept)
-        assert len(kept) < len(out)
-
-    def test_matches_bruteforce_scan(self, base_model):
-        model, _ = base_model
-        out = pseudo_label_corpus(_docs("EP", 3, 20), model, per_domain_n=40, seed=0)
-        threshold = 0.5
-        expected = [inst for inst in out if inst.confidence >= threshold]
-        assert filter_by_confidence(out, threshold) == expected
-
-    def test_threshold_range_validated(self):
-        with pytest.raises(PseudoLabelError):
-            filter_by_confidence([], -0.1)
-        with pytest.raises(PseudoLabelError):
-            filter_by_confidence([], 1.5)
 
 
 def test_record_round_trip(base_model, tmp_path):

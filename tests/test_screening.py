@@ -16,8 +16,8 @@ from drsynth.screening import (
     write_synthetic_records,
 )
 from drsynth.taxonomy import (
+    ConfusionMap,
     FrequencyTable,
-    LabelError,
     default_confusion_map,
     resolve_label,
     training_label_set,
@@ -85,16 +85,13 @@ class TestConfusionScreen:
         for label in training_label_set():
             assert confusion_screen(_inst(label.level2, label.level2), cmap) is True
 
-    def test_missing_label_default_errors(self):
-        cmap = default_confusion_map()
-        with pytest.raises(LabelError):
-            confusion_screen(_inst("disjunction", "cause"), cmap)
-
-    def test_missing_label_pass_through(self, caplog):
-        cmap = default_confusion_map()
-        with caplog.at_level("WARNING"):
-            kept = confusion_screen(_inst("disjunction", "cause"), cmap, missing_label="pass")
-        assert kept is True
+    def test_missing_label_pass_through(self):
+        # a label without an entry has no misprediction to screen out
+        partial = ConfusionMap({resolve_label("cause+belief"): resolve_label("cause")})
+        assert confusion_screen(_inst("disjunction", "cause"), default_confusion_map()) is True
+        for predicted in ("cause", "contrast", "purpose"):
+            assert confusion_screen(_inst("purpose", predicted), partial) is True
+        assert confusion_screen(_inst("cause+belief", "cause"), partial) is False
 
 
 class TestCombiScreen:
@@ -149,6 +146,18 @@ class TestScreenBatch:
         kept_confusion, _ = screen_batch(batch, ScreenKind.CONFUSION, cmap, freq)
         ids = lambda items: {id(i) for i in items}
         assert ids(kept_strict) <= ids(kept_combi) <= ids(kept_confusion)
+
+    def test_monotonic_nesting_with_partial_map(self):
+        # as a derived map does, drop the entries of some labels (rare ones included)
+        dropped = {resolve_label(n) for n in ("cause+belief", "level-of-detail", "manner")}
+        full = default_confusion_map().entries
+        cmap = ConfusionMap({k: v for k, v in full.items() if k not in dropped})
+        batch, freq = _random_batch(1000, seed=7), _reference_freq()
+        kept = {
+            kind: {id(i) for i in screen_batch(batch, kind, cmap, freq)[0]} for kind in ScreenKind
+        }
+        assert kept[ScreenKind.STRICT] <= kept[ScreenKind.COMBI] <= kept[ScreenKind.CONFUSION]
+        assert all(id(i) in kept[ScreenKind.CONFUSION] for i in batch if i.intended in dropped)
 
     def test_empty_batch(self):
         kept, report = screen_batch([], ScreenKind.STRICT)

@@ -9,7 +9,6 @@ from drsynth.taxonomy import (
     LabelError,
     RelationLabel,
     all_labels,
-    connectives_for,
     confusion_of,
     default_confusion_map,
     default_connective_map,
@@ -79,14 +78,15 @@ def test_level1_grouping():
 
 
 def test_connectives_for_table_rows():
-    assert connectives_for(resolve_label("cause")) == ("It is/was because", "Therefore,")
-    assert connectives_for(resolve_label("conjunction")) == ("In addition,", "Furthermore,")
-    assert connectives_for(resolve_label("asynchronous")) == ("Later,", "Subsequently,")
+    options = default_connective_map().options
+    assert options(resolve_label("cause")) == ("It is/was because", "Therefore,")
+    assert options(resolve_label("conjunction")) == ("In addition,", "Furthermore,")
+    assert options(resolve_label("asynchronous")) == ("Later,", "Subsequently,")
 
 
 def test_connectives_missing_label_errors():
-    with pytest.raises(LabelError):
-        connectives_for(resolve_label("similarity"))
+    with pytest.raises(LabelError, match="no connectives for label similarity"):
+        default_connective_map().options(resolve_label("similarity"))
 
 
 def test_connective_map_covers_exactly_training_labels():
@@ -234,14 +234,14 @@ def test_labels_are_value_objects():
 
 
 def test_maps_load_from_edited_config_files(tmp_path):
-    from drsynth.taxonomy import load_confusion_map, load_connective_map
+    from drsynth.taxonomy import load_confusion_map, parse_connective_map
 
     connectives = tmp_path / "connectives.txt"
     lines = ["# edited copy"]
     for name in CANONICAL_ORDER:
         lines.append(f"{name}: First option, | Second option,")
     connectives.write_text("\n".join(lines) + "\n")
-    cmap = load_connective_map(str(connectives))
+    cmap = parse_connective_map(connectives.read_text("utf-8"))
     assert cmap.options(resolve_label("cause")) == ("First option,", "Second option,")
 
     confusion = tmp_path / "confusion.txt"
