@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .records import ArgumentPair, LabeledInstance
 from .reference_backend import PARAMETER_GROUPS, Params, ReferenceBackend, group_keys
@@ -198,7 +199,7 @@ def _train_loop(
         if use_iv:
             take = min(len(shuffled), len(real_reference))
             picked = rng.choice(len(real_reference), size=take, replace=False)
-            x_domain = np.vstack([x, x_real_all[picked]])
+            x_domain = sparse.vstack([x, x_real_all[picked]], format="csr")
             domain = np.concatenate([np.ones(len(shuffled)), np.zeros(take)])
             _, iv_grads = backend.iv_loss_and_grads(params, x_domain, domain)
             for key in update_keys:
@@ -305,6 +306,9 @@ def adapt_ce(base_model: Model, data: Sequence, config: TrainingConfig) -> Model
     )
 
 
+_FROZEN_BY_PREFIX = ("encoder", "head", "discriminator")
+
+
 def adapt_prefix(
     base_model: Model,
     synthetic: Sequence,
@@ -322,12 +326,12 @@ def adapt_prefix(
     before = all_checksums(base_model.params)
     params = _train_loop(base_model.backend, base_model.params, synthetic, config, ("prefix",))
     after = all_checksums(params)
-    for group in ("encoder", "head", "discriminator"):
+    for group in _FROZEN_BY_PREFIX:
         if before[group] != after[group]:
             raise ConfigurationError(f"prefix adaptation modified frozen group {group}")
     adapter = AdapterState(
         prefix=params["prefix.p"].copy(),
-        base_checksums={g: before[g] for g in ("encoder", "head", "discriminator")},
+        base_checksums={g: before[g] for g in _FROZEN_BY_PREFIX},
         embed_dim=prefix_dim,
     )
     return _build_model(
@@ -488,7 +492,8 @@ def save_model(model: Model, directory: str | Path) -> Path:
     Plain .npy files carry no timestamps, so identical models always
     serialize to identical bytes. The directory is assembled in a sibling
     temp location and swapped in whole, so readers never see a half-written
-    artifact.
+    artifact; an old artifact is moved aside first and deleted only once the
+    new one is in place (put back if the swap fails).
     """
     path = Path(directory)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -501,9 +506,18 @@ def save_model(model: Model, directory: str | Path) -> Path:
     with open(staging / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(model.manifest, handle, sort_keys=True, indent=2)
         handle.write("\n")
+    previous = path.with_name(path.name + ".old")
+    if previous.exists():
+        shutil.rmtree(previous)
     if path.exists():
-        shutil.rmtree(path)
-    os.replace(staging, path)
+        os.replace(path, previous)
+    try:
+        os.replace(staging, path)
+    except BaseException:
+        if previous.exists():
+            os.replace(previous, path)
+        raise
+    shutil.rmtree(previous, ignore_errors=True)
     return path
 
 
@@ -518,9 +532,18 @@ def load_model(directory: str | Path, backend: ReferenceBackend | None = None) -
         file.name.removesuffix(".npy"): np.load(file)
         for file in sorted((path / "params").glob("*.npy"))
     }
+    adapter = None
+    if manifest["kind"] == "prefix":
+        # prefix adaptation leaves the other groups bit-identical to the base's
+        adapter = AdapterState(
+            prefix=params["prefix.p"].copy(),
+            base_checksums={g: group_checksum(params, g) for g in _FROZEN_BY_PREFIX},
+            embed_dim=manifest["prefix_dim"],
+        )
     return Model(
         backend=backend,
         params=params,
         artifact_id=manifest["artifact_id"],
         manifest=manifest,
+        adapter=adapter,
     )

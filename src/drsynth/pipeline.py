@@ -27,6 +27,11 @@ outputs under the workdir:
 
 ``run-manifest.json`` records each stage's digests and wall clock; the
 generation cache and telemetry in ``synthetic/`` are outside every digest.
+
+Within one runner, every stage shares one ``ReferenceBackend`` (so each
+distinct pair is featurized once per run) and one parsed copy of each
+canonical ``data/`` file, keyed by the file's content digest: a file that a
+stage rewrites is parsed again.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence, TypeVar
 
 from . import fixtures
 from .adaptation import (
@@ -162,6 +167,9 @@ _VALID_METHODS = ("concat", "prefix", "invariance", "pseudo")
 _VALID_MODES = ("specific", "mixed")
 
 
+T = TypeVar("T")
+
+
 class PipelineError(ConfigurationError):
     """A workdir or corpus state the config cannot run on (CLI exit 2)."""
 
@@ -230,6 +238,10 @@ class PipelineConfig:
             raise ConfigurationError("generation.include_similarity needs generation.template DR")
         if self.get("screening.kind") not in ("strict", "confusion", "combi"):
             raise ConfigurationError("screening.kind must be strict, confusion, or combi")
+        if self.get("generation.include_similarity") and self.get("screening.kind") != "strict":
+            # only the strict screen drops every similarity candidate (the classifier never
+            # predicts similarity); adaptation trains on the training labels alone
+            raise ConfigurationError("generation.include_similarity needs screening.kind strict")
         EvalProtocol(self.get("evaluation.protocol"))
         SplitSpec.parse(str(self.get("data.split")))
 
@@ -364,9 +376,21 @@ class ExperimentRunner:
         self.workdir = Path(workdir if workdir is not None else str(config.get("workdir")))
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.manifest = RunManifest(self.workdir / "run-manifest.json", config.snapshot())
+        # the per-run feature store: every model trained or loaded here featurizes through it
+        self.backend = ReferenceBackend()
+        self._parsed: dict[tuple[str, Callable], tuple[str, object]] = {}
 
     def _path(self, relative: str) -> Path:
         return self.workdir / relative
+
+    def _read(self, relative: str, parse: Callable[[Path], T]) -> T:
+        """``parse`` of a workdir file, parsed once per content digest; callers must not mutate it."""
+        path = self._path(relative)
+        digest = _digest_bytes(path.read_bytes())
+        cached = self._parsed.get((relative, parse))
+        if cached is None or cached[0] != digest:
+            cached = self._parsed[(relative, parse)] = (digest, parse(path))
+        return cached[1]
 
     # --- stage table and engine ---------------------------------------------
 
@@ -541,14 +565,14 @@ class ExperimentRunner:
         write_raw_corpus(docs, self._path("data/raw-canonical.jsonl"))
 
     def _train_base(self, cfg: Mapping[str, object], seed: int) -> None:
-        train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
-        dev_set = ingest_source_corpus(self._path("data/dev.jsonl"), _ALL_DEV).dev
+        train = self._read("data/train.jsonl", _train_rows)
+        dev_set = self._read("data/dev.jsonl", _dev_rows)
         config = TrainingConfig(
             epochs=int(cfg["base.epochs"]),
             learning_rate=float(cfg["base.learning_rate"]),
             seed=seed,
         )
-        model, confusion = train_base(train, dev_set, config, ReferenceBackend())
+        model, confusion = train_base(train, dev_set, config, self.backend)
         model_dir = self._path(f"models/base-seed{seed}")
         save_model(model, model_dir)
         confusion_payload = {  # key order comes from _write_json's sort_keys
@@ -557,10 +581,10 @@ class ExperimentRunner:
         _write_json(model_dir / "dev-confusion.json", confusion_payload)
 
     def _load_base(self, seed: int) -> Model:
-        return load_model(self._path(f"models/base-seed{seed}"), ReferenceBackend())
+        return load_model(self._path(f"models/base-seed{seed}"), self.backend)
 
     def _generate(self, cfg: Mapping[str, object]) -> None:
-        docs = ingest_raw_corpus(self._path("data/raw-canonical.jsonl"))
+        docs = self._read("data/raw-canonical.jsonl", ingest_raw_corpus)
         seed = int(cfg["generation.seed"])
         n_arg1 = int(cfg["generation.n_arg1"])
         sentences_by_domain: dict[str, list[str]] = {}
@@ -618,7 +642,7 @@ class ExperimentRunner:
         if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
             cmap = self._confusion_map(base_seed, str(cfg["screening.cmap"]))
         if kind is ScreenKind.COMBI:
-            train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
+            train = self._read("data/train.jsonl", _train_rows)
             freq = frequency_table_from_instances(train, scope=str(cfg["screening.freq_scope"]))
         kept, report = screen_batch(candidates, kind, cmap, freq)
         write_synthetic_records(kept, self._path("synthetic/screened.jsonl"))
@@ -634,7 +658,7 @@ class ExperimentRunner:
 
     def _pseudo_label(self, cfg: Mapping[str, object], base_seed: int) -> None:
         instances = pseudo_label_corpus(
-            ingest_raw_corpus(self._path("data/raw-canonical.jsonl")),
+            self._read("data/raw-canonical.jsonl", ingest_raw_corpus),
             self._load_base(base_seed),
             per_domain_n=int(cfg["pseudo.per_domain_n"]),
             seed=int(cfg["generation.seed"]),
@@ -670,7 +694,7 @@ class ExperimentRunner:
             trainable_groups=("prefix",) if method == "prefix" else ("encoder", "head"),
         )
         base = self._load_base(seed)
-        train = ingest_source_corpus(self._path("data/train.jsonl"), _ALL_TRAIN).train
+        train = self._read("data/train.jsonl", _train_rows)
 
         def adapt(target_data: list, out: str) -> Model:
             if method == "prefix":
@@ -709,7 +733,7 @@ class ExperimentRunner:
         sizes: Mapping[str, int],
     ) -> None:
         """Score each domain's (model, tagged) pair; write the report and predictions."""
-        eval_instances = ingest_target_corpus(self._path("data/eval.jsonl"))
+        eval_instances = self._read("data/eval.jsonl", ingest_target_corpus)
         protocol = EvalProtocol(cfg["evaluation.protocol"])
         threshold = float(cfg["evaluation.vote_threshold"])
         reports: dict[str, dict] = {}
@@ -796,6 +820,14 @@ class ExperimentRunner:
 # split specs that route every section to one bucket, for canonical re-reads
 _ALL_TRAIN = SplitSpec(frozenset(range(0, 100)), frozenset())
 _ALL_DEV = SplitSpec(frozenset(), frozenset(range(0, 100)))
+
+
+def _train_rows(path: Path) -> list:
+    return ingest_source_corpus(path, _ALL_TRAIN).train
+
+
+def _dev_rows(path: Path) -> list:
+    return ingest_source_corpus(path, _ALL_DEV).dev
 
 
 def hash_domain(domain: str) -> int:

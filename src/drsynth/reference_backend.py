@@ -7,6 +7,12 @@ synthetic discriminator. Everything is float64 numpy with closed-form
 gradients, trained by full-batch gradient descent, so runs are exactly
 reproducible and gradients can be checked against finite differences.
 
+Hashed features are about 3% non-zero, so ``featurize_pairs`` returns a
+``scipy.sparse.csr_array`` and the encoder's products take it as it is; the
+head, prefix and discriminator work on the dense 32-wide encoding. Each
+backend memoizes its featurized rows by (arg1, arg2, domain token), which
+makes one backend instance a feature store for every model that shares it.
+
 Parameter groups mirror the classifier contract: encoder, head, prefix,
 discriminator. The discriminator's parameters are disjoint from the head.
 """
@@ -14,14 +20,21 @@ discriminator. The discriminator's parameters are disjoint from the head.
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, Sequence
+import re
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .records import ArgumentPair
 from .taxonomy import RelationLabel, training_label_set
 
 Params = dict[str, np.ndarray]
+# dense rows or a CSR matrix; every product below is written for both
+Features = np.ndarray | sparse.csr_array
+
+# runs of alphanumerics, exactly the characters ``str.isalnum`` accepts
+_TOKEN = re.compile(r"[^\W_]+")
 
 PARAMETER_GROUPS: Mapping[str, tuple[str, ...]] = {
     "encoder": ("encoder.W", "encoder.b"),
@@ -53,6 +66,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+class SparseRow(NamedTuple):
+    """One featurized row: sorted distinct slots and their (read-only) values."""
+
+    indices: np.ndarray
+    values: np.ndarray
+
+
 class ReferenceBackend:
     """Token-count featurizer + linear softmax classifier (float64)."""
 
@@ -69,6 +89,7 @@ class ReferenceBackend:
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self._token_slots: dict[str, int] = {}
+        self._rows: dict[tuple[str, str, str | None], SparseRow] = {}
 
     # --- featurization -------------------------------------------------
 
@@ -81,28 +102,42 @@ class ReferenceBackend:
         return slot
 
     def _tokens(self, text: str) -> list[str]:
-        return [t for t in "".join(
-            c if c.isalnum() else " " for c in text.lower()
-        ).split() if t]
+        return _TOKEN.findall(text.lower())
 
-    def featurize(self, pair: ArgumentPair, domain_token: str | None = None) -> np.ndarray:
-        """Hashed counts with argument-position prefixes, L2-capped."""
-        x = np.zeros(self.feature_dim)
+    def featurize(self, pair: ArgumentPair, domain_token: str | None = None) -> SparseRow:
+        """Hashed counts with argument-position prefixes, L2-capped; memoized."""
+        key = (pair.arg1, pair.arg2, domain_token)
+        row = self._rows.get(key)
+        if row is not None:
+            return row
+        counts: dict[int, int] = {}
         arg1 = pair.arg1 if domain_token is None else f"{domain_token} {pair.arg1}"
         for prefix, text in (("a1:", arg1), ("a2:", pair.arg2)):
             for token in self._tokens(text):
-                x[self._slot(prefix + token)] += 1.0
-        norm = np.linalg.norm(x)
+                slot = self._slot(prefix + token)
+                counts[slot] = counts.get(slot, 0) + 1
+        slots = sorted(counts)
+        indices = np.array(slots, dtype=np.int32)
+        values = np.array([counts[slot] for slot in slots], dtype=np.float64)
+        # a sum of squared integer counts is exact, so this is the dense row's norm
+        norm = np.linalg.norm(values)
         if norm > 1.0:
-            x /= norm
-        return x
+            values /= norm
+        values.flags.writeable = False
+        row = self._rows[key] = SparseRow(indices, values)
+        return row
 
     def featurize_pairs(
         self, pairs: Sequence[ArgumentPair], domain_tokens: Sequence[str | None] | None = None
-    ) -> np.ndarray:
+    ) -> sparse.csr_array:
         if domain_tokens is None:
             domain_tokens = [None] * len(pairs)
-        return np.stack([self.featurize(p, t) for p, t in zip(pairs, domain_tokens)])
+        rows = [self.featurize(p, t) for p, t in zip(pairs, domain_tokens)]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([row.indices.size for row in rows], out=indptr[1:])
+        indices = np.concatenate([row.indices for row in rows] + [np.empty(0, np.int32)])
+        values = np.concatenate([row.values for row in rows] + [np.empty(0)])
+        return sparse.csr_array((values, indices, indptr), shape=(len(rows), self.feature_dim))
 
     # --- parameters -----------------------------------------------------
 
@@ -124,7 +159,7 @@ class ReferenceBackend:
 
     # --- forward --------------------------------------------------------
 
-    def encode(self, params: Params, x: np.ndarray) -> np.ndarray:
+    def encode(self, params: Params, x: Features) -> np.ndarray:
         """Encoded features with the prefix bias block applied."""
         hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
         return hidden + params["prefix.p"]
@@ -132,13 +167,13 @@ class ReferenceBackend:
     def classify(self, params: Params, features: np.ndarray) -> np.ndarray:
         return features @ params["head.W"].T + params["head.b"]
 
-    def score_matrix(self, params: Params, x: np.ndarray) -> np.ndarray:
+    def score_matrix(self, params: Params, x: Features) -> np.ndarray:
         return self.classify(params, self.encode(params, x))
 
     # --- losses and gradients --------------------------------------------
 
     def ce_loss_and_grads(
-        self, params: Params, x: np.ndarray, y: np.ndarray
+        self, params: Params, x: Features, y: np.ndarray
     ) -> tuple[float, Params]:
         n = x.shape[0]
         hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
@@ -158,7 +193,7 @@ class ReferenceBackend:
             "head.W": d_scores.T @ encoded,
             "head.b": d_scores.sum(axis=0),
             "prefix.p": d_encoded.sum(axis=0),
-            "encoder.W": d_pre.T @ x,
+            "encoder.W": (x.T @ d_pre).T,
             "encoder.b": d_pre.sum(axis=0),
             "disc.w": np.zeros_like(params["disc.w"]),
             "disc.b": np.zeros_like(params["disc.b"]),
@@ -166,7 +201,7 @@ class ReferenceBackend:
         return loss, grads
 
     def iv_loss_and_grads(
-        self, params: Params, x: np.ndarray, domain: np.ndarray
+        self, params: Params, x: Features, domain: np.ndarray
     ) -> tuple[float, Params]:
         """Binary NLL of the discriminator on real(0)-vs-synthetic(1) rows."""
         m = x.shape[0]
@@ -182,7 +217,7 @@ class ReferenceBackend:
             "disc.w": encoded.T @ d_z,
             "disc.b": np.array([d_z.sum()]),
             "prefix.p": d_encoded.sum(axis=0),
-            "encoder.W": d_pre.T @ x,
+            "encoder.W": (x.T @ d_pre).T,
             "encoder.b": d_pre.sum(axis=0),
             "head.W": np.zeros_like(params["head.W"]),
             "head.b": np.zeros_like(params["head.b"]),
@@ -192,9 +227,9 @@ class ReferenceBackend:
     def total_loss_and_grads(
         self,
         params: Params,
-        x: np.ndarray,
+        x: Features,
         y: np.ndarray,
-        x_domain: np.ndarray,
+        x_domain: Features,
         domain: np.ndarray,
         lam: float,
     ) -> tuple[float, Params]:

@@ -1,7 +1,9 @@
+import os
 import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from drsynth.adaptation import (
     AdapterState,
@@ -237,7 +239,7 @@ class TestAdaptInvariance:
 
 
 class TestGradients:
-    def _setup(self, seed=3):
+    def _setup(self, seed=3, csr=False):
         backend = ReferenceBackend(feature_dim=64, hidden_dim=16)
         rng = np.random.default_rng(seed)
         params = backend.init_params(rng)
@@ -247,6 +249,10 @@ class TestGradients:
         y = rng.integers(0, len(backend.labels), size=12)
         x_domain = rng.normal(0.0, 0.6, size=(20, backend.feature_dim))
         domain = np.concatenate([np.ones(12), np.zeros(8)])
+        if csr:  # mostly-zero rows, as the hashed featurizer produces
+            x, x_domain = (
+                sparse.csr_array(np.where(rng.random(m.shape) < 0.2, m, 0.0)) for m in (x, x_domain)
+            )
         return backend, params, x, y, x_domain, domain
 
     @staticmethod
@@ -261,7 +267,12 @@ class TestGradients:
         return (plus - minus) / (2.0 * step)
 
     def test_total_loss_gradient_matches_central_differences(self):
-        backend, params, x, y, x_domain, domain = self._setup()
+        self._check_total_loss_gradient(*self._setup())
+
+    def test_total_loss_gradient_on_csr_matches_central_differences(self):
+        self._check_total_loss_gradient(*self._setup(csr=True))
+
+    def _check_total_loss_gradient(self, backend, params, x, y, x_domain, domain):
         lam = 0.1
 
         def evaluate(p):
@@ -280,8 +291,12 @@ class TestGradients:
             assert abs(analytic - numeric) / denom <= 1e-4
 
     def test_ce_only_gradient_matches_central_differences(self):
-        backend, params, x, y, _, _ = self._setup(seed=11)
+        self._check_ce_gradient(*self._setup(seed=11))
 
+    def test_ce_only_gradient_on_csr_matches_central_differences(self):
+        self._check_ce_gradient(*self._setup(seed=11, csr=True))
+
+    def _check_ce_gradient(self, backend, params, x, y, _x_domain, _domain):
         def evaluate(p):
             loss, _ = backend.ce_loss_and_grads(p, x, y)
             return loss
@@ -294,6 +309,23 @@ class TestGradients:
             analytic = grads[key].ravel()[index]
             denom = max(abs(analytic), abs(numeric), 1e-8)
             assert abs(analytic - numeric) / denom <= 1e-4
+
+    def test_csr_and_dense_input_agree(self):
+        backend, params, x, y, x_domain, domain = self._setup(seed=31, csr=True)
+        dense, dense_domain = x.toarray(), x_domain.toarray()
+        for (loss, grads), (dense_loss, dense_grads) in (
+            (backend.ce_loss_and_grads(params, x, y), backend.ce_loss_and_grads(params, dense, y)),
+            (
+                backend.iv_loss_and_grads(params, x_domain, domain),
+                backend.iv_loss_and_grads(params, dense_domain, domain),
+            ),
+        ):
+            assert abs(loss - dense_loss) <= 1e-12
+            for key in grads:
+                assert np.max(np.abs(grads[key] - dense_grads[key])) <= 1e-12, key
+        scores = backend.score_matrix(params, x)
+        assert isinstance(scores, np.ndarray)
+        assert np.max(np.abs(scores - backend.score_matrix(params, dense))) <= 1e-12
 
     def test_total_loss_value_composition(self):
         backend, params, x, y, x_domain, domain = self._setup(seed=21)
@@ -420,3 +452,44 @@ class TestArtifacts:
         )
         assert isinstance(adapted.adapter, AdapterState)
         assert np.array_equal(adapted.adapter.prefix, adapted.params["prefix.p"])
+
+    def test_prefix_adapter_survives_save_and_load(self, base_model, tmp_path):
+        model, _ = base_model
+        adapted = adapt_prefix(
+            model, _synthetic(40),
+            TrainingConfig(epochs=10, learning_rate=0.5, seed=3, trainable_groups=("prefix",)),
+            prefix_dim=256,
+        )
+        save_model(adapted, tmp_path / "prefix")
+        loaded = load_model(tmp_path / "prefix")
+        assert isinstance(loaded.adapter, AdapterState)
+        assert np.array_equal(loaded.adapter.prefix, adapted.adapter.prefix)
+        assert loaded.adapter.base_checksums == adapted.adapter.base_checksums
+        assert loaded.adapter.embed_dim == adapted.adapter.embed_dim == 256
+        save_model(model, tmp_path / "base")
+        assert load_model(tmp_path / "base").adapter is None
+
+    def test_failed_swap_keeps_the_old_artifact(self, base_model, tmp_path, monkeypatch):
+        model, _ = base_model
+        path = save_model(model, tmp_path / "artifact")
+        newer = adapt_prefix(
+            model, _synthetic(10),
+            TrainingConfig(epochs=2, learning_rate=0.5, seed=3, trainable_groups=("prefix",)),
+        )
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(src).endswith(".tmp"):
+                raise OSError("swap failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="swap failed"):
+            save_model(newer, path)
+        monkeypatch.undo()
+        loaded = load_model(path)
+        assert loaded.artifact_id == model.artifact_id
+        assert _params_equal(loaded.params, model.params)
+        save_model(newer, path)  # the next save cleans up and swaps in
+        assert load_model(path).artifact_id == newer.artifact_id
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]

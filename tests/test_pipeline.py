@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import os
 import shutil
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from drsynth.adaptation import ConfigurationError
 from drsynth.cli import main
 from drsynth.pipeline import (
     DEFAULTS,
+    ExperimentRunner,
     PipelineConfig,
+    _train_rows,
     digest_path,
     parse_config_file,
     resume,
@@ -27,6 +30,13 @@ SMOKE_OVERRIDES = {
 }
 
 
+GRID_OVERRIDES = {
+    **SMOKE_OVERRIDES,
+    "adaptation.methods": ["concat", "prefix", "invariance", "pseudo"],
+    "adaptation.domain_modes": ["specific", "mixed"],
+}
+
+
 def _config(workdir, **overrides):
     mapping = {"workdir": str(workdir), **SMOKE_OVERRIDES, **overrides}
     return PipelineConfig.from_mapping(mapping)
@@ -39,6 +49,23 @@ def _stages_run(caplog) -> list[str]:
 
 def _file_corpora(corpus_dir) -> dict[str, str]:
     return {f"data.{kind}": str(corpus_dir / f"{kind}.jsonl") for kind in ("source", "target", "raw")}
+
+
+def _assert_golden_digests(workdir, golden_file: str) -> None:
+    """``results.*`` and every ``eval/*.json`` match the pinned sha256 lines.
+
+    Model ``.npy`` bytes are left out: float64 parameters depend on the BLAS build.
+    """
+    golden = {}
+    for line in (GOLDEN / golden_file).read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        golden[name] = digest
+    produced = ["results.txt", "results.tsv"] + sorted(
+        path.relative_to(workdir).as_posix() for path in (workdir / "eval").glob("*.json")
+    )
+    assert sorted(golden) == sorted(produced)
+    for name in produced:
+        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == golden[name], name
 
 
 class TestConfigParsing:
@@ -130,21 +157,14 @@ class TestRunExperiment:
         assert again.identity_digest() == manifest.identity_digest()
 
     def test_outputs_match_golden_digests(self, finished_run):
-        """Results and metric reports are pinned across commits, not only across re-runs.
-
-        Model ``.npy`` bytes are left out: float64 parameters depend on the BLAS build.
-        """
+        """Results and metric reports are pinned across commits, not only across re-runs."""
         workdir, _, _ = finished_run
-        golden = {}
-        for line in (GOLDEN / "pipeline_smoke.sha256").read_text().splitlines():
-            digest, name = line.split("  ", 1)
-            golden[name] = digest
-        produced = ["results.txt", "results.tsv"] + sorted(
-            path.relative_to(workdir).as_posix() for path in (workdir / "eval").glob("*.json")
-        )
-        assert sorted(golden) == sorted(produced)
-        for name in produced:
-            assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == golden[name], name
+        _assert_golden_digests(workdir, "pipeline_smoke.sha256")
+
+    def test_grid_outputs_match_golden_digests(self, tmp_path):
+        """Every method in both domain modes (domain tokens included) is pinned too."""
+        run_experiment(_config(tmp_path, **GRID_OVERRIDES))
+        _assert_golden_digests(tmp_path, "grid_smoke.sha256")
 
     def test_variant_eval_reports_cover_all_seeds_and_domains(self, finished_run):
         workdir, _, _ = finished_run
@@ -328,7 +348,26 @@ class TestCli:
             tmp_path, capsys, ["run"], "generation.include_similarity = true",
             'generation.template = "DR"', 'screening.kind = "combi"', "generation.n_arg1 = 2",
         )
-        assert "label similarity not covered by frequency table" in err
+        assert "generation.include_similarity needs screening.kind strict" in err
+        assert not (tmp_path / "work" / "data").exists()
+
+    def test_similarity_with_confusion_screen_rejected_before_any_stage(self, tmp_path, capsys):
+        # the confusion screen keeps similarity candidates, which adaptation cannot train on
+        err = self._config_error(
+            tmp_path, capsys, ["run"], "generation.include_similarity = true",
+            'generation.template = "DR"', 'screening.kind = "confusion"',
+        )
+        assert "generation.include_similarity needs screening.kind strict" in err
+        assert not (tmp_path / "work" / "data").exists()
+
+    def test_unknown_label_in_confusion_map_file_is_config_error(self, tmp_path, capsys):
+        cmap = tmp_path / "confusion.txt"
+        cmap.write_text("cause -> no-such-label\n")
+        err = self._config_error(
+            tmp_path, capsys, ["run"], 'screening.kind = "confusion"',
+            f'screening.cmap = "{cmap}"', "generation.n_arg1 = 2",
+        )
+        assert "unknown relation label" in err and "no-such-label" in err
 
     def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
         with pytest.raises(ConfigurationError, match="include_similarity"):
@@ -540,3 +579,24 @@ def test_derived_confusion_map_from_dev_confusion(tmp_path):
     assert cmap.confusion_of(resolve_label("cause+belief")) == resolve_label("cause")
     assert cmap.confusion_of(resolve_label("purpose")) == resolve_label("condition")
     assert resolve_label("cause") not in cmap
+
+
+def test_runner_parses_a_file_once_per_content(tmp_path):
+    runner = ExperimentRunner(_config(tmp_path / "run", seeds=[1]))
+    runner.run(kinds={"fixtures", "ingest"})
+    calls = []
+
+    def parse(path):
+        calls.append(path)
+        return _train_rows(path)
+
+    first = runner._read("data/train.jsonl", parse)
+    assert runner._read("data/train.jsonl", parse) is first
+    assert len(calls) == 1
+    train = tmp_path / "run" / "data" / "train.jsonl"
+    stat = train.stat()
+    train.write_text("".join(train.read_text().splitlines(keepends=True)[:-1]))
+    os.utime(train, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # only the content moved
+    second = runner._read("data/train.jsonl", parse)
+    assert len(calls) == 2
+    assert list(second) == list(first)[:-1]
