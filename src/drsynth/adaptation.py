@@ -83,6 +83,9 @@ class TrainingConfig:
         for group in self.trainable_groups:
             if group not in PARAMETER_GROUPS:
                 raise ConfigurationError(f"unknown trainable group {group!r}")
+            if group == "discriminator":
+                # it has no cross-entropy gradient; invariance training updates it on its own
+                raise ConfigurationError("the discriminator is not a trainable classifier group")
 
     def snapshot(self) -> dict:
         return {
@@ -203,7 +206,8 @@ def _train_loop(
             domain = np.concatenate([np.ones(len(shuffled)), np.zeros(take)])
             _, iv_grads = backend.iv_loss_and_grads(params, x_domain, domain)
             for key in update_keys:
-                params[key] -= config.learning_rate * (ce_grads[key] - lam * iv_grads[key])
+                step = ce_grads[key] - lam * iv_grads[key] if key in iv_grads else ce_grads[key]
+                params[key] -= config.learning_rate * step
             for key in PARAMETER_GROUPS["discriminator"]:
                 params[key] -= config.learning_rate * iv_grads[key]
         else:

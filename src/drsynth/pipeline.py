@@ -30,8 +30,12 @@ generation cache and telemetry in ``synthetic/`` are outside every digest.
 
 Within one runner, every stage shares one ``ReferenceBackend`` (so each
 distinct pair is featurized once per run) and one parsed copy of each
-canonical ``data/`` file, keyed by the file's content digest: a file that a
-stage rewrites is parsed again.
+canonical ``data/`` file and of the screened and pseudo-labeled pools, keyed
+by the file's content digest: a file that a stage rewrites is parsed again.
+``ingest`` hands the rows it writes to that cache, keyed by the digest of the
+written bytes, so a ``cold`` run parses each input corpus once. Each eval
+item's gold set and majority label are derived once per eval content digest
+and vote threshold and shared by every evaluating stage.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import fixtures
 from .adaptation import (
@@ -97,6 +101,7 @@ from .pseudo_label import (
     write_pseudo_records,
 )
 from .records import (
+    CrowdAnnotatedInstance,
     SplitSpec,
     gold_label_set,
     ingest_raw_corpus,
@@ -120,6 +125,7 @@ from .screening import (
 )
 from .taxonomy import (
     ConfusionMap,
+    RelationLabel,
     derive_confusion_map,
     generation_label_set,
     load_confusion_map,
@@ -368,6 +374,14 @@ _REPORT_KEYS = (
 _MODEL_NAMES = {"concat": "base+syn", "prefix": "base>syn", "invariance": "base>IV>syn"}
 
 
+class EvalItem(NamedTuple):
+    """One eval instance with its gold label set and majority label."""
+
+    instance: CrowdAnnotatedInstance
+    gold: frozenset[RelationLabel]
+    majority: RelationLabel
+
+
 class ExperimentRunner:
     """Execute (or resume) the experiment's stage table in a workdir."""
 
@@ -379,18 +393,46 @@ class ExperimentRunner:
         # the per-run feature store: every model trained or loaded here featurizes through it
         self.backend = ReferenceBackend()
         self._parsed: dict[tuple[str, Callable], tuple[str, object]] = {}
+        # (eval file digest, vote threshold) -> each domain's eval items
+        self._gold: dict[tuple[str, float], dict[str, list[EvalItem]]] = {}
 
     def _path(self, relative: str) -> Path:
         return self.workdir / relative
 
-    def _read(self, relative: str, parse: Callable[[Path], T]) -> T:
-        """``parse`` of a workdir file, parsed once per content digest; callers must not mutate it."""
+    def _read_entry(self, relative: str, parse: Callable[[Path], T]) -> tuple[str, T]:
+        """The content digest of a workdir file and its ``parse``, parsed once per digest."""
         path = self._path(relative)
         digest = _digest_bytes(path.read_bytes())
         cached = self._parsed.get((relative, parse))
         if cached is None or cached[0] != digest:
             cached = self._parsed[(relative, parse)] = (digest, parse(path))
-        return cached[1]
+        return cached
+
+    def _read(self, relative: str, parse: Callable[[Path], T]) -> T:
+        """``parse`` of a workdir file, parsed once per content digest; callers must not mutate it."""
+        return self._read_entry(relative, parse)[1]
+
+    def _hand_over(self, relative: str, parse: Callable[[Path], T], rows: T) -> None:
+        """Cache ``rows`` as ``parse`` of the workdir file just written from them.
+
+        ``rows`` must equal what ``parse`` returns for the written bytes; they are
+        keyed by those bytes' digest, so a later change to the file is parsed again.
+        """
+        digest = _digest_bytes(self._path(relative).read_bytes())
+        self._parsed[(relative, parse)] = (digest, rows)
+
+    def _eval_items(self, threshold: float) -> dict[str, list[EvalItem]]:
+        """Eval items by domain with their gold sets, derived once per eval content and threshold."""
+        digest, instances = self._read_entry("data/eval.jsonl", ingest_target_corpus)
+        key = (digest, threshold)
+        if key not in self._gold:
+            by_domain: dict[str, list[EvalItem]] = {}
+            for inst in instances:
+                by_domain.setdefault(inst.domain, []).append(EvalItem(
+                    inst, frozenset(gold_label_set(inst, threshold)), majority_label(inst)
+                ))
+            self._gold[key] = by_domain
+        return self._gold[key]
 
     # --- stage table and engine ---------------------------------------------
 
@@ -553,16 +595,22 @@ class ExperimentRunner:
 
     def _ingest(self, cfg: Mapping[str, object], corpora: Mapping[str, Path]) -> None:
         ingest = ingest_source_corpus(corpora["source"], SplitSpec.parse(str(cfg["data.split"])))
-        # canonicalized copies; sections riding along for round-trips
-        for name, section, instances in (("train", 0, ingest.train), ("dev", 1, ingest.dev)):
+        # canonicalized copies; sections riding along for round-trips. Each copy
+        # parses back to the rows it was written from, so they go to the cache.
+        for name, section, instances, parse in (
+            ("train", 0, ingest.train, _train_rows), ("dev", 1, ingest.dev, _dev_rows)
+        ):
             write_records(
                 (source_record(inst, section=section) for inst in instances),
                 self._path(f"data/{name}.jsonl"),
             )
+            self._hand_over(f"data/{name}.jsonl", parse, instances)
         target = ingest_target_corpus(corpora["target"])
         write_records((target_record(i) for i in target), self._path("data/eval.jsonl"))
+        self._hand_over("data/eval.jsonl", ingest_target_corpus, target)
         docs = ingest_raw_corpus(corpora["raw"])
         write_raw_corpus(docs, self._path("data/raw-canonical.jsonl"))
+        self._hand_over("data/raw-canonical.jsonl", ingest_raw_corpus, docs)
 
     def _train_base(self, cfg: Mapping[str, object], seed: int) -> None:
         train = self._read("data/train.jsonl", _train_rows)
@@ -676,9 +724,9 @@ class ExperimentRunner:
         model_dir = self._path(f"models/{variant}-seed{seed}")
         shutil.rmtree(model_dir, ignore_errors=True)
         if method == "pseudo":
-            pool = read_pseudo_records(self._path("pseudo/labeled.jsonl"))
+            pool = self._read("pseudo/labeled.jsonl", read_pseudo_records)
         else:
-            pool = read_synthetic_records(self._path("synthetic/screened.jsonl"))
+            pool = self._read("synthetic/screened.jsonl", read_synthetic_records)
         by_domain = {domain: [i for i in pool if i.domain == domain] for domain in cfg["domains"]}
         # from-scratch trainings on the combined pool (concat, pseudo) use base-scale
         # settings; the adaptation epochs/rate apply to continued training only
@@ -733,31 +781,30 @@ class ExperimentRunner:
         sizes: Mapping[str, int],
     ) -> None:
         """Score each domain's (model, tagged) pair; write the report and predictions."""
-        eval_instances = self._read("data/eval.jsonl", ingest_target_corpus)
         protocol = EvalProtocol(cfg["evaluation.protocol"])
-        threshold = float(cfg["evaluation.vote_threshold"])
+        eval_items = self._eval_items(float(cfg["evaluation.vote_threshold"]))
         reports: dict[str, dict] = {}
         prediction_rows: list[dict] = []
         for domain in cfg["domains"]:
             model, tagged = models[domain]
-            items = [inst for inst in eval_instances if inst.domain == domain]
+            items = eval_items.get(domain)
             if not items:
                 raise PipelineError(f"no evaluation items for domain {domain}")
             tokens = [domain_token_literal(domain) if tagged else None] * len(items)
-            predicted, _ = batch_predict(model, [i.pair for i in items], tokens)
+            predicted, _ = batch_predict(model, [item.instance.pair for item in items], tokens)
             prediction_rows.extend(
-                {**target_record(inst), "predicted": label.level2}
-                for inst, label in zip(items, predicted)
+                {**target_record(item.instance), "predicted": label.level2}
+                for item, label in zip(items, predicted)
             )
             records = [
                 PredictionRecord(
-                    item_id=f"{inst.pair.doc_id}#{index}",
+                    item_id=f"{item.instance.pair.doc_id}#{index}",
                     predicted=label,
-                    gold=frozenset(gold_label_set(inst, threshold)),
-                    majority=majority_label(inst),
-                    domain=inst.domain,
+                    gold=item.gold,
+                    majority=item.majority,
+                    domain=domain,
                 )
-                for index, (inst, label) in enumerate(zip(items, predicted))
+                for index, (item, label) in enumerate(zip(items, predicted))
             ]
             reports[domain] = report_payload(score(records, protocol, run_id=f"seed{seed}"))
         _write_json(

@@ -20,6 +20,7 @@ discriminator. The discriminator's parameters are disjoint from the head.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from typing import Mapping, NamedTuple, Sequence
 
@@ -119,8 +120,8 @@ class ReferenceBackend:
         slots = sorted(counts)
         indices = np.array(slots, dtype=np.int32)
         values = np.array([counts[slot] for slot in slots], dtype=np.float64)
-        # a sum of squared integer counts is exact, so this is the dense row's norm
-        norm = np.linalg.norm(values)
+        # the integer sum of squared counts is exact, so this is the dense row's norm
+        norm = math.sqrt(sum(count * count for count in counts.values()))
         if norm > 1.0:
             values /= norm
         values.flags.writeable = False
@@ -159,10 +160,34 @@ class ReferenceBackend:
 
     # --- forward --------------------------------------------------------
 
+    @staticmethod
+    def _hidden(params: Params, x: Features) -> np.ndarray:
+        """The tanh encoder's output, before the prefix bias (a fresh array)."""
+        pre = x @ params["encoder.W"].T
+        pre += params["encoder.b"]
+        return np.tanh(pre, out=pre)
+
+    @staticmethod
+    def _encoder_grads(x: Features, hidden: np.ndarray, d_encoded: np.ndarray) -> Params:
+        """Prefix and encoder gradients from the loss gradient at the encoding.
+
+        Overwrites ``hidden`` with the gradient at the encoder's pre-activation.
+        """
+        d_pre = hidden
+        d_pre *= hidden
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= d_encoded
+        return {
+            "prefix.p": d_encoded.sum(axis=0),
+            "encoder.W": (x.T @ d_pre).T,
+            "encoder.b": d_pre.sum(axis=0),
+        }
+
     def encode(self, params: Params, x: Features) -> np.ndarray:
         """Encoded features with the prefix bias block applied."""
-        hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
-        return hidden + params["prefix.p"]
+        encoded = self._hidden(params, x)
+        encoded += params["prefix.p"]
+        return encoded
 
     def classify(self, params: Params, features: np.ndarray) -> np.ndarray:
         return features @ params["head.W"].T + params["head.b"]
@@ -175,54 +200,49 @@ class ReferenceBackend:
     def ce_loss_and_grads(
         self, params: Params, x: Features, y: np.ndarray
     ) -> tuple[float, Params]:
+        """Mean cross-entropy and its gradient for the encoder, prefix and head groups."""
         n = x.shape[0]
-        hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
+        rows = np.arange(n)
+        hidden = self._hidden(params, x)
         encoded = hidden + params["prefix.p"]
-        scores = encoded @ params["head.W"].T + params["head.b"]
-        shift = scores - scores.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shift).sum(axis=1))
-        log_probs = shift - log_z[:, None]
-        loss = -float(log_probs[np.arange(n), y].mean())
-
+        log_probs = encoded @ params["head.W"].T
+        log_probs += params["head.b"]
+        log_probs -= log_probs.max(axis=1, keepdims=True)
         d_scores = np.exp(log_probs)
-        d_scores[np.arange(n), y] -= 1.0
+        log_probs -= np.log(d_scores.sum(axis=1))[:, None]
+        loss = -float(log_probs[rows, y].mean())
+
+        np.exp(log_probs, out=d_scores)
+        d_scores[rows, y] -= 1.0
         d_scores /= n
         d_encoded = d_scores @ params["head.W"]
-        d_pre = d_encoded * (1.0 - hidden**2)
-        grads = {
+        return loss, {
             "head.W": d_scores.T @ encoded,
             "head.b": d_scores.sum(axis=0),
-            "prefix.p": d_encoded.sum(axis=0),
-            "encoder.W": (x.T @ d_pre).T,
-            "encoder.b": d_pre.sum(axis=0),
-            "disc.w": np.zeros_like(params["disc.w"]),
-            "disc.b": np.zeros_like(params["disc.b"]),
+            **self._encoder_grads(x, hidden, d_encoded),
         }
-        return loss, grads
 
     def iv_loss_and_grads(
         self, params: Params, x: Features, domain: np.ndarray
     ) -> tuple[float, Params]:
-        """Binary NLL of the discriminator on real(0)-vs-synthetic(1) rows."""
+        """Binary NLL of the discriminator on real(0)-vs-synthetic(1) rows.
+
+        Returns gradients for the discriminator, prefix and encoder groups; the
+        head does not enter this loss.
+        """
         m = x.shape[0]
-        hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
+        hidden = self._hidden(params, x)
         encoded = hidden + params["prefix.p"]
         z = encoded @ params["disc.w"] + params["disc.b"][0]
         loss = float((_softplus(z) - domain * z).mean())
 
         d_z = (_sigmoid(z) - domain) / m
         d_encoded = np.outer(d_z, params["disc.w"])
-        d_pre = d_encoded * (1.0 - hidden**2)
-        grads = {
+        return loss, {
             "disc.w": encoded.T @ d_z,
             "disc.b": np.array([d_z.sum()]),
-            "prefix.p": d_encoded.sum(axis=0),
-            "encoder.W": (x.T @ d_pre).T,
-            "encoder.b": d_pre.sum(axis=0),
-            "head.W": np.zeros_like(params["head.W"]),
-            "head.b": np.zeros_like(params["head.b"]),
+            **self._encoder_grads(x, hidden, d_encoded),
         }
-        return loss, grads
 
     def total_loss_and_grads(
         self,
@@ -233,10 +253,17 @@ class ReferenceBackend:
         domain: np.ndarray,
         lam: float,
     ) -> tuple[float, Params]:
-        """Cross-entropy minus lam times the invariance term, with its exact gradient."""
+        """Cross-entropy minus lam times the invariance term, with its exact gradient.
+
+        Returns a gradient for every parameter; a key that one term leaves out
+        gets nothing from that term.
+        """
         ce_loss, ce_grads = self.ce_loss_and_grads(params, x, y)
+        grads = {key: np.zeros_like(value) for key, value in params.items()}
+        grads.update(ce_grads)
         if lam == 0.0:
-            return ce_loss, ce_grads
+            return ce_loss, grads
         iv_loss, iv_grads = self.iv_loss_and_grads(params, x_domain, domain)
-        grads = {key: ce_grads[key] - lam * iv_grads[key] for key in ce_grads}
+        for key, value in iv_grads.items():
+            grads[key] = grads[key] - lam * value
         return ce_loss - lam * iv_loss, grads

@@ -220,7 +220,7 @@ def parse_confusion_map(text: str) -> ConfusionMap:
         left, arrow, right = line.partition("->")
         if not arrow:
             raise ValueError(f"expected 'label -> label': {line!r}")
-        entries[resolve_label(left)] = resolve_label(right)
+        entries[resolve_label(left.strip())] = resolve_label(right.strip())
     return ConfusionMap(entries)
 
 

@@ -237,6 +237,11 @@ class TestAdaptInvariance:
         with pytest.raises(ConfigurationError):
             LossSpec(kind=LossKind.CE_MINUS_IV, lam=-0.5)
 
+    def test_discriminator_as_trainable_group_rejected(self):
+        # the kernels give it no cross-entropy gradient; invariance training steps it itself
+        with pytest.raises(ConfigurationError, match="discriminator"):
+            TrainingConfig(trainable_groups=("encoder", "head", "discriminator"))
+
 
 class TestGradients:
     def _setup(self, seed=3, csr=False):

@@ -367,7 +367,7 @@ class TestCli:
             tmp_path, capsys, ["run"], 'screening.kind = "confusion"',
             f'screening.cmap = "{cmap}"', "generation.n_arg1 = 2",
         )
-        assert "unknown relation label" in err and "no-such-label" in err
+        assert "unknown relation label: 'no-such-label'" in err
 
     def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
         with pytest.raises(ConfigurationError, match="include_similarity"):
@@ -600,3 +600,138 @@ def test_runner_parses_a_file_once_per_content(tmp_path):
     second = runner._read("data/train.jsonl", parse)
     assert len(calls) == 2
     assert list(second) == list(first)[:-1]
+
+
+def _run_action(runner, name, **overrides):
+    """Run one stage's action with its config slice, bypassing the digest check."""
+    stage = next(stage for stage in runner.stages() if stage.name == name)
+    stage.action({**{key: runner.config.get(key) for key in stage.config_keys}, **overrides})
+
+
+def _messy_corpora(clean_dir, out_dir):
+    """The tiny corpora respelled the ways ingest accepts: padded spans, label aliases,
+    multi-sense labels, string counts, default fields, and a document id that recurs."""
+    out_dir.mkdir(parents=True)
+    source = []
+    for index, line in enumerate((clean_dir / "source.jsonl").read_text().splitlines()):
+        record = json.loads(line)
+        record["arg1"] = "  " + record["arg1"].replace(" ", "   ") + " \t"
+        record["label"] = record["label"].upper().replace("-", "_") + "|cause"
+        record["section"] = str(record["section"])
+        if index % 3 == 0:
+            del record["provenance"]
+        source.append(record)
+    target = []
+    for line in (clean_dir / "target.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        record["votes"] = {name.upper(): str(count) for name, count in record["votes"].items()}
+        record["arg2"] += "   "
+        target.append(record)
+    raw = [json.loads(line) for line in (clean_dir / "raw.jsonl").read_text().splitlines()]
+    first_doc = [dict(r, sentence=f" {r['sentence']}  ") for r in raw if r["doc_id"] == raw[0]["doc_id"]]
+    raw[1]["domain"] = "ZZ"  # a document keeps the domain of its first line
+    for name, records in (("source", source), ("target", target), ("raw", raw + first_doc)):
+        (out_dir / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    return _file_corpora(out_dir)
+
+
+class TestDeriveOnce:
+    """Each canonical file is parsed once per run and each gold set derived once."""
+
+    @pytest.mark.parametrize("corpora", ["fixtures", "messy"])
+    def test_ingest_hands_over_what_parsing_the_written_files_returns(
+        self, corpora, tmp_path, tiny_corpus_dir
+    ):
+        from drsynth.pipeline import _dev_rows
+        from drsynth.records import ingest_raw_corpus, ingest_target_corpus
+
+        overrides = {} if corpora == "fixtures" else _messy_corpora(tiny_corpus_dir, tmp_path / "in")
+        runner = ExperimentRunner(_config(tmp_path / "run", seeds=[1], **overrides))
+        runner.run(kinds={"fixtures", "ingest"})
+        for relative, parse in (
+            ("data/train.jsonl", _train_rows),
+            ("data/dev.jsonl", _dev_rows),
+            ("data/eval.jsonl", ingest_target_corpus),
+            ("data/raw-canonical.jsonl", ingest_raw_corpus),
+        ):
+            path = tmp_path / "run" / relative
+            digest, rows = runner._parsed[(relative, parse)]
+            assert digest == digest_path(path), relative
+            assert rows and parse(path) == rows, relative
+
+    def test_cold_run_parses_no_canonical_file_after_ingest(self, tmp_path, monkeypatch):
+        import drsynth.pipeline as pipeline
+
+        calls = []
+
+        def counted(name):
+            parse = getattr(pipeline, name)
+
+            def wrapper(path, *args):
+                calls.append((name, Path(path).name))
+                return parse(path, *args)
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        for name in ("_train_rows", "_dev_rows", "ingest_target_corpus", "ingest_raw_corpus"):
+            counted(name)
+        workdir = tmp_path / "run"
+        run_experiment(_config(workdir))
+        # only ingest's own reads of the input corpora
+        assert sorted(calls) == [
+            ("ingest_raw_corpus", "raw.jsonl"), ("ingest_target_corpus", "target.jsonl")
+        ]
+        calls.clear()
+        # a fresh runner that retrains the base models parses each canonical file once
+        run_experiment(_config(workdir, **{"base.epochs": 20}))
+        assert sorted(calls) == [
+            ("_dev_rows", "dev.jsonl"),
+            ("_train_rows", "train.jsonl"),
+            ("ingest_raw_corpus", "raw-canonical.jsonl"),
+            ("ingest_target_corpus", "eval.jsonl"),
+        ]
+
+    def test_one_runner_across_vote_thresholds_matches_fresh_runners(self, tmp_path):
+        workdir = tmp_path / "run"
+        config = _config(workdir, seeds=[1])
+        ExperimentRunner(config).run(kinds={"fixtures", "ingest", "train-base"})
+        outputs = ("eval/baseline-seed1.json", "eval/baseline-seed1-predictions.jsonl")
+
+        def evaluate(runner, threshold):
+            _run_action(runner, "evaluate:baseline:seed1", **{"evaluation.vote_threshold": threshold})
+            return [(workdir / name).read_bytes() for name in outputs]
+
+        shared = ExperimentRunner(config)
+        low, high = evaluate(shared, 0.4), evaluate(shared, 0.6)
+        assert low[0] != high[0]
+        assert evaluate(ExperimentRunner(config), 0.4) == low
+        assert evaluate(ExperimentRunner(config), 0.6) == high
+        assert evaluate(shared, 0.4) == low
+
+    def test_adapt_reparses_an_edited_screened_file(self, tmp_path, monkeypatch):
+        import drsynth.pipeline as pipeline
+
+        parsed = []
+        read = pipeline.read_synthetic_records
+
+        def counted(path):
+            parsed.append(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(pipeline, "read_synthetic_records", counted)
+        workdir = tmp_path / "run"
+        runner = ExperimentRunner(_config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]}))
+        runner.run(kinds={"fixtures", "ingest", "train-base", "generate", "screen"})
+        report = workdir / "eval/prefix-specific-syn-seed1.json"
+
+        def adapt():
+            _run_action(runner, "adapt:prefix-specific-syn:seed1")
+            return sum(json.loads(report.read_text())["sizes"].values())
+
+        size = adapt()
+        assert adapt() == size
+        assert parsed.count("screened.jsonl") == 1
+        screened = workdir / "synthetic/screened.jsonl"
+        screened.write_text("".join(screened.read_text().splitlines(keepends=True)[:-1]))
+        assert adapt() == size - 1
+        assert parsed.count("screened.jsonl") == 2

@@ -2,7 +2,7 @@ import numpy as np
 from scipy import sparse
 
 from drsynth.records import ArgumentPair
-from drsynth.reference_backend import ReferenceBackend
+from drsynth.reference_backend import ReferenceBackend, _sigmoid, _softplus
 
 
 def _char_loop_tokens(text: str) -> list[str]:
@@ -85,3 +85,103 @@ class TestFeatureStore:
     def test_empty_batch(self):
         x = ReferenceBackend().featurize_pairs([])
         assert x.shape == (0, 512) and x.nnz == 0
+
+
+def _ce_oracle(params, x, y):
+    """The original cross-entropy kernel, kept as the oracle for the in-place one."""
+    n = x.shape[0]
+    hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
+    encoded = hidden + params["prefix.p"]
+    scores = encoded @ params["head.W"].T + params["head.b"]
+    shift = scores - scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shift).sum(axis=1))
+    log_probs = shift - log_z[:, None]
+    loss = -float(log_probs[np.arange(n), y].mean())
+    d_scores = np.exp(log_probs)
+    d_scores[np.arange(n), y] -= 1.0
+    d_scores /= n
+    d_encoded = d_scores @ params["head.W"]
+    d_pre = d_encoded * (1.0 - hidden**2)
+    return loss, {
+        "head.W": d_scores.T @ encoded,
+        "head.b": d_scores.sum(axis=0),
+        "prefix.p": d_encoded.sum(axis=0),
+        "encoder.W": (x.T @ d_pre).T,
+        "encoder.b": d_pre.sum(axis=0),
+        "disc.w": np.zeros_like(params["disc.w"]),
+        "disc.b": np.zeros_like(params["disc.b"]),
+    }
+
+
+def _iv_oracle(params, x, domain):
+    """The original invariance kernel, kept as the oracle for the in-place one."""
+    m = x.shape[0]
+    hidden = np.tanh(x @ params["encoder.W"].T + params["encoder.b"])
+    encoded = hidden + params["prefix.p"]
+    z = encoded @ params["disc.w"] + params["disc.b"][0]
+    loss = float((_softplus(z) - domain * z).mean())
+    d_z = (_sigmoid(z) - domain) / m
+    d_encoded = np.outer(d_z, params["disc.w"])
+    d_pre = d_encoded * (1.0 - hidden**2)
+    return loss, {
+        "disc.w": encoded.T @ d_z,
+        "disc.b": np.array([d_z.sum()]),
+        "prefix.p": d_encoded.sum(axis=0),
+        "encoder.W": (x.T @ d_pre).T,
+        "encoder.b": d_pre.sum(axis=0),
+        "head.W": np.zeros_like(params["head.W"]),
+        "head.b": np.zeros_like(params["head.b"]),
+    }
+
+
+class TestKernels:
+    """The CE and IV kernels give bit-identical values to the original formulas."""
+
+    def _inputs(self):
+        backend = ReferenceBackend()
+        rng = np.random.default_rng(41)
+        params = backend.init_params(rng)
+        for key in params:
+            params[key] = params[key] + rng.normal(0.0, 0.3, size=params[key].shape)
+        words = "the vote passed narrowly because members were absent so it was close".split()
+        pairs = [
+            ArgumentPair(
+                arg1=" ".join(rng.choice(words, size=int(rng.integers(1, 30)))),
+                arg2=" ".join(rng.choice(words, size=int(rng.integers(1, 30)))),
+            )
+            for _ in range(60)
+        ]
+        x = backend.featurize_pairs(pairs)
+        y = rng.integers(0, len(backend.labels), size=len(pairs))
+        domain = (rng.random(len(pairs)) < 0.5).astype(np.float64)
+        return backend, params, x, y, domain
+
+    def test_kernels_equal_the_original_formulas_on_dense_and_csr_input(self):
+        backend, params, csr, y, domain = self._inputs()
+        for x in (csr, csr.toarray()):
+            for kernel, oracle, target, dropped in (
+                (backend.ce_loss_and_grads, _ce_oracle, y, ("disc.w", "disc.b")),
+                (backend.iv_loss_and_grads, _iv_oracle, domain, ("head.W", "head.b")),
+            ):
+                loss, grads = kernel(params, x, target)
+                expected_loss, expected = oracle(params, x, target)
+                assert loss == expected_loss
+                assert set(grads) == set(expected) - set(dropped)
+                for key, value in grads.items():
+                    assert np.array_equal(value, expected[key]), key
+                # the groups a kernel leaves out were all zeros
+                assert not any(expected[key].any() for key in dropped)
+            encoded = np.tanh(x @ params["encoder.W"].T + params["encoder.b"]) + params["prefix.p"]
+            scores = encoded @ params["head.W"].T + params["head.b"]
+            assert np.array_equal(backend.score_matrix(params, x), scores)
+
+    def test_total_loss_keeps_every_key(self):
+        backend, params, x, y, domain = self._inputs()
+        for lam in (0.0, 0.3):
+            loss, grads = backend.total_loss_and_grads(params, x, y, x, domain, lam)
+            ce_loss, ce = _ce_oracle(params, x, y)
+            iv_loss, iv = _iv_oracle(params, x, domain)
+            assert set(grads) == set(params)
+            assert loss == (ce_loss - lam * iv_loss if lam else ce_loss)
+            for key in params:
+                assert np.array_equal(grads[key], ce[key] - lam * iv[key]), key
