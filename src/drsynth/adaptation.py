@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .records import ArgumentPair, LabeledInstance
+from .records import ArgumentPair, LabeledInstance, write_json
 from .reference_backend import PARAMETER_GROUPS, Params, ReferenceBackend, group_keys
 from .taxonomy import RelationLabel, resolve_label
 
@@ -98,15 +98,6 @@ class TrainingConfig:
 
 
 @dataclass
-class AdapterState:
-    """Prefix parameters plus the checksums of the frozen base groups."""
-
-    prefix: np.ndarray
-    base_checksums: dict[str, str]
-    embed_dim: int
-
-
-@dataclass
 class Model:
     """An immutable-once-written classifier artifact."""
 
@@ -114,7 +105,6 @@ class Model:
     params: Params
     artifact_id: str
     manifest: dict
-    adapter: AdapterState | None = None
 
     @property
     def labels(self) -> list[RelationLabel]:
@@ -224,7 +214,6 @@ def _build_model(
     kind: str,
     parent: str = "",
     extra: dict | None = None,
-    adapter: AdapterState | None = None,
 ) -> Model:
     manifest = {
         "kind": kind,
@@ -239,10 +228,7 @@ def _build_model(
         manifest.update(extra)
     artifact_id = _artifact_id(manifest, params)
     manifest["artifact_id"] = artifact_id
-    return Model(
-        backend=backend, params=params, artifact_id=artifact_id, manifest=manifest,
-        adapter=adapter,
-    )
+    return Model(backend=backend, params=params, artifact_id=artifact_id, manifest=manifest)
 
 
 def train_base(
@@ -333,14 +319,9 @@ def adapt_prefix(
     for group in _FROZEN_BY_PREFIX:
         if before[group] != after[group]:
             raise ConfigurationError(f"prefix adaptation modified frozen group {group}")
-    adapter = AdapterState(
-        prefix=params["prefix.p"].copy(),
-        base_checksums={g: before[g] for g in _FROZEN_BY_PREFIX},
-        embed_dim=prefix_dim,
-    )
     return _build_model(
         base_model.backend, params, config, synthetic, kind="prefix",
-        parent=base_model.artifact_id, extra={"prefix_dim": prefix_dim}, adapter=adapter,
+        parent=base_model.artifact_id, extra={"prefix_dim": prefix_dim},
     )
 
 
@@ -507,9 +488,7 @@ def save_model(model: Model, directory: str | Path) -> Path:
     (staging / "params").mkdir(parents=True)
     for key, value in model.params.items():
         np.save(staging / "params" / f"{key}.npy", np.ascontiguousarray(value))
-    with open(staging / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(model.manifest, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(staging / "manifest.json", model.manifest)
     previous = path.with_name(path.name + ".old")
     if previous.exists():
         shutil.rmtree(previous)
@@ -536,18 +515,9 @@ def load_model(directory: str | Path, backend: ReferenceBackend | None = None) -
         file.name.removesuffix(".npy"): np.load(file)
         for file in sorted((path / "params").glob("*.npy"))
     }
-    adapter = None
-    if manifest["kind"] == "prefix":
-        # prefix adaptation leaves the other groups bit-identical to the base's
-        adapter = AdapterState(
-            prefix=params["prefix.p"].copy(),
-            base_checksums={g: group_checksum(params, g) for g in _FROZEN_BY_PREFIX},
-            embed_dim=manifest["prefix_dim"],
-        )
     return Model(
         backend=backend,
         params=params,
         artifact_id=manifest["artifact_id"],
         manifest=manifest,
-        adapter=adapter,
     )

@@ -4,12 +4,13 @@ A run is driven by a flat key-path config file (``key = value`` lines with
 JSON-typed values and ``include`` support). ``ExperimentRunner.stages()``
 turns a config into one ordered table of ``Stage`` records; ``run``,
 ``resume``, ``--dry-run`` and every CLI stage verb walk that table. A stage
-digest covers the stage's name, config slice and input digests, and its
-action receives exactly that slice, so an undeclared config key fails as
-``KeyError`` instead of leaving a stale output. Re-running a workdir skips
-every stage whose digest matches and whose outputs are intact: a changed
-screening setting re-runs screening and everything downstream while reusing
-the generation cache.
+digest covers the stage's name, config slice and input digests. An action is
+called as ``action(cfg, stage)`` with exactly that slice, so an undeclared
+config key fails as ``KeyError``; it reads only ``stage.inputs`` and writes
+only ``stage.outputs``, so ``stages()`` alone decides the workdir layout.
+Re-running a workdir skips every stage whose digest matches and whose
+outputs are intact: a changed screening setting re-runs screening and
+everything downstream while reusing the generation cache.
 
 The stage table, in order (``S`` ranges over ``seeds``, ``V`` over the
 ``adaptation.methods`` x ``adaptation.domain_modes`` variants), with the
@@ -17,7 +18,7 @@ outputs under the workdir:
 
   fixtures               data/{source,target,raw}.jsonl (``fixtures:`` corpora only)
   ingest                 data/{train,dev,eval,raw-canonical}.jsonl
-  train-base:seedS       models/base-seedS/
+  train-base:seedS       models/base-seedS/ (with dev-confusion.json)
   generate               synthetic/candidates.jsonl (unless every method is pseudo)
   screen                 synthetic/screened.jsonl, screening-report.json
   pseudo-label           pseudo/labeled.jsonl (if pseudo is a method)
@@ -25,8 +26,13 @@ outputs under the workdir:
   adapt:V:seedS          models/V-seedS/, eval/V-seedS.json, -predictions.jsonl
   report                 results.txt (stars mark significance), results.tsv
 
-``run-manifest.json`` records each stage's digests and wall clock; the
-generation cache and telemetry in ``synthetic/`` are outside every digest.
+The screen also declares ``data/train.jsonl`` with ``screening.kind =
+"combi"`` (the frequency table counts its labels and adjacency) and a
+``screening.cmap`` file when the screen uses a map. ``run-manifest.json``
+records each stage's digests and wall clock. Side files, named beside a
+declared output and outside every digest: ``synthetic/cache.jsonl``,
+``failures.json`` and ``generation-stats.json`` beside the candidates, and
+``screening-report.txt`` and ``screening-meta.json`` beside the report.
 
 Within one runner, every stage shares one ``ReferenceBackend`` (so each
 distinct pair is featurized once per run) and one parsed copy of each
@@ -74,7 +80,6 @@ from .evaluation import (
     EvalProtocol,
     MetricReport,
     PredictionRecord,
-    RunSummary,
     SignificanceResult,
     VariantMeta,
     aggregate_runs,
@@ -109,10 +114,12 @@ from .records import (
     ingest_target_corpus,
     majority_label,
     frequency_table_from_instances,
-    write_records,
     source_record,
     target_record,
+    write_json,
     write_raw_corpus,
+    write_records,
+    write_text,
 )
 from .reference_backend import ReferenceBackend
 from .screening import (
@@ -248,6 +255,9 @@ class PipelineConfig:
             # only the strict screen drops every similarity candidate (the classifier never
             # predicts similarity); adaptation trains on the training labels alone
             raise ConfigurationError("generation.include_similarity needs screening.kind strict")
+        threshold = self.get("evaluation.vote_threshold")
+        if not isinstance(threshold, (int, float)) or not 0 < threshold <= 1:
+            raise ConfigurationError("evaluation.vote_threshold must be a number in (0, 1]")
         EvalProtocol(self.get("evaluation.protocol"))
         SplitSpec.parse(str(self.get("data.split")))
 
@@ -257,14 +267,6 @@ class PipelineConfig:
 
 def _digest_bytes(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
-
-
-def _write_text(path: Path, content: str) -> None:
-    """Atomic text write (temp-then-rename), used for every pipeline artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, "utf-8")
-    os.replace(tmp, path)
 
 
 def digest_path(path: Path) -> str:
@@ -298,7 +300,7 @@ class RunManifest:
             self.data["stages"] = stored.get("stages", {})
 
     def save(self) -> None:
-        _write_text(self.path, json.dumps(self.data, sort_keys=True, indent=2) + "\n")
+        write_json(self.path, self.data)
 
     def stage(self, name: str) -> dict | None:
         return self.data["stages"].get(name)
@@ -338,16 +340,17 @@ class RunManifest:
 class Stage:
     """One row of the stage table.
 
-    ``inputs`` and ``outputs`` are the paths the action reads and writes.
-    ``action`` is called with exactly the ``config_keys`` slice of the config,
-    the same slice the stage digest covers.
+    ``action(cfg, stage)`` is called with exactly the ``config_keys`` slice of
+    the config, the same slice the stage digest covers, and with this row: it
+    reads only ``inputs`` and writes only ``outputs`` (plus side files named
+    beside an output, outside every digest).
     """
 
     name: str
     config_keys: tuple[str, ...]
     inputs: Mapping[str, Path]
     outputs: Mapping[str, Path]
-    action: Callable[[Mapping[str, object]], None]
+    action: Callable[[Mapping[str, object], "Stage"], None]
 
     @property
     def kind(self) -> str:
@@ -392,38 +395,33 @@ class ExperimentRunner:
         self.manifest = RunManifest(self.workdir / "run-manifest.json", config.snapshot())
         # the per-run feature store: every model trained or loaded here featurizes through it
         self.backend = ReferenceBackend()
-        self._parsed: dict[tuple[str, Callable], tuple[str, object]] = {}
+        self._parsed: dict[tuple[Path, Callable], tuple[str, object]] = {}
         # (eval file digest, vote threshold) -> each domain's eval items
         self._gold: dict[tuple[str, float], dict[str, list[EvalItem]]] = {}
 
-    def _path(self, relative: str) -> Path:
-        return self.workdir / relative
-
-    def _read_entry(self, relative: str, parse: Callable[[Path], T]) -> tuple[str, T]:
-        """The content digest of a workdir file and its ``parse``, parsed once per digest."""
-        path = self._path(relative)
+    def _read_entry(self, path: Path, parse: Callable[[Path], T]) -> tuple[str, T]:
+        """The content digest of a file and its ``parse``, parsed once per digest."""
         digest = _digest_bytes(path.read_bytes())
-        cached = self._parsed.get((relative, parse))
+        cached = self._parsed.get((path, parse))
         if cached is None or cached[0] != digest:
-            cached = self._parsed[(relative, parse)] = (digest, parse(path))
+            cached = self._parsed[(path, parse)] = (digest, parse(path))
         return cached
 
-    def _read(self, relative: str, parse: Callable[[Path], T]) -> T:
-        """``parse`` of a workdir file, parsed once per content digest; callers must not mutate it."""
-        return self._read_entry(relative, parse)[1]
+    def _read(self, path: Path, parse: Callable[[Path], T]) -> T:
+        """``parse`` of a file, parsed once per content digest; callers must not mutate it."""
+        return self._read_entry(path, parse)[1]
 
-    def _hand_over(self, relative: str, parse: Callable[[Path], T], rows: T) -> None:
-        """Cache ``rows`` as ``parse`` of the workdir file just written from them.
+    def _hand_over(self, path: Path, parse: Callable[[Path], T], rows: T) -> None:
+        """Cache ``rows`` as ``parse`` of the file just written from them.
 
         ``rows`` must equal what ``parse`` returns for the written bytes; they are
         keyed by those bytes' digest, so a later change to the file is parsed again.
         """
-        digest = _digest_bytes(self._path(relative).read_bytes())
-        self._parsed[(relative, parse)] = (digest, rows)
+        self._parsed[(path, parse)] = (_digest_bytes(path.read_bytes()), rows)
 
-    def _eval_items(self, threshold: float) -> dict[str, list[EvalItem]]:
+    def _eval_items(self, path: Path, threshold: float) -> dict[str, list[EvalItem]]:
         """Eval items by domain with their gold sets, derived once per eval content and threshold."""
-        digest, instances = self._read_entry("data/eval.jsonl", ingest_target_corpus)
+        digest, instances = self._read_entry(path, ingest_target_corpus)
         key = (digest, threshold)
         if key not in self._gold:
             by_domain: dict[str, list[EvalItem]] = {}
@@ -437,37 +435,37 @@ class ExperimentRunner:
     # --- stage table and engine ---------------------------------------------
 
     def stages(self) -> list[Stage]:
-        """The ordered stage table for this runner's config."""
+        """The ordered stage table for this runner's config; workdir paths are built only here."""
+        path = self.workdir.joinpath
         seeds = [int(s) for s in self.config.get("seeds")]
         methods = list(self.config.get("adaptation.methods"))
         specs = {kind: str(self.config.get(f"data.{kind}")) for kind in _CORPORA}
         corpora = {
-            kind: self._path(f"data/{kind}.jsonl") if spec.startswith("fixtures:") else Path(spec)
+            kind: path(f"data/{kind}.jsonl") if spec.startswith("fixtures:") else Path(spec)
             for kind, spec in specs.items()
         }
-        train, dev = self._path("data/train.jsonl"), self._path("data/dev.jsonl")
-        eval_data, raw = self._path("data/eval.jsonl"), self._path("data/raw-canonical.jsonl")
-        candidates = self._path("synthetic/candidates.jsonl")
-        screened = self._path("synthetic/screened.jsonl")
-        labeled = self._path("pseudo/labeled.jsonl")
-        base = {seed: self._path(f"models/base-seed{seed}") for seed in seeds}
+        train, dev = path("data/train.jsonl"), path("data/dev.jsonl")
+        eval_data, raw = path("data/eval.jsonl"), path("data/raw-canonical.jsonl")
+        candidates = path("synthetic/candidates.jsonl")
+        screened = path("synthetic/screened.jsonl")
+        labeled = path("pseudo/labeled.jsonl")
+        base = {seed: path(f"models/base-seed{seed}") for seed in seeds}
 
         def eval_outputs(variant: str, seed: int) -> dict[str, Path]:
             return {
-                "eval": self._path(f"eval/{variant}-seed{seed}.json"),
-                "predictions": self._path(f"eval/{variant}-seed{seed}-predictions.jsonl"),
+                "eval": path(f"eval/{variant}-seed{seed}.json"),
+                "predictions": path(f"eval/{variant}-seed{seed}-predictions.jsonl"),
             }
 
         table: list[Stage] = []
         if any(spec.startswith("fixtures:") for spec in specs.values()):
             table.append(Stage(
                 "fixtures", ("data.source", "data.fixture_seed", "domains"), {},
-                {kind: self._path(f"data/{kind}.jsonl") for kind in _CORPORA}, self._fixtures,
+                {kind: path(f"data/{kind}.jsonl") for kind in _CORPORA}, self._fixtures,
             ))
         table.append(Stage(
             "ingest", ("data.split", "domains"), corpora,
-            {"train": train, "dev": dev, "eval": eval_data, "raw": raw},
-            partial(self._ingest, corpora=corpora),
+            {"train": train, "dev": dev, "eval": eval_data, "raw": raw}, self._ingest,
         ))
         for seed in seeds:
             table.append(Stage(
@@ -480,17 +478,23 @@ class ExperimentRunner:
                 "generate", _GENERATE_KEYS, {"raw": raw}, {"candidates": candidates},
                 self._generate,
             ))
+            screen_inputs = {"candidates": candidates, "base": base[seeds[0]]}
+            kind = ScreenKind(self.config.get("screening.kind"))
+            cmap = str(self.config.get("screening.cmap"))
+            if kind is ScreenKind.COMBI:  # adjacency and labels feed the frequency table
+                screen_inputs["train"] = train
+            if kind is not ScreenKind.STRICT and cmap not in ("bundled", "derived"):
+                screen_inputs["cmap"] = Path(cmap)
             table.append(Stage(
                 "screen", ("domains", "screening.kind", "screening.cmap", "screening.freq_scope"),
-                {"candidates": candidates, "base": base[seeds[0]]},
-                {"screened": screened, "report": self._path("synthetic/screening-report.json")},
-                partial(self._screen, base_seed=seeds[0]),
+                screen_inputs,
+                {"screened": screened, "report": path("synthetic/screening-report.json")},
+                self._screen,
             ))
         if "pseudo" in methods:
             table.append(Stage(
                 "pseudo-label", ("domains", "pseudo.per_domain_n", "generation.seed"),
-                {"raw": raw, "base": base[seeds[0]]}, {"labeled": labeled},
-                partial(self._pseudo_label, base_seed=seeds[0]),
+                {"raw": raw, "base": base[seeds[0]]}, {"labeled": labeled}, self._pseudo_label,
             ))
         for seed in seeds:
             table.append(Stage(
@@ -505,17 +509,14 @@ class ExperimentRunner:
                     f"adapt:{variant}:seed{seed}", _ADAPT_KEYS,
                     {"data": labeled if method == "pseudo" else screened, "base": base[seed],
                      "train": train, "eval": eval_data},
-                    {
-                        "model": self._path(f"models/{variant}-seed{seed}"),
-                        **eval_outputs(variant, seed),
-                    },
+                    {"model": path(f"models/{variant}-seed{seed}"), **eval_outputs(variant, seed)},
                     partial(self._adapt, method=method, mode=mode, seed=seed),
                 ))
         # the report reads every evaluating stage's metric report
         table.append(Stage(
             "report", _REPORT_KEYS,
             {stage.name: stage.outputs["eval"] for stage in table if "eval" in stage.outputs},
-            {"table": self._path("results.txt"), "tsv": self._path("results.tsv")},
+            {"table": path("results.txt"), "tsv": path("results.tsv")},
             self._report,
         ))
         return table
@@ -542,7 +543,7 @@ class ExperimentRunner:
             logger.warning("stage %s outputs %s stale or corrupted; re-running", stage.name, stale)
         logger.info("stage %s: running", stage.name)
         started = time.perf_counter()
-        stage.action(config_slice)
+        stage.action(config_slice, stage)
         outputs = {key: digest_path(path) for key, path in stage.outputs.items()}
         self.manifest.record_stage(stage.name, digest, outputs, time.perf_counter() - started)
 
@@ -563,22 +564,21 @@ class ExperimentRunner:
             self.manifest.prune_except([stage.name for stage in stages])
         return self.manifest
 
-    # --- stage actions: each reads config only from its ``cfg`` slice ---------
+    # --- stage actions: config only from ``cfg``, files only from the stage's paths ---
 
-    def _fixtures(self, cfg: Mapping[str, object]) -> None:
+    def _fixtures(self, cfg: Mapping[str, object], stage: Stage) -> None:
         seed = int(cfg["data.fixture_seed"])
-        data_dir = self._path("data")
-        data_dir.mkdir(parents=True, exist_ok=True)
+        out = stage.outputs
         if str(cfg["data.source"]) == "fixtures:full":
-            fixtures.build_source_corpus(data_dir / "source.jsonl", seed=seed)
-            fixtures.build_target_corpus(data_dir / "target.jsonl", seed=seed + 1)
+            fixtures.build_source_corpus(out["source"], seed=seed)
+            fixtures.build_target_corpus(out["target"], seed=seed + 1)
             docs_per_domain, sentences_per_doc = 8, 60
         else:
             fixtures.build_source_corpus(
-                data_dir / "source.jsonl", counts=fixtures.tiny_source_counts(), seed=seed
+                out["source"], counts=fixtures.tiny_source_counts(), seed=seed
             )
             fixtures.build_target_corpus(
-                data_dir / "target.jsonl",
+                out["target"],
                 counts=fixtures.tiny_target_counts(per_domain=4),
                 domains=cfg["domains"],
                 seed=seed + 1,
@@ -586,53 +586,48 @@ class ExperimentRunner:
             )
             docs_per_domain, sentences_per_doc = 3, 16
         fixtures.build_raw_corpus(
-            data_dir / "raw.jsonl",
+            out["raw"],
             domains=cfg["domains"],
             docs_per_domain=docs_per_domain,
             sentences_per_doc=sentences_per_doc,
             seed=seed + 2,
         )
 
-    def _ingest(self, cfg: Mapping[str, object], corpora: Mapping[str, Path]) -> None:
+    def _ingest(self, cfg: Mapping[str, object], stage: Stage) -> None:
+        corpora, out = stage.inputs, stage.outputs
         ingest = ingest_source_corpus(corpora["source"], SplitSpec.parse(str(cfg["data.split"])))
         # canonicalized copies; sections riding along for round-trips. Each copy
         # parses back to the rows it was written from, so they go to the cache.
         for name, section, instances, parse in (
             ("train", 0, ingest.train, _train_rows), ("dev", 1, ingest.dev, _dev_rows)
         ):
-            write_records(
-                (source_record(inst, section=section) for inst in instances),
-                self._path(f"data/{name}.jsonl"),
-            )
-            self._hand_over(f"data/{name}.jsonl", parse, instances)
+            write_records((source_record(inst, section=section) for inst in instances), out[name])
+            self._hand_over(out[name], parse, instances)
         target = ingest_target_corpus(corpora["target"])
-        write_records((target_record(i) for i in target), self._path("data/eval.jsonl"))
-        self._hand_over("data/eval.jsonl", ingest_target_corpus, target)
+        write_records((target_record(i) for i in target), out["eval"])
+        self._hand_over(out["eval"], ingest_target_corpus, target)
         docs = ingest_raw_corpus(corpora["raw"])
-        write_raw_corpus(docs, self._path("data/raw-canonical.jsonl"))
-        self._hand_over("data/raw-canonical.jsonl", ingest_raw_corpus, docs)
+        write_raw_corpus(docs, out["raw"])
+        self._hand_over(out["raw"], ingest_raw_corpus, docs)
 
-    def _train_base(self, cfg: Mapping[str, object], seed: int) -> None:
-        train = self._read("data/train.jsonl", _train_rows)
-        dev_set = self._read("data/dev.jsonl", _dev_rows)
+    def _train_base(self, cfg: Mapping[str, object], stage: Stage, seed: int) -> None:
+        train = self._read(stage.inputs["train"], _train_rows)
+        dev_set = self._read(stage.inputs["dev"], _dev_rows)
         config = TrainingConfig(
             epochs=int(cfg["base.epochs"]),
             learning_rate=float(cfg["base.learning_rate"]),
             seed=seed,
         )
         model, confusion = train_base(train, dev_set, config, self.backend)
-        model_dir = self._path(f"models/base-seed{seed}")
+        model_dir = stage.outputs["model"]
         save_model(model, model_dir)
-        confusion_payload = {  # key order comes from _write_json's sort_keys
+        confusion_payload = {  # key order comes from write_json's sort_keys
             true.level2: {pred.level2: n for pred, n in row.items()} for true, row in confusion.items()
         }
-        _write_json(model_dir / "dev-confusion.json", confusion_payload)
+        write_json(model_dir / "dev-confusion.json", confusion_payload)
 
-    def _load_base(self, seed: int) -> Model:
-        return load_model(self._path(f"models/base-seed{seed}"), self.backend)
-
-    def _generate(self, cfg: Mapping[str, object]) -> None:
-        docs = self._read("data/raw-canonical.jsonl", ingest_raw_corpus)
+    def _generate(self, cfg: Mapping[str, object], stage: Stage) -> None:
+        docs = self._read(stage.inputs["raw"], ingest_raw_corpus)
         seed = int(cfg["generation.seed"])
         n_arg1 = int(cfg["generation.n_arg1"])
         sentences_by_domain: dict[str, list[str]] = {}
@@ -643,6 +638,7 @@ class ExperimentRunner:
             rng = random.Random(seed + hash_domain(domain))
             sentences_by_domain[domain] = rng.sample(pool, min(n_arg1, len(pool)))
         choice = cfg["generation.connective_choice"]
+        out = stage.outputs["candidates"]
         result = generate_batch(
             sentences_by_domain,
             generation_label_set(bool(cfg["generation.include_similarity"])),
@@ -650,12 +646,12 @@ class ExperimentRunner:
             PromptTemplateKind(cfg["generation.template"]),
             fixtures.example_pool(cfg["domains"]),
             seed=seed,
-            cache=GenerationCache(self._path("synthetic/cache.jsonl")),
+            cache=GenerationCache(out.with_name("cache.jsonl")),
             connective_choice=None if choice in (None, "") else int(choice),
         )
-        write_synthetic_records(result.instances, self._path("synthetic/candidates.jsonl"))
-        _write_text(
-            self._path("synthetic/failures.json"),
+        write_synthetic_records(result.instances, out)
+        write_text(
+            out.with_name("failures.json"),
             json.dumps([f._asdict() for f in result.failures], indent=2) + "\n",
         )
         stats = {
@@ -664,69 +660,56 @@ class ExperimentRunner:
             "rejected": len(result.failures),
         }
         # telemetry, not a declared output: cache state stays out of the manifest identity
-        _write_json(self._path("synthetic/generation-stats.json"), stats)
+        write_json(out.with_name("generation-stats.json"), stats)
 
-    def _confusion_map(self, base_seed: int, choice: str) -> ConfusionMap:
-        if choice == "bundled":
-            return load_confusion_map()
-        if choice == "derived":
-            dev_confusion = self._path(f"models/base-seed{base_seed}/dev-confusion.json")
-            payload = json.loads(dev_confusion.read_text("utf-8"))
-            matrix = {
-                resolve_label(true): {resolve_label(p): n for p, n in row.items()}
-                for true, row in payload.items()
-            }
-            return derive_confusion_map(matrix)
-        return load_confusion_map(choice)
-
-    def _screen(self, cfg: Mapping[str, object], base_seed: int) -> None:
-        candidates = read_synthetic_records(self._path("synthetic/candidates.jsonl"))
-        base = self._load_base(base_seed)
+    def _screen(self, cfg: Mapping[str, object], stage: Stage) -> None:
+        candidates = read_synthetic_records(stage.inputs["candidates"])
+        base = load_model(stage.inputs["base"], self.backend)
         predictions, _ = batch_predict(base, [c.pair for c in candidates])
         for candidate, label in zip(candidates, predictions):
             candidate.set_predicted(label)
         kind = ScreenKind(cfg["screening.kind"])
         cmap = freq = None
         if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
-            cmap = self._confusion_map(base_seed, str(cfg["screening.cmap"]))
+            cmap = _confusion_map(str(cfg["screening.cmap"]), stage.inputs)
         if kind is ScreenKind.COMBI:
-            train = self._read("data/train.jsonl", _train_rows)
+            train = self._read(stage.inputs["train"], _train_rows)
             freq = frequency_table_from_instances(train, scope=str(cfg["screening.freq_scope"]))
         kept, report = screen_batch(candidates, kind, cmap, freq)
-        write_synthetic_records(kept, self._path("synthetic/screened.jsonl"))
-        _write_text(self._path("synthetic/screening-report.json"), report_to_json(report) + "\n")
-        _write_text(
-            self._path("synthetic/screening-report.txt"),
+        write_synthetic_records(kept, stage.outputs["screened"])
+        report_path = stage.outputs["report"]
+        write_text(report_path, report_to_json(report) + "\n")
+        write_text(
+            report_path.with_name("screening-report.txt"),
             render_screening_report([report], cfg["domains"]),
         )
-        _write_json(
-            self._path("synthetic/screening-meta.json"),
+        write_json(
+            report_path.with_name("screening-meta.json"),
             {"base_artifact_id": base.artifact_id, "screen": kind.value},
         )
 
-    def _pseudo_label(self, cfg: Mapping[str, object], base_seed: int) -> None:
+    def _pseudo_label(self, cfg: Mapping[str, object], stage: Stage) -> None:
         instances = pseudo_label_corpus(
-            self._read("data/raw-canonical.jsonl", ingest_raw_corpus),
-            self._load_base(base_seed),
+            self._read(stage.inputs["raw"], ingest_raw_corpus),
+            load_model(stage.inputs["base"], self.backend),
             per_domain_n=int(cfg["pseudo.per_domain_n"]),
             seed=int(cfg["generation.seed"]),
             domains=cfg["domains"],
         )
-        write_pseudo_records(instances, self._path("pseudo/labeled.jsonl"))
+        write_pseudo_records(instances, stage.outputs["labeled"])
 
-    def _evaluate_baseline(self, cfg: Mapping[str, object], seed: int) -> None:
-        base = self._load_base(seed)
+    def _evaluate_baseline(self, cfg: Mapping[str, object], stage: Stage, seed: int) -> None:
+        base = load_model(stage.inputs["base"], self.backend)
         models = {domain: (base, False) for domain in cfg["domains"]}
-        self._evaluate(cfg, "baseline", seed, models, dict.fromkeys(models, 0))
+        self._evaluate(cfg, stage, "baseline", seed, models, dict.fromkeys(models, 0))
 
-    def _adapt(self, cfg: Mapping[str, object], method: str, mode: str, seed: int) -> None:
-        variant = _variant_id(method, mode)
-        model_dir = self._path(f"models/{variant}-seed{seed}")
+    def _adapt(
+        self, cfg: Mapping[str, object], stage: Stage, method: str, mode: str, seed: int
+    ) -> None:
+        model_dir = stage.outputs["model"]
         shutil.rmtree(model_dir, ignore_errors=True)
-        if method == "pseudo":
-            pool = self._read("pseudo/labeled.jsonl", read_pseudo_records)
-        else:
-            pool = self._read("synthetic/screened.jsonl", read_synthetic_records)
+        parse = read_pseudo_records if method == "pseudo" else read_synthetic_records
+        pool = self._read(stage.inputs["data"], parse)
         by_domain = {domain: [i for i in pool if i.domain == domain] for domain in cfg["domains"]}
         # from-scratch trainings on the combined pool (concat, pseudo) use base-scale
         # settings; the adaptation epochs/rate apply to continued training only
@@ -741,8 +724,9 @@ class ExperimentRunner:
             ),
             trainable_groups=("prefix",) if method == "prefix" else ("encoder", "head"),
         )
-        base = self._load_base(seed)
-        train = self._read("data/train.jsonl", _train_rows)
+        base = load_model(stage.inputs["base"], self.backend)
+        # prefix adaptation trains on the target data alone
+        train = [] if method == "prefix" else self._read(stage.inputs["train"], _train_rows)
 
         def adapt(target_data: list, out: str) -> Model:
             if method == "prefix":
@@ -770,11 +754,12 @@ class ExperimentRunner:
             model = adapt(mixed, "mixed")
             models = {domain: (model, True) for domain in by_domain}
             sizes = dict.fromkeys(by_domain, len(mixed))
-        self._evaluate(cfg, variant, seed, models, sizes)
+        self._evaluate(cfg, stage, _variant_id(method, mode), seed, models, sizes)
 
     def _evaluate(
         self,
         cfg: Mapping[str, object],
+        stage: Stage,
         variant: str,
         seed: int,
         models: Mapping[str, tuple[Model, bool]],
@@ -782,7 +767,7 @@ class ExperimentRunner:
     ) -> None:
         """Score each domain's (model, tagged) pair; write the report and predictions."""
         protocol = EvalProtocol(cfg["evaluation.protocol"])
-        eval_items = self._eval_items(float(cfg["evaluation.vote_threshold"]))
+        eval_items = self._eval_items(stage.inputs["eval"], float(cfg["evaluation.vote_threshold"]))
         reports: dict[str, dict] = {}
         prediction_rows: list[dict] = []
         for domain in cfg["domains"]:
@@ -807,15 +792,14 @@ class ExperimentRunner:
                 for index, (item, label) in enumerate(zip(items, predicted))
             ]
             reports[domain] = report_payload(score(records, protocol, run_id=f"seed{seed}"))
-        _write_json(
-            self._path(f"eval/{variant}-seed{seed}.json"),
+        write_json(
+            stage.outputs["eval"],
             {"variant": variant, "seed": seed, "sizes": dict(sizes), "reports": reports},
         )
-        write_records(prediction_rows, self._path(f"eval/{variant}-seed{seed}-predictions.jsonl"))
+        write_records(prediction_rows, stage.outputs["predictions"])
 
-    def _report(self, cfg: Mapping[str, object]) -> None:
+    def _report(self, cfg: Mapping[str, object], stage: Stage) -> None:
         domains = cfg["domains"]
-        seeds = [int(s) for s in cfg["seeds"]]
         llm = ",".join(str(b) for b in cfg["generation.backends"])
         screen = ScreenKind(cfg["screening.kind"]).short_name
         variants = [VariantMeta(variant_id="baseline", model="baseline", baseline=True)]
@@ -829,22 +813,21 @@ class ExperimentRunner:
                     template=str(cfg["generation.template"]), screen=screen, config=mode,
                 ))
 
-        summaries: dict[tuple[str, str], RunSummary] = {}
-        significance: dict[tuple[str, str, str], SignificanceResult] = {}
+        # the metric reports come in table order, so each variant's runs in seed order;
+        # the ``ingest`` input is the eval corpus (ingest's output key is ``eval`` too)
+        runs: dict[tuple[str, str], list[MetricReport]] = {}
         sizes: dict[tuple[str, str], int] = {}
-        for meta in variants:
-            runs: dict[str, list[MetricReport]] = {d: [] for d in domains}
-            for seed in seeds:
-                payload = json.loads(
-                    self._path(f"eval/{meta.variant_id}-seed{seed}.json").read_text("utf-8")
-                )
-                for domain in domains:
-                    runs[domain].append(report_from_payload(payload["reports"][domain]))
-                    sizes[(meta.variant_id, domain)] = payload["sizes"][domain]
+        for name, path in stage.inputs.items():
+            if name.split(":", 1)[0] == "ingest":
+                continue
+            payload = json.loads(path.read_text("utf-8"))
             for domain in domains:
-                summaries[(meta.variant_id, domain)] = aggregate_runs(runs[domain])
-
-        if len(seeds) >= 2:
+                key = (payload["variant"], domain)
+                runs.setdefault(key, []).append(report_from_payload(payload["reports"][domain]))
+                sizes[key] = payload["sizes"][domain]
+        summaries = {key: aggregate_runs(reports) for key, reports in runs.items()}
+        significance: dict[tuple[str, str, str], SignificanceResult] = {}
+        if len(cfg["seeds"]) >= 2:
             alpha = float(cfg["evaluation.alpha"])
             for meta in variants[1:]:  # every variant against the baseline
                 for domain in domains:
@@ -857,11 +840,8 @@ class ExperimentRunner:
                         )
 
         table = render_results_table(variants, summaries, significance, sizes, domains)
-        _write_text(self._path("results.txt"), table)
-        _write_text(
-            self._path("results.tsv"),
-            results_tsv(variants, summaries, significance, sizes, domains),
-        )
+        write_text(stage.outputs["table"], table)
+        write_text(stage.outputs["tsv"], results_tsv(variants, summaries, significance, sizes, domains))
 
 
 # split specs that route every section to one bucket, for canonical re-reads
@@ -881,8 +861,18 @@ def hash_domain(domain: str) -> int:
     return int.from_bytes(hashlib.sha256(domain.encode()).digest()[:4], "big")
 
 
-def _write_json(path: Path, payload: object) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _confusion_map(choice: str, inputs: Mapping[str, Path]) -> ConfusionMap:
+    """The screen's map: bundled, derived from the base model's dev confusion, or a file."""
+    if choice == "bundled":
+        return load_confusion_map()
+    if choice == "derived":
+        payload = json.loads((inputs["base"] / "dev-confusion.json").read_text("utf-8"))
+        matrix = {
+            resolve_label(true): {resolve_label(p): n for p, n in row.items()}
+            for true, row in payload.items()
+        }
+        return derive_confusion_map(matrix)
+    return load_confusion_map(str(inputs["cmap"]))
 
 
 def _variants(cfg: Mapping[str, object]) -> list[tuple[str, str]]:

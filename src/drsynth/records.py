@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .taxonomy import (
     NO_RELATION,
@@ -403,15 +404,36 @@ def target_record(instance: CrowdAnnotatedInstance) -> dict:
     }
 
 
-def write_records(records: Iterable[dict], path: str | Path) -> None:
-    """Write canonical records atomically; byte-identical for identical inputs."""
+@contextmanager
+def _atomic(path: str | Path) -> Iterator[TextIO]:
+    """A text handle on a temp file beside ``path``, renamed over it once the block succeeds.
+
+    Readers see the old file or the complete new one, never a partial write.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+        yield handle
+    os.replace(tmp, path)
+
+
+def write_text(path: str | Path, content: str) -> None:
+    """Write ``content`` atomically."""
+    with _atomic(path) as handle:
+        handle.write(content)
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """Write ``payload`` atomically as indented JSON with sorted keys."""
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def write_records(records: Iterable[dict], path: str | Path) -> None:
+    """Write canonical records atomically, one row at a time; identical inputs, identical bytes."""
+    with _atomic(path) as handle:
         for record in records:
             handle.write(_dump(record) + "\n")
-    os.replace(tmp, path)
 
 
 def write_raw_corpus(docs: Iterable[RawDocument], path: str | Path) -> None:

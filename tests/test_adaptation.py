@@ -6,7 +6,6 @@ import pytest
 from scipy import sparse
 
 from drsynth.adaptation import (
-    AdapterState,
     ConfigurationError,
     LossKind,
     LossSpec,
@@ -30,7 +29,7 @@ from drsynth.adaptation import (
     train_base,
 )
 from drsynth.records import ArgumentPair, LabeledInstance, Provenance
-from drsynth.reference_backend import ReferenceBackend
+from drsynth.reference_backend import ReferenceBackend, group_keys
 from drsynth.screening import SyntheticInstance
 from drsynth.taxonomy import resolve_label, training_label_set
 
@@ -172,15 +171,11 @@ class TestAdaptPrefix:
         for group in ("encoder", "head", "discriminator"):
             assert before[group] == after[group]
         assert not np.array_equal(adapted.params["prefix.p"], model.params["prefix.p"])
-        assert adapted.adapter.base_checksums == {
-            g: before[g] for g in ("encoder", "head", "discriminator")
-        }
 
     def test_zero_epochs_is_noop(self, base_model):
         model, _ = base_model
         adapted = adapt_prefix(model, _synthetic(10), self._config(epochs=0))
         assert _params_equal(adapted.params, model.params)
-        assert np.array_equal(adapted.adapter.prefix, model.params["prefix.p"])
 
     def test_encoder_in_trainable_groups_rejected(self, base_model):
         model, _ = base_model
@@ -226,6 +221,35 @@ class TestAdaptInvariance:
         )
         adapted = adapt_invariance(model, _synthetic(50), tiny_source.train, config)
         assert not np.array_equal(adapted.params["disc.w"], model.params["disc.w"])
+
+    def test_epoch_steps_along_the_checked_gradients(self, base_model, tiny_source):
+        """One epoch, replayed from the loop's random draws: the classifier groups step
+        along ``total_loss_and_grads``, the discriminator along ``iv_loss_and_grads``
+        (gradient reversal), and the prefix stays put, bit for bit."""
+        model, _ = base_model
+        backend, params, real = model.backend, model.params, tiny_source.train
+        synthetic = _synthetic(30, seed=6)
+        lam, lr = 0.3, 0.5
+        config = TrainingConfig(
+            epochs=1, learning_rate=lr, seed=8, loss=LossSpec(kind=LossKind.CE_MINUS_IV, lam=lam)
+        )
+        trained = adapt_invariance(model, synthetic, real, config).params
+
+        rng = np.random.default_rng(config.seed)
+        shuffled = [synthetic[i] for i in rng.permutation(len(synthetic))]
+        x = backend.featurize_pairs([inst.pair for inst in shuffled])
+        y = np.array([backend.label_index[inst.intended] for inst in shuffled])
+        picked = rng.choice(len(real), size=len(shuffled), replace=False)
+        x_real = backend.featurize_pairs([inst.pair for inst in real])[picked]
+        x_domain = sparse.vstack([x, x_real], format="csr")
+        domain = np.concatenate([np.ones(len(shuffled)), np.zeros(len(picked))])
+        _, total = backend.total_loss_and_grads(params, x, y, x_domain, domain, lam)
+        _, iv = backend.iv_loss_and_grads(params, x_domain, domain)
+        for key in group_keys(("encoder", "head")):
+            assert np.array_equal(trained[key], params[key] - lr * total[key]), key
+        for key in group_keys(("discriminator",)):
+            assert np.array_equal(trained[key], params[key] - lr * iv[key]), key
+        assert np.array_equal(trained["prefix.p"], params["prefix.p"])
 
     def test_empty_real_reference_rejected(self, base_model):
         model, _ = base_model
@@ -449,15 +473,6 @@ class TestArtifacts:
             file_b = tmp_path / "b" / file_a.relative_to(tmp_path / "a")
             assert file_a.read_bytes() == file_b.read_bytes()
 
-    def test_adapter_state_round_trips_prefix(self, base_model):
-        model, _ = base_model
-        adapted = adapt_prefix(
-            model, _synthetic(40),
-            TrainingConfig(epochs=10, learning_rate=0.5, seed=3, trainable_groups=("prefix",)),
-        )
-        assert isinstance(adapted.adapter, AdapterState)
-        assert np.array_equal(adapted.adapter.prefix, adapted.params["prefix.p"])
-
     def test_prefix_adapter_survives_save_and_load(self, base_model, tmp_path):
         model, _ = base_model
         adapted = adapt_prefix(
@@ -467,12 +482,16 @@ class TestArtifacts:
         )
         save_model(adapted, tmp_path / "prefix")
         loaded = load_model(tmp_path / "prefix")
-        assert isinstance(loaded.adapter, AdapterState)
-        assert np.array_equal(loaded.adapter.prefix, adapted.adapter.prefix)
-        assert loaded.adapter.base_checksums == adapted.adapter.base_checksums
-        assert loaded.adapter.embed_dim == adapted.adapter.embed_dim == 256
+        assert np.array_equal(loaded.params["prefix.p"], adapted.params["prefix.p"])
+        assert not np.array_equal(loaded.params["prefix.p"], model.params["prefix.p"])
+        frozen = ("encoder", "head", "discriminator")
+        loaded_checksums, base_checksums = all_checksums(loaded.params), all_checksums(model.params)
+        assert {g: loaded_checksums[g] for g in frozen} == {g: base_checksums[g] for g in frozen}
+        assert loaded.manifest["kind"] == "prefix"
+        assert loaded.manifest["prefix_dim"] == adapted.manifest["prefix_dim"] == 256
+        assert loaded.manifest["parent"] == model.artifact_id
         save_model(model, tmp_path / "base")
-        assert load_model(tmp_path / "base").adapter is None
+        assert "prefix_dim" not in load_model(tmp_path / "base").manifest
 
     def test_failed_swap_keeps_the_old_artifact(self, base_model, tmp_path, monkeypatch):
         model, _ = base_model

@@ -116,6 +116,15 @@ def finished_run(tmp_path_factory):
     return workdir, config, manifest
 
 
+@pytest.fixture(scope="module")
+def grid_run(tmp_path_factory):
+    """A cold run of every method in both domain modes, two seeds."""
+    workdir = tmp_path_factory.mktemp("grid-run")
+    config = _config(workdir, **GRID_OVERRIDES)
+    run_experiment(config)
+    return workdir, config
+
+
 class TestRunExperiment:
     def test_produces_report_and_artifacts(self, finished_run):
         workdir, _, manifest = finished_run
@@ -161,10 +170,31 @@ class TestRunExperiment:
         workdir, _, _ = finished_run
         _assert_golden_digests(workdir, "pipeline_smoke.sha256")
 
-    def test_grid_outputs_match_golden_digests(self, tmp_path):
+    def test_grid_outputs_match_golden_digests(self, grid_run):
         """Every method in both domain modes (domain tokens included) is pinned too."""
-        run_experiment(_config(tmp_path, **GRID_OVERRIDES))
-        _assert_golden_digests(tmp_path, "grid_smoke.sha256")
+        _assert_golden_digests(grid_run[0], "grid_smoke.sha256")
+
+    def test_workdir_holds_only_declared_outputs_and_side_files(self, grid_run):
+        """The stage table decides the workdir layout: every file a cold run leaves is
+        inside a stage's declared output, or is the manifest or a side file."""
+        workdir, config = grid_run
+        stages = ExperimentRunner(config).stages()
+        declared = [path for stage in stages for path in stage.outputs.values()]
+        side_files = {
+            "run-manifest.json",
+            "synthetic/cache.jsonl",
+            "synthetic/failures.json",
+            "synthetic/generation-stats.json",
+            "synthetic/screening-report.txt",
+            "synthetic/screening-meta.json",
+        }
+        files = [file for file in workdir.rglob("*") if file.is_file()]
+        assert len(files) > len(declared)
+        for file in files:
+            relative = file.relative_to(workdir).as_posix()
+            assert relative in side_files or any(
+                file == path or path in file.parents for path in declared
+            ), relative
 
     def test_variant_eval_reports_cover_all_seeds_and_domains(self, finished_run):
         workdir, _, _ = finished_run
@@ -369,6 +399,14 @@ class TestCli:
         )
         assert "unknown relation label: 'no-such-label'" in err
 
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "high"])
+    def test_vote_threshold_outside_unit_interval_rejected_before_any_stage(
+        self, threshold, tmp_path, capsys
+    ):
+        err = self._config_error(tmp_path, capsys, ["run"], f"evaluation.vote_threshold = {threshold}")
+        assert "evaluation.vote_threshold must be a number in (0, 1]" in err
+        assert not (tmp_path / "work" / "data").exists()
+
     def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
         with pytest.raises(ConfigurationError, match="include_similarity"):
             PipelineConfig.from_mapping({"generation.include_similarity": True})
@@ -459,6 +497,56 @@ class TestConfigChangeClosure:
         assert b"NV" not in table
         assert table == (tmp_path / "fresh" / "results.txt").read_bytes()
         assert manifest.identity_digest() == fresh.identity_digest()
+
+    def _assert_resume_matches_fresh_run(self, workdir, fresh_dir, overrides, edit) -> None:
+        """Run, ``edit()`` a file the screen reads, resume: the screen matches a fresh run's."""
+        run_experiment(_config(workdir, seeds=[1], **overrides))
+        screened = workdir / "synthetic/screened.jsonl"
+        before = screened.read_bytes()
+        edit()
+        manifest = resume(workdir)
+        fresh = run_experiment(_config(fresh_dir, seeds=[1], **overrides))
+        assert screened.read_bytes() == (fresh_dir / "synthetic/screened.jsonl").read_bytes()
+        assert screened.read_bytes() != before
+        assert manifest.identity_digest() == fresh.identity_digest()
+
+    def test_edited_confusion_map_file_matches_fresh_run(self, tmp_path):
+        from drsynth.taxonomy import _read_resource
+
+        cmap = tmp_path / "confusion.txt"
+        cmap.write_text(_read_resource("confusion.txt"))
+        overrides = {
+            "adaptation.methods": ["prefix"],
+            "screening.kind": "confusion",
+            "screening.cmap": str(cmap),
+        }
+        self._assert_resume_matches_fresh_run(
+            tmp_path / "run", tmp_path / "fresh", overrides,
+            lambda: cmap.write_text("# no mispredictions to screen out\n"),
+        )
+
+    def test_edited_adjacency_with_combi_screen_matches_fresh_run(self, tiny_corpus_dir, tmp_path):
+        shutil.copytree(tiny_corpus_dir, tmp_path / "corpora")
+        source = tmp_path / "corpora" / "source.jsonl"
+        overrides = {
+            "adaptation.methods": ["prefix"],
+            "screening.kind": "combi",
+            **_file_corpora(tmp_path / "corpora"),
+        }
+
+        def make_cause_rows_intra():
+            # adjacency enters neither the features nor the base model's data fingerprint
+            records = [json.loads(line) for line in source.read_text().splitlines()]
+            train_cause = [
+                r for r in records if r["label"] == "cause" and 3 <= int(r["section"]) <= 20
+            ]
+            for record in train_cause[:12]:
+                record["adjacency"] = "intra"
+            source.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        self._assert_resume_matches_fresh_run(
+            tmp_path / "run", tmp_path / "fresh", overrides, make_cause_rows_intra
+        )
 
     def test_removed_variant_pruned_to_match_fresh_run(self, tmp_path):
         workdir = tmp_path / "run"
@@ -559,12 +647,10 @@ def test_confusion_screen_with_derived_map(tmp_path):
 
 
 def test_derived_confusion_map_from_dev_confusion(tmp_path):
-    from drsynth.pipeline import ExperimentRunner
+    from drsynth.pipeline import _confusion_map
     from drsynth.taxonomy import resolve_label
 
-    workdir = tmp_path / "run"
-    runner = ExperimentRunner(_config(workdir, seeds=[1], **{"screening.cmap": "derived"}))
-    model_dir = workdir / "models" / "base-seed1"
+    model_dir = tmp_path / "models" / "base-seed1"
     model_dir.mkdir(parents=True)
     (model_dir / "dev-confusion.json").write_text(
         json.dumps(
@@ -575,7 +661,7 @@ def test_derived_confusion_map_from_dev_confusion(tmp_path):
             }
         )
     )
-    cmap = runner._confusion_map(1, "derived")
+    cmap = _confusion_map("derived", {"base": model_dir})
     assert cmap.confusion_of(resolve_label("cause+belief")) == resolve_label("cause")
     assert cmap.confusion_of(resolve_label("purpose")) == resolve_label("condition")
     assert resolve_label("cause") not in cmap
@@ -590,14 +676,14 @@ def test_runner_parses_a_file_once_per_content(tmp_path):
         calls.append(path)
         return _train_rows(path)
 
-    first = runner._read("data/train.jsonl", parse)
-    assert runner._read("data/train.jsonl", parse) is first
-    assert len(calls) == 1
     train = tmp_path / "run" / "data" / "train.jsonl"
+    first = runner._read(train, parse)
+    assert runner._read(train, parse) is first
+    assert len(calls) == 1
     stat = train.stat()
     train.write_text("".join(train.read_text().splitlines(keepends=True)[:-1]))
     os.utime(train, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # only the content moved
-    second = runner._read("data/train.jsonl", parse)
+    second = runner._read(train, parse)
     assert len(calls) == 2
     assert list(second) == list(first)[:-1]
 
@@ -605,7 +691,7 @@ def test_runner_parses_a_file_once_per_content(tmp_path):
 def _run_action(runner, name, **overrides):
     """Run one stage's action with its config slice, bypassing the digest check."""
     stage = next(stage for stage in runner.stages() if stage.name == name)
-    stage.action({**{key: runner.config.get(key) for key in stage.config_keys}, **overrides})
+    stage.action({**{key: runner.config.get(key) for key in stage.config_keys}, **overrides}, stage)
 
 
 def _messy_corpora(clean_dir, out_dir):
@@ -655,7 +741,7 @@ class TestDeriveOnce:
             ("data/raw-canonical.jsonl", ingest_raw_corpus),
         ):
             path = tmp_path / "run" / relative
-            digest, rows = runner._parsed[(relative, parse)]
+            digest, rows = runner._parsed[(path, parse)]
             assert digest == digest_path(path), relative
             assert rows and parse(path) == rows, relative
 
