@@ -34,6 +34,14 @@ declared output and outside every digest: ``synthetic/cache.jsonl``,
 ``failures.json`` and ``generation-stats.json`` beside the candidates, and
 ``screening-report.txt`` and ``screening-meta.json`` beside the report.
 
+A run hashes each declared file or directory at most once: one memo of
+content digests serves the input digests, the skip checks and the digests
+recorded after an action, and the entries that overlap a stage's outputs are
+dropped before its action runs. The memo lives for one ``run()`` call, so a
+workdir edited between runs is hashed in full again. A non-dry run holds an
+exclusive ``flock`` on the workdir directory; a second writer fails with
+``PipelineError`` (CLI exit 2) before it touches the workdir.
+
 Within one runner, every stage shares one ``ReferenceBackend`` (so each
 distinct pair is featurized once per run) and one parsed copy of each
 canonical ``data/`` file and of the screened and pseudo-labeled pools, keyed
@@ -46,6 +54,7 @@ and vote threshold and shared by every evaluating stage.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -53,10 +62,11 @@ import os
 import random
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import fixtures
 from .adaptation import (
@@ -280,6 +290,33 @@ def digest_path(path: Path) -> str:
                 table.append(f"{file.relative_to(path)}:{_digest_bytes(file.read_bytes())}")
         return _digest_bytes("\n".join(table).encode())
     raise PipelineError(f"artifact missing: {path}")
+
+
+def _overlaps(a: Path, b: Path) -> bool:
+    """Whether one path is the other or lies under it, compared as spelled.
+
+    String prefixes: ``Path.parents`` builds a path object per level, and this
+    runs for every memo entry and output before every action.
+    """
+    a, b = str(a), str(b)
+    return a == b or a.startswith(b + os.sep) or b.startswith(a + os.sep)
+
+
+@contextmanager
+def _sole_writer(workdir: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on the workdir directory itself; adds no file.
+
+    The kernel drops the lock with the descriptor, so a killed run leaves none behind.
+    """
+    fd = os.open(workdir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineError(f"workdir {workdir} is in use by another drsynth run") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 class RunManifest:
@@ -521,13 +558,24 @@ class ExperimentRunner:
         ))
         return table
 
-    def _execute(self, stage: Stage) -> None:
-        """Run one stage unless its digest matches and its outputs are intact."""
+    def _execute(self, stage: Stage, digests: dict[Path, str]) -> None:
+        """Run one stage unless its digest matches and its outputs are intact.
+
+        ``digests`` memoizes ``digest_path`` by declared path for one run. Before
+        the action runs, every entry that overlaps one of its outputs is dropped,
+        so the outputs are hashed afresh after it.
+        """
+
+        def hashed(path: Path) -> str:
+            if path not in digests:
+                digests[path] = digest_path(path)
+            return digests[path]
+
         config_slice = {key: self.config.get(key) for key in stage.config_keys}
         payload = {
             "name": stage.name,
             "config": config_slice,
-            "inputs": {key: digest_path(path) for key, path in sorted(stage.inputs.items())},
+            "inputs": {key: hashed(path) for key, path in sorted(stage.inputs.items())},
         }
         digest = _digest_bytes(json.dumps(payload, sort_keys=True).encode())
         existing = self.manifest.stage(stage.name)
@@ -535,33 +583,38 @@ class ExperimentRunner:
             stale = [
                 key
                 for key, path in stage.outputs.items()
-                if not path.exists() or digest_path(path) != existing["outputs"].get(key)
+                if not path.exists() or hashed(path) != existing["outputs"].get(key)
             ]
             if not stale:
                 logger.info("stage %s: up to date, skipping", stage.name)
                 return
             logger.warning("stage %s outputs %s stale or corrupted; re-running", stage.name, stale)
         logger.info("stage %s: running", stage.name)
+        for path in [p for p in digests if any(_overlaps(p, o) for o in stage.outputs.values())]:
+            del digests[path]
         started = time.perf_counter()
         stage.action(config_slice, stage)
-        outputs = {key: digest_path(path) for key, path in stage.outputs.items()}
+        outputs = {key: hashed(path) for key, path in stage.outputs.items()}
         self.manifest.record_stage(stage.name, digest, outputs, time.perf_counter() - started)
 
     def run(self, dry_run: bool = False, kinds: Collection[str] | None = None) -> RunManifest:
         """Execute the stage table, or only its stages of ``kinds`` (then nothing is pruned).
 
-        A dry run only stores the plan in ``manifest.data["plan"]``.
+        A dry run only stores the plan in ``manifest.data["plan"]``. Any other run
+        holds the workdir's one-writer lock and hashes each declared path at most once.
         """
         stages = [stage for stage in self.stages() if kinds is None or stage.kind in kinds]
         if dry_run:
             self.manifest.data["plan"] = [stage.name for stage in stages]
             logger.info("dry run plan: %s", self.manifest.data["plan"])
             return self.manifest
-        self.manifest.save()
-        for stage in stages:
-            self._execute(stage)
-        if kinds is None:
-            self.manifest.prune_except([stage.name for stage in stages])
+        with _sole_writer(self.workdir):
+            self.manifest.save()
+            digests: dict[Path, str] = {}
+            for stage in stages:
+                self._execute(stage, digests)
+            if kinds is None:
+                self.manifest.prune_except([stage.name for stage in stages])
         return self.manifest
 
     # --- stage actions: config only from ``cfg``, files only from the stage's paths ---

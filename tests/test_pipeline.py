@@ -1,8 +1,11 @@
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -821,3 +824,176 @@ class TestDeriveOnce:
         screened.write_text("".join(screened.read_text().splitlines(keepends=True)[:-1]))
         assert adapt() == size - 1
         assert parsed.count("screened.jsonl") == 2
+
+
+def _declared_paths(stages) -> list[Path]:
+    """Every distinct path the stage table declares, as an input or an output."""
+    return sorted({path for stage in stages for path in (*stage.inputs.values(), *stage.outputs.values())})
+
+
+def _assert_manifest_matches_disk(workdir) -> None:
+    """Every stage record's output digests and stage digest recompute from the files on disk."""
+    stored = json.loads((workdir / "run-manifest.json").read_text())
+    runner = ExperimentRunner(PipelineConfig.from_mapping(stored["config"]), workdir)
+    stages = runner.stages()
+    assert sorted(stored["stages"]) == sorted(stage.name for stage in stages)
+    for stage in stages:
+        record = stored["stages"][stage.name]
+        outputs = {key: digest_path(path) for key, path in stage.outputs.items()}
+        assert record["outputs"] == outputs, stage.name
+        payload = {
+            "name": stage.name,
+            "config": {key: runner.config.get(key) for key in stage.config_keys},
+            "inputs": {key: digest_path(path) for key, path in stage.inputs.items()},
+        }
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert record["digest"] == digest, stage.name
+
+
+class TestDigestOnce:
+    """A run hashes each declared path at most once, and what it records matches the disk."""
+
+    @pytest.mark.parametrize("a, b, overlap", [
+        ("w/models/base-seed1", "w/models/base-seed1", True),
+        ("w/models/base-seed1/manifest.json", "w/models/base-seed1", True),
+        ("w/models", "w/models/base-seed1", True),
+        ("w/models/base-seed10", "w/models/base-seed1", False),
+        ("w/data/train.jsonl", "w/data/train.jsonl.tmp", False),
+    ])
+    def test_overlap_is_equal_under_or_ancestor(self, a, b, overlap):
+        from drsynth.pipeline import _overlaps
+
+        assert _overlaps(Path(a), Path(b)) is overlap
+        assert _overlaps(Path(b), Path(a)) is overlap
+
+    def test_noop_resume_hashes_each_declared_path_once(self, grid_run, monkeypatch, caplog):
+        import drsynth.pipeline as pipeline
+
+        workdir, config = grid_run
+        hashed = []
+
+        def counted(path):
+            hashed.append(path)
+            return digest_path(path)
+
+        monkeypatch.setattr(pipeline, "digest_path", counted)
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        resume(workdir)
+        assert _stages_run(caplog) == []
+        assert sorted(hashed) == _declared_paths(ExperimentRunner(config).stages())
+
+    def test_manifest_matches_disk_after_every_op(self, tmp_path):
+        workdir = tmp_path / "run"
+        run_experiment(_config(workdir))
+        _assert_manifest_matches_disk(workdir)
+        run_experiment(_config(workdir, **{"screening.kind": "combi"}))
+        _assert_manifest_matches_disk(workdir)
+        (workdir / "synthetic/candidates.jsonl").unlink()
+        resume(workdir)
+        _assert_manifest_matches_disk(workdir)
+        # a corrupted output is hashed by its stage's skip check, then rewritten
+        screened = workdir / "synthetic/screened.jsonl"
+        screened.write_bytes(screened.read_bytes()[: screened.stat().st_size // 2])
+        resume(workdir)
+        _assert_manifest_matches_disk(workdir)
+
+
+# Runs ``drsynth run`` with one stage's action wrapped: the action runs, one of its
+# declared outputs is cut to half its bytes, and the process dies before the stage
+# is recorded. argv: stage name, output key, config file.
+_KILL_CHILD = """
+import dataclasses, os, sys
+from drsynth.cli import main
+from drsynth.pipeline import ExperimentRunner
+
+name, key, config = sys.argv[1:]
+table = ExperimentRunner.stages
+
+
+def truncate_half(path):
+    if path.is_dir():
+        path = max((f for f in path.rglob("*") if f.is_file()), key=lambda f: f.stat().st_size)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def killed(action):
+    def run(cfg, stage):
+        action(cfg, stage)
+        truncate_half(stage.outputs[key])
+        os._exit(137)
+    return run
+
+
+def stages(self):
+    return [
+        dataclasses.replace(stage, action=killed(stage.action)) if stage.name == name else stage
+        for stage in table(self)
+    ]
+
+
+ExperimentRunner.stages = stages
+sys.exit(main(["run", "--config", config]))
+"""
+
+
+def _write_config(path, config) -> None:
+    path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in config.values.items()))
+
+
+class TestOneWriterAndKills:
+    @pytest.mark.parametrize("name, key", [
+        ("ingest", "train"),
+        ("train-base:seed1", "model"),
+        ("adapt:prefix-specific-syn:seed1", "predictions"),
+    ])
+    def test_resume_after_a_kill_matches_the_uninterrupted_run(
+        self, finished_run, tmp_path, capsys, name, key
+    ):
+        import drsynth
+
+        reference, _, manifest = finished_run
+        workdir = tmp_path / "run"
+        config_file = tmp_path / "run.cfg"
+        _write_config(config_file, _config(workdir))
+        src = str(Path(drsynth.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_CHILD, name, key, str(config_file)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 137, child.stderr
+        assert name not in json.loads((workdir / "run-manifest.json").read_text())["stages"]
+        capsys.readouterr()
+        assert main(["resume", str(workdir)]) == 0
+        assert f"manifest identity: {manifest.identity_digest()}" in capsys.readouterr().out
+        for result in ("results.txt", "results.tsv"):
+            assert (workdir / result).read_bytes() == (reference / result).read_bytes()
+
+    @pytest.mark.parametrize("verb", ["run", "resume", "report"])
+    def test_second_writer_exits_2_and_runs_no_stage(self, tmp_path, capsys, caplog, verb):
+        workdir = tmp_path / "run"
+        config = _config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]})
+        config_file = tmp_path / "run.cfg"
+        _write_config(config_file, config)
+        run_experiment(config)
+        results = workdir / "results.txt"
+        results.unlink()  # the report stage is stale
+        manifest = (workdir / "run-manifest.json").read_bytes()
+        argv = ["resume", str(workdir)] if verb == "resume" else [verb, "--config", str(config_file)]
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        holder = os.open(workdir, os.O_RDONLY)  # another writer's lock
+        try:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert f"workdir {workdir} is in use by another drsynth run" in capsys.readouterr().err
+            assert _stages_run(caplog) == []
+            assert not results.exists()
+            assert (workdir / "run-manifest.json").read_bytes() == manifest
+            assert main(["run", "--config", str(config_file), "--dry-run"]) == 0
+        finally:
+            os.close(holder)
+        assert main(argv) == 0
+        assert _stages_run(caplog) == ["report"]
+        assert results.exists()
