@@ -8,10 +8,11 @@ Four ways to move a source-trained classifier toward target-domain data:
               trainable; the base encoder and head stay bit-identical
   invariance  continue training on cross-entropy minus lam times an
               invariance term: the negative log-likelihood of a domain
-              discriminator on real-vs-synthetic features. The classifier
-              groups step along the total-loss gradient (which pushes
-              features toward domain indistinguishability); the
-              discriminator adversarially minimizes its own loss.
+              discriminator on real-vs-synthetic features. Each epoch takes
+              one step along the backend's ``descent_direction``: the
+              classifier groups descend the total loss (which pushes
+              features toward domain indistinguishability) and the
+              discriminator descends its own loss (gradient reversal).
   ce          plain continued training (the lam=0 degenerate case of
               invariance, kept as its own entry point)
 
@@ -126,12 +127,8 @@ def all_checksums(params: Params) -> dict[str, str]:
 def data_fingerprint(instances: Sequence) -> str:
     digest = hashlib.sha256()
     for inst in instances:
-        label = getattr(inst, "label", None) or getattr(inst, "intended")
-        digest.update(
-            "\x1f".join(
-                [inst.pair.arg1, inst.pair.arg2, label.level2, inst.domain]
-            ).encode("utf-8")
-        )
+        parts = [inst.pair.arg1, inst.pair.arg2, _instance_label(inst).level2, inst.domain]
+        digest.update("\x1f".join(parts).encode("utf-8"))
         digest.update(b"\x1e")
     return digest.hexdigest()
 
@@ -157,13 +154,13 @@ def _train_loop(
     trainable_groups: Sequence[str],
     real_reference: Sequence | None = None,
 ) -> Params:
-    """Full-batch gradient descent; one update step per epoch.
+    """Full-batch gradient descent; one step per epoch along ``descent_direction``.
 
-    With an active invariance term the classifier groups follow the
-    total-loss gradient while the discriminator takes its own minimizing
-    step on the invariance loss (the adversarial direction). With lam=0 the
-    invariance machinery is skipped entirely, so the run consumes exactly
-    the same random stream as a plain cross-entropy run.
+    Each step moves the trainable groups, and with an active invariance term
+    also the discriminator, against the backend's gradient-checked
+    direction. With lam=0 no real rows are drawn and no domain batch is
+    built, so the run consumes exactly the random stream of a plain
+    cross-entropy run.
     """
     if not data:
         raise ConfigurationError("training data must be non-empty")
@@ -186,23 +183,17 @@ def _train_loop(
         x_real_all = backend.featurize_pairs([inst.pair for inst in real_reference])
 
     params = backend.copy_params(params)
-    update_keys = group_keys(trainable_groups)
+    update_keys = group_keys(trainable_groups) + group_keys(("discriminator",) if use_iv else ())
+    x_domain = domain = None
     for _ in range(config.epochs):
-        _, ce_grads = backend.ce_loss_and_grads(params, x, y)
         if use_iv:
             take = min(len(shuffled), len(real_reference))
             picked = rng.choice(len(real_reference), size=take, replace=False)
             x_domain = sparse.vstack([x, x_real_all[picked]], format="csr")
             domain = np.concatenate([np.ones(len(shuffled)), np.zeros(take)])
-            _, iv_grads = backend.iv_loss_and_grads(params, x_domain, domain)
-            for key in update_keys:
-                step = ce_grads[key] - lam * iv_grads[key] if key in iv_grads else ce_grads[key]
-                params[key] -= config.learning_rate * step
-            for key in PARAMETER_GROUPS["discriminator"]:
-                params[key] -= config.learning_rate * iv_grads[key]
-        else:
-            for key in update_keys:
-                params[key] -= config.learning_rate * ce_grads[key]
+        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain)
+        for key in update_keys:
+            params[key] -= config.learning_rate * direction[key]
     return params
 
 

@@ -266,9 +266,15 @@ class HTTPBackend:
                 self.descriptor.endpoint, json=payload, timeout=self._timeout
             )
             response.raise_for_status()
-            return response.json()["text"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
+            body = response.json()
+        except (requests.RequestException, ValueError) as exc:
             raise TransportError(f"backend {self.descriptor.name}: {exc}") from exc
+        text = body.get("text") if isinstance(body, dict) else None
+        if not isinstance(text, str):
+            raise TransportError(
+                f"backend {self.descriptor.name}: reply is not an object with a string 'text'"
+            )
+        return text
 
 
 _DR_TASK = re.compile(r"relation ([A-Z+\-]+) to the first argument")

@@ -734,7 +734,7 @@ class ExperimentRunner:
         write_text(report_path, report_to_json(report) + "\n")
         write_text(
             report_path.with_name("screening-report.txt"),
-            render_screening_report([report], cfg["domains"]),
+            render_screening_report(report, cfg["domains"]),
         )
         write_json(
             report_path.with_name("screening-meta.json"),

@@ -7,6 +7,12 @@ synthetic discriminator. Everything is float64 numpy with closed-form
 gradients, trained by full-batch gradient descent, so runs are exactly
 reproducible and gradients can be checked against finite differences.
 
+Training steps along ``descent_direction``, which wraps the two loss
+kernels: the classifier groups get the gradient of CE minus lam times IV
+(the discriminator's real-vs-synthetic NLL), the discriminator the
+gradient of IV alone (gradient reversal). The finite-difference tests
+check this method, so the checked direction is the trained one.
+
 Hashed features are about 3% non-zero, so ``featurize_pairs`` returns a
 ``scipy.sparse.csr_array`` and the encoder's products take it as it is; the
 head, prefix and discriminator work on the dense 32-wide encoding. Each
@@ -244,26 +250,26 @@ class ReferenceBackend:
             **self._encoder_grads(x, hidden, d_encoded),
         }
 
-    def total_loss_and_grads(
+    def descent_direction(
         self,
         params: Params,
         x: Features,
         y: np.ndarray,
-        x_domain: Features,
-        domain: np.ndarray,
         lam: float,
+        x_domain: Features | None,
+        domain: np.ndarray | None,
     ) -> tuple[float, Params]:
-        """Cross-entropy minus lam times the invariance term, with its exact gradient.
+        """CE minus lam times IV, and the direction one training step descends.
 
-        Returns a gradient for every parameter; a key that one term leaves out
-        gets nothing from that term.
+        The classifier groups get the gradient of the returned loss; the
+        discriminator gets the gradient of IV alone, so it minimizes the loss
+        the classifier maximizes (gradient reversal). At lam=0 this is the CE
+        kernel's result and the domain batch is not read.
         """
-        ce_loss, ce_grads = self.ce_loss_and_grads(params, x, y)
-        grads = {key: np.zeros_like(value) for key, value in params.items()}
-        grads.update(ce_grads)
+        ce_loss, direction = self.ce_loss_and_grads(params, x, y)
         if lam == 0.0:
-            return ce_loss, grads
+            return ce_loss, direction
         iv_loss, iv_grads = self.iv_loss_and_grads(params, x_domain, domain)
         for key, value in iv_grads.items():
-            grads[key] = grads[key] - lam * value
-        return ce_loss - lam * iv_loss, grads
+            direction[key] = direction[key] - lam * value if key in direction else value
+        return ce_loss - lam * iv_loss, direction

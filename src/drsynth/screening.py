@@ -168,28 +168,14 @@ def screen_batch(
     return kept, report
 
 
-def render_screening_report(reports: Sequence[ScreeningReport], domains: Sequence[str]) -> str:
-    """Delimited table: one row per domain, one column per screened setting."""
-    columns: list[tuple[str, str, ScreenKind]] = []
-    for report in reports:
-        for domain, backend, template in report.strata:
-            key = (backend, template, report.screen)
-            if key not in columns:
-                columns.append(key)
-    header = ["domain"] + [f"{b}/{t}/{s.short_name}" for b, t, s in columns]
+def render_screening_report(report: ScreeningReport, domains: Sequence[str]) -> str:
+    """Delimited table: one row per domain, one column per (backend, template)."""
+    columns = list(dict.fromkeys((backend, template) for _, backend, template in report.strata))
+    header = ["domain"] + [f"{b}/{t}/{report.screen.short_name}" for b, t in columns]
     lines = ["\t".join(header)]
     for domain in domains:
-        row = [domain]
-        for backend, template, screen in columns:
-            value = ""
-            for report in reports:
-                if report.screen is screen:
-                    stats = report.strata.get((domain, backend, template))
-                    if stats is not None:
-                        value = str(stats.kept)
-                        break
-            row.append(value)
-        lines.append("\t".join(row))
+        stats = [report.strata.get((domain, b, t)) for b, t in columns]
+        lines.append("\t".join([domain] + ["" if st is None else str(st.kept) for st in stats]))
     return "\n".join(lines) + "\n"
 
 

@@ -223,9 +223,9 @@ class TestAdaptInvariance:
         assert not np.array_equal(adapted.params["disc.w"], model.params["disc.w"])
 
     def test_epoch_steps_along_the_checked_gradients(self, base_model, tiny_source):
-        """One epoch, replayed from the loop's random draws: the classifier groups step
-        along ``total_loss_and_grads``, the discriminator along ``iv_loss_and_grads``
-        (gradient reversal), and the prefix stays put, bit for bit."""
+        """One epoch, replayed from the loop's random draws: the trainable groups and
+        the discriminator step along ``descent_direction`` and the prefix stays put,
+        bit for bit."""
         model, _ = base_model
         backend, params, real = model.backend, model.params, tiny_source.train
         synthetic = _synthetic(30, seed=6)
@@ -243,12 +243,9 @@ class TestAdaptInvariance:
         x_real = backend.featurize_pairs([inst.pair for inst in real])[picked]
         x_domain = sparse.vstack([x, x_real], format="csr")
         domain = np.concatenate([np.ones(len(shuffled)), np.zeros(len(picked))])
-        _, total = backend.total_loss_and_grads(params, x, y, x_domain, domain, lam)
-        _, iv = backend.iv_loss_and_grads(params, x_domain, domain)
-        for key in group_keys(("encoder", "head")):
-            assert np.array_equal(trained[key], params[key] - lr * total[key]), key
-        for key in group_keys(("discriminator",)):
-            assert np.array_equal(trained[key], params[key] - lr * iv[key]), key
+        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain)
+        for key in group_keys(("encoder", "head", "discriminator")):
+            assert np.array_equal(trained[key], params[key] - lr * direction[key]), key
         assert np.array_equal(trained["prefix.p"], params["prefix.p"])
 
     def test_empty_real_reference_rejected(self, base_model):
@@ -302,20 +299,22 @@ class TestGradients:
         self._check_total_loss_gradient(*self._setup(csr=True))
 
     def _check_total_loss_gradient(self, backend, params, x, y, x_domain, domain):
+        """Classifier keys descend CE - lam*IV; the discriminator descends IV."""
         lam = 0.1
 
-        def evaluate(p):
-            loss, _ = backend.total_loss_and_grads(p, x, y, x_domain, domain, lam)
-            return loss
+        def evaluate(key):
+            if key.startswith("disc."):
+                return lambda p: backend.iv_loss_and_grads(p, x_domain, domain)[0]
+            return lambda p: backend.descent_direction(p, x, y, lam, x_domain, domain)[0]
 
-        _, grads = backend.total_loss_and_grads(params, x, y, x_domain, domain, lam)
+        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain)
         rng = np.random.default_rng(77)
         keys = sorted(params)
         for _ in range(10):
             key = keys[rng.integers(len(keys))]
             index = int(rng.integers(params[key].size))
-            numeric = self._central_difference(evaluate, params, key, index)
-            analytic = grads[key].ravel()[index]
+            numeric = self._central_difference(evaluate(key), params, key, index)
+            analytic = direction[key].ravel()[index]
             denom = max(abs(analytic), abs(numeric), 1e-8)
             assert abs(analytic - numeric) / denom <= 1e-4
 
@@ -360,7 +359,7 @@ class TestGradients:
         backend, params, x, y, x_domain, domain = self._setup(seed=21)
         ce, _ = backend.ce_loss_and_grads(params, x, y)
         iv, _ = backend.iv_loss_and_grads(params, x_domain, domain)
-        total, _ = backend.total_loss_and_grads(params, x, y, x_domain, domain, 0.3)
+        total, _ = backend.descent_direction(params, x, y, 0.3, x_domain, domain)
         assert total == pytest.approx(ce - 0.3 * iv)
 
 

@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 
 from drsynth.adaptation import ConfigurationError
 from drsynth.cli import main
+from drsynth.generation import BackendDescriptor, HTTPBackend, TransportError
 from drsynth.pipeline import (
     DEFAULTS,
     ExperimentRunner,
@@ -453,6 +455,35 @@ class TestBackendErrors:
             "seeds = [1]\n"
         )
         assert main(["run", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize(
+        "body", [[{"text": "x"}], {"text": 5}, {"text": None}], ids=["list", "number", "null"]
+    )
+    def test_malformed_reply_is_backend_error_and_never_cached(self, body, tmp_path, monkeypatch):
+        class Reply:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return body
+
+        # every session's post answers offline; no socket is opened
+        monkeypatch.setattr(requests.Session, "post", lambda self, *args, **kwargs: Reply())
+        endpoint = "http://127.0.0.1:9/complete"
+        backend = HTTPBackend(BackendDescriptor(name="mistral", endpoint=endpoint))
+        with pytest.raises(TransportError, match="string 'text'"):
+            backend.complete("prompt")
+
+        monkeypatch.setenv("DRSYNTH_LLM_ENDPOINT", endpoint)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f'workdir = "{tmp_path / "work"}"\n'
+            'generation.backends = ["mistral"]\n'
+            "seeds = [1]\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        cache = tmp_path / "work" / "synthetic" / "cache.jsonl"
+        assert not cache.exists() or cache.read_text() == ""
 
 
 class TestConfigChangeClosure:

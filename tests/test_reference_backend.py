@@ -175,13 +175,19 @@ class TestKernels:
             scores = encoded @ params["head.W"].T + params["head.b"]
             assert np.array_equal(backend.score_matrix(params, x), scores)
 
-    def test_total_loss_keeps_every_key(self):
-        backend, params, x, y, domain = self._inputs()
-        for lam in (0.0, 0.3):
-            loss, grads = backend.total_loss_and_grads(params, x, y, x, domain, lam)
+    def test_descent_direction_composes_the_original_formulas(self):
+        backend, params, csr, y, domain = self._inputs()
+        for x in (csr, csr.toarray()):
             ce_loss, ce = _ce_oracle(params, x, y)
             iv_loss, iv = _iv_oracle(params, x, domain)
-            assert set(grads) == set(params)
-            assert loss == (ce_loss - lam * iv_loss if lam else ce_loss)
-            for key in params:
-                assert np.array_equal(grads[key], ce[key] - lam * iv[key]), key
+            for lam in (0.0, 0.3):
+                loss, direction = backend.descent_direction(params, x, y, lam, x, domain)
+                assert loss == ce_loss - lam * iv_loss
+                classifier = {key for key in params if not key.startswith("disc.")}
+                assert set(direction) == (classifier if lam == 0.0 else set(params))
+                for key in classifier:
+                    # the head is outside IV; the oracle gives it zeros there
+                    assert np.array_equal(direction[key], ce[key] - lam * iv[key]), key
+                if lam:
+                    for key in ("disc.w", "disc.b"):
+                        assert np.array_equal(direction[key], iv[key]), key

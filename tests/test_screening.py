@@ -193,7 +193,7 @@ class TestScreenBatch:
 def test_report_rendering_mirrors_strata():
     batch = _random_batch(300, seed=5)
     _, report = screen_batch(batch, ScreenKind.STRICT)
-    table = render_screening_report([report], domains=("EP", "WK", "NV"))
+    table = render_screening_report(report, domains=("EP", "WK", "NV"))
     lines = table.strip().splitlines()
     assert lines[0] == "domain\tmock/DC/strict"
     assert len(lines) == 4
