@@ -16,7 +16,7 @@ import sys
 
 from .adaptation import ConfigurationError
 from .generation import TransportError
-from .pipeline import ExperimentRunner, PipelineConfig, resume as resume_run
+from .pipeline import PipelineConfig, resume as resume_run, run_experiment
 from .records import (
     CorpusFormatError,
     DEFAULT_SPLIT,
@@ -59,12 +59,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _runner(args: argparse.Namespace) -> ExperimentRunner:
-    config = _load_config(args)
-    workdir = getattr(args, "workdir", None)
-    return ExperimentRunner(config, workdir)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     """Validate and summarize a canonical-format corpus file."""
     if args.format == "source":
@@ -96,15 +90,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    manifest = runner.run(dry_run=args.dry_run)
+    manifest = run_experiment(_load_config(args), args.workdir, dry_run=args.dry_run)
     if args.dry_run:
         for stage in manifest.data.get("plan", []):
             print(stage)
     else:
-        print(f"workdir: {runner.workdir}")
+        print(f"workdir: {manifest.path.parent}")
         print(f"manifest identity: {manifest.identity_digest()}")
-        results = runner.workdir / "results.txt"
+        results = manifest.path.with_name("results.txt")
         if results.exists():
             print(results.read_text("utf-8"), end="")
     return EXIT_OK
@@ -129,11 +122,7 @@ STAGE_VERBS: dict[str, tuple[str, ...]] = {
 
 def cmd_stage(args: argparse.Namespace) -> int:
     """Run the stages of one verb's kinds (upstream artifacts assumed)."""
-    runner = _runner(args)
-    kinds = STAGE_VERBS[args.verb]
-    if not any(stage.kind in kinds for stage in runner.stages()):
-        raise ConfigurationError(f"this config has no {args.verb} stage")
-    runner.run(kinds=kinds)
+    run_experiment(_load_config(args), args.workdir, kinds=STAGE_VERBS[args.verb])
     return EXIT_OK
 
 

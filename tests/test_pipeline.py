@@ -3,9 +3,12 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,13 +19,14 @@ from drsynth.cli import main
 from drsynth.generation import BackendDescriptor, HTTPBackend, TransportError
 from drsynth.pipeline import (
     DEFAULTS,
-    ExperimentRunner,
     PipelineConfig,
+    Store,
     _train_rows,
     digest_path,
     parse_config_file,
     resume,
     run_experiment,
+    stages,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -183,8 +187,7 @@ class TestRunExperiment:
         """The stage table decides the workdir layout: every file a cold run leaves is
         inside a stage's declared output, or is the manifest or a side file."""
         workdir, config = grid_run
-        stages = ExperimentRunner(config).stages()
-        declared = [path for stage in stages for path in stage.outputs.values()]
+        declared = [path for stage in stages(config, workdir) for path in stage.outputs.values()]
         side_files = {
             "run-manifest.json",
             "synthetic/cache.jsonl",
@@ -200,6 +203,23 @@ class TestRunExperiment:
             assert relative in side_files or any(
                 file == path or path in file.parents for path in declared
             ), relative
+
+    def test_stage_actions_pickle_without_run_state(self, finished_run):
+        """An action is a module function plus its bound seed, method and mode: it carries
+        no corpus, model or memo of the run that used it, so a worker process can take it."""
+        workdir, config, _ = finished_run
+
+        def bound(action):
+            return action.func, action.args, action.keywords
+
+        for stage in stages(config, workdir):
+            blob = pickle.dumps(stage.action)
+            assert len(blob) < 1024, (stage.name, len(blob))
+            clone = pickle.loads(blob)
+            if isinstance(stage.action, partial):
+                assert bound(clone) == bound(stage.action), stage.name
+            else:
+                assert clone is stage.action, stage.name
 
     def test_variant_eval_reports_cover_all_seeds_and_domains(self, finished_run):
         workdir, _, _ = finished_run
@@ -411,6 +431,51 @@ class TestCli:
         err = self._config_error(tmp_path, capsys, ["run"], f"evaluation.vote_threshold = {threshold}")
         assert "evaluation.vote_threshold must be a number in (0, 1]" in err
         assert not (tmp_path / "work" / "data").exists()
+
+    @pytest.mark.parametrize("verb, case", [
+        ("run", "workdir is a file"),
+        *[
+            (verb, case)
+            for verb in ("run", "resume")
+            for case in ("not JSON", "a list", "stages a list", "no digest", "no outputs")
+        ],
+        ("resume", "no config"),
+    ])
+    def test_unusable_workdir_or_manifest_exits_2_and_touches_nothing(
+        self, finished_run, tmp_path, capsys, caplog, verb, case
+    ):
+        workdir = tmp_path / "run"
+        shutil.copytree(finished_run[0], workdir)
+        config_file = tmp_path / "run.cfg"
+        _write_config(config_file, _config(workdir))
+        argv = ["resume", str(workdir)] if verb == "resume" else ["run", "--config", str(config_file)]
+        named = workdir / "run-manifest.json"
+        stored = json.loads(named.read_text())
+        if case == "workdir is a file":
+            named = tmp_path / "file"
+            named.write_text("not a directory\n")
+            argv += ["--workdir", str(named)]
+        elif case == "not JSON":
+            named.write_text('{"config": {')
+        elif case == "a list":
+            named.write_text(json.dumps([stored]))
+        elif case == "stages a list":
+            named.write_text(json.dumps({**stored, "stages": list(stored["stages"].values())}))
+        elif case == "no config":
+            del stored["config"]
+            named.write_text(json.dumps(stored))
+        else:  # the first stage's digest matches this config, so its outputs are read
+            del stored["stages"]["fixtures"][case.split()[1]]
+            named.write_text(json.dumps(stored))
+        before = named.read_bytes()
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(named) in err
+        assert _stages_run(caplog) == []
+        assert named.read_bytes() == before
 
     def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
         with pytest.raises(ConfigurationError, match="include_similarity"):
@@ -702,8 +767,8 @@ def test_derived_confusion_map_from_dev_confusion(tmp_path):
 
 
 def test_runner_parses_a_file_once_per_content(tmp_path):
-    runner = ExperimentRunner(_config(tmp_path / "run", seeds=[1]))
-    runner.run(kinds={"fixtures", "ingest"})
+    run_experiment(_config(tmp_path / "run", seeds=[1]), kinds={"fixtures", "ingest"})
+    store = Store()
     calls = []
 
     def parse(path):
@@ -711,21 +776,22 @@ def test_runner_parses_a_file_once_per_content(tmp_path):
         return _train_rows(path)
 
     train = tmp_path / "run" / "data" / "train.jsonl"
-    first = runner._read(train, parse)
-    assert runner._read(train, parse) is first
+    first = store.read(train, parse)
+    assert store.read(train, parse) is first
     assert len(calls) == 1
     stat = train.stat()
     train.write_text("".join(train.read_text().splitlines(keepends=True)[:-1]))
     os.utime(train, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # only the content moved
-    second = runner._read(train, parse)
+    store.forget([train])  # as the run does before a stage rewrites the file
+    second = store.read(train, parse)
     assert len(calls) == 2
     assert list(second) == list(first)[:-1]
 
 
-def _run_action(runner, name, **overrides):
+def _run_action(store, config, name, **overrides):
     """Run one stage's action with its config slice, bypassing the digest check."""
-    stage = next(stage for stage in runner.stages() if stage.name == name)
-    stage.action({**{key: runner.config.get(key) for key in stage.config_keys}, **overrides}, stage)
+    stage = next(s for s in stages(config, Path(config.get("workdir"))) if s.name == name)
+    stage.action({**{key: config.get(key) for key in stage.config_keys}, **overrides}, stage, store)
 
 
 def _messy_corpora(clean_dir, out_dir):
@@ -766,8 +832,11 @@ class TestDeriveOnce:
         from drsynth.records import ingest_raw_corpus, ingest_target_corpus
 
         overrides = {} if corpora == "fixtures" else _messy_corpora(tiny_corpus_dir, tmp_path / "in")
-        runner = ExperimentRunner(_config(tmp_path / "run", seeds=[1], **overrides))
-        runner.run(kinds={"fixtures", "ingest"})
+        config = _config(tmp_path / "run", seeds=[1], **overrides)
+        if corpora == "fixtures":
+            run_experiment(config, kinds={"fixtures"})
+        store = Store()
+        _run_action(store, config, "ingest")
         for relative, parse in (
             ("data/train.jsonl", _train_rows),
             ("data/dev.jsonl", _dev_rows),
@@ -775,7 +844,7 @@ class TestDeriveOnce:
             ("data/raw-canonical.jsonl", ingest_raw_corpus),
         ):
             path = tmp_path / "run" / relative
-            digest, rows = runner._parsed[(path, parse)]
+            digest, rows = store._parsed[(path, parse)]
             assert digest == digest_path(path), relative
             assert rows and parse(path) == rows, relative
 
@@ -802,7 +871,7 @@ class TestDeriveOnce:
             ("ingest_raw_corpus", "raw.jsonl"), ("ingest_target_corpus", "target.jsonl")
         ]
         calls.clear()
-        # a fresh runner that retrains the base models parses each canonical file once
+        # a second run that retrains the base models parses each canonical file once
         run_experiment(_config(workdir, **{"base.epochs": 20}))
         assert sorted(calls) == [
             ("_dev_rows", "dev.jsonl"),
@@ -814,18 +883,19 @@ class TestDeriveOnce:
     def test_one_runner_across_vote_thresholds_matches_fresh_runners(self, tmp_path):
         workdir = tmp_path / "run"
         config = _config(workdir, seeds=[1])
-        ExperimentRunner(config).run(kinds={"fixtures", "ingest", "train-base"})
+        run_experiment(config, kinds={"fixtures", "ingest", "train-base"})
         outputs = ("eval/baseline-seed1.json", "eval/baseline-seed1-predictions.jsonl")
 
-        def evaluate(runner, threshold):
-            _run_action(runner, "evaluate:baseline:seed1", **{"evaluation.vote_threshold": threshold})
+        def evaluate(store, threshold):
+            overrides = {"evaluation.vote_threshold": threshold}
+            _run_action(store, config, "evaluate:baseline:seed1", **overrides)
             return [(workdir / name).read_bytes() for name in outputs]
 
-        shared = ExperimentRunner(config)
+        shared = Store()
         low, high = evaluate(shared, 0.4), evaluate(shared, 0.6)
         assert low[0] != high[0]
-        assert evaluate(ExperimentRunner(config), 0.4) == low
-        assert evaluate(ExperimentRunner(config), 0.6) == high
+        assert evaluate(Store(), 0.4) == low
+        assert evaluate(Store(), 0.6) == high
         assert evaluate(shared, 0.4) == low
 
     def test_adapt_reparses_an_edited_screened_file(self, tmp_path, monkeypatch):
@@ -840,12 +910,13 @@ class TestDeriveOnce:
 
         monkeypatch.setattr(pipeline, "read_synthetic_records", counted)
         workdir = tmp_path / "run"
-        runner = ExperimentRunner(_config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]}))
-        runner.run(kinds={"fixtures", "ingest", "train-base", "generate", "screen"})
+        config = _config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]})
+        run_experiment(config, kinds={"fixtures", "ingest", "train-base", "generate", "screen"})
+        store = Store()
         report = workdir / "eval/prefix-specific-syn-seed1.json"
 
         def adapt():
-            _run_action(runner, "adapt:prefix-specific-syn:seed1")
+            _run_action(store, config, "adapt:prefix-specific-syn:seed1")
             return sum(json.loads(report.read_text())["sizes"].values())
 
         size = adapt()
@@ -853,6 +924,8 @@ class TestDeriveOnce:
         assert parsed.count("screened.jsonl") == 1
         screened = workdir / "synthetic/screened.jsonl"
         screened.write_text("".join(screened.read_text().splitlines(keepends=True)[:-1]))
+        # within a run a file changes only as a re-running stage's output, which is forgotten
+        store.forget([screened])
         assert adapt() == size - 1
         assert parsed.count("screened.jsonl") == 2
 
@@ -865,16 +938,16 @@ def _declared_paths(stages) -> list[Path]:
 def _assert_manifest_matches_disk(workdir) -> None:
     """Every stage record's output digests and stage digest recompute from the files on disk."""
     stored = json.loads((workdir / "run-manifest.json").read_text())
-    runner = ExperimentRunner(PipelineConfig.from_mapping(stored["config"]), workdir)
-    stages = runner.stages()
-    assert sorted(stored["stages"]) == sorted(stage.name for stage in stages)
-    for stage in stages:
+    config = PipelineConfig.from_mapping(stored["config"])
+    table = stages(config, workdir)
+    assert sorted(stored["stages"]) == sorted(stage.name for stage in table)
+    for stage in table:
         record = stored["stages"][stage.name]
         outputs = {key: digest_path(path) for key, path in stage.outputs.items()}
         assert record["outputs"] == outputs, stage.name
         payload = {
             "name": stage.name,
-            "config": {key: runner.config.get(key) for key in stage.config_keys},
+            "config": {key: config.get(key) for key in stage.config_keys},
             "inputs": {key: digest_path(path) for key, path in stage.inputs.items()},
         }
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -911,7 +984,23 @@ class TestDigestOnce:
         caplog.set_level(logging.INFO, logger="drsynth.pipeline")
         resume(workdir)
         assert _stages_run(caplog) == []
-        assert sorted(hashed) == _declared_paths(ExperimentRunner(config).stages())
+        assert sorted(hashed) == _declared_paths(stages(config, workdir))
+
+    def test_cold_run_reads_each_workdir_file_once(self, tmp_path, monkeypatch):
+        """Hashing, parse-cache keys and ingest's hand-over share one read of each file."""
+        workdir = tmp_path / "run"
+        reads = Counter()
+        read_bytes = Path.read_bytes
+
+        def counted(self):
+            reads[self] += 1
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        run_experiment(_config(workdir))
+        in_workdir = {path: n for path, n in reads.items() if workdir in path.parents}
+        assert in_workdir[workdir / "data/eval.jsonl"] == 1
+        assert {path: n for path, n in in_workdir.items() if n > 1} == {}
 
     def test_manifest_matches_disk_after_every_op(self, tmp_path):
         workdir = tmp_path / "run"
@@ -934,11 +1023,11 @@ class TestDigestOnce:
 # is recorded. argv: stage name, output key, config file.
 _KILL_CHILD = """
 import dataclasses, os, sys
+from drsynth import pipeline
 from drsynth.cli import main
-from drsynth.pipeline import ExperimentRunner
 
 name, key, config = sys.argv[1:]
-table = ExperimentRunner.stages
+table = pipeline.stages
 
 
 def truncate_half(path):
@@ -949,21 +1038,21 @@ def truncate_half(path):
 
 
 def killed(action):
-    def run(cfg, stage):
-        action(cfg, stage)
+    def run(cfg, stage, store):
+        action(cfg, stage, store)
         truncate_half(stage.outputs[key])
         os._exit(137)
     return run
 
 
-def stages(self):
+def stages(config, workdir):
     return [
         dataclasses.replace(stage, action=killed(stage.action)) if stage.name == name else stage
-        for stage in table(self)
+        for stage in table(config, workdir)
     ]
 
 
-ExperimentRunner.stages = stages
+pipeline.stages = stages
 sys.exit(main(["run", "--config", config]))
 """
 
@@ -974,9 +1063,15 @@ def _write_config(path, config) -> None:
 
 class TestOneWriterAndKills:
     @pytest.mark.parametrize("name, key", [
+        ("fixtures", "source"),
         ("ingest", "train"),
         ("train-base:seed1", "model"),
+        ("generate", "candidates"),
+        ("screen", "screened"),
+        ("pseudo-label", "labeled"),
+        ("evaluate:baseline:seed1", "eval"),
         ("adapt:prefix-specific-syn:seed1", "predictions"),
+        ("report", "table"),
     ])
     def test_resume_after_a_kill_matches_the_uninterrupted_run(
         self, finished_run, tmp_path, capsys, name, key
