@@ -161,6 +161,15 @@ def _train_loop(
     direction. With lam=0 no real rows are drawn and no domain batch is
     built, so the run consumes exactly the random stream of a plain
     cross-entropy run.
+
+    What no step changes is set up once, before the first: ``x.T`` (a CSC
+    view over ``x``'s arrays) for the CE kernel, and ``encoder.W`` in
+    column-major order, so that ``x @ W.T`` reads the weight in place and the
+    update runs over matching layouts. Rebuilt per step, they cost a step on
+    a few hundred rows about a quarter of its time. The weight is returned
+    row-major, and the result is bit for bit that of a loop without this
+    set-up. The invariance batch is drawn anew each epoch, so its transpose
+    is built per step.
     """
     if not data:
         raise ConfigurationError("training data must be non-empty")
@@ -183,6 +192,8 @@ def _train_loop(
         x_real_all = backend.featurize_pairs([inst.pair for inst in real_reference])
 
     params = backend.copy_params(params)
+    params["encoder.W"] = np.asfortranarray(params["encoder.W"])
+    x_t = x.T  # a CSC view over x's arrays
     update_keys = group_keys(trainable_groups) + group_keys(("discriminator",) if use_iv else ())
     x_domain = domain = None
     for _ in range(config.epochs):
@@ -191,9 +202,10 @@ def _train_loop(
             picked = rng.choice(len(real_reference), size=take, replace=False)
             x_domain = sparse.vstack([x, x_real_all[picked]], format="csr")
             domain = np.concatenate([np.ones(len(shuffled)), np.zeros(take)])
-        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain)
+        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain, x_t)
         for key in update_keys:
             params[key] -= config.learning_rate * direction[key]
+    params["encoder.W"] = np.ascontiguousarray(params["encoder.W"])
     return params
 
 

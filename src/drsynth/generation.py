@@ -53,6 +53,10 @@ class TransportError(GenerationError):
     """Backend unreachable or misbehaving after retries."""
 
 
+class MalformedReply(TransportError):
+    """The backend answered, but not with a usable body; asking again does not help."""
+
+
 class GenerationRejected(GenerationError):
     """Nothing usable remained after post-processing."""
 
@@ -266,12 +270,17 @@ class HTTPBackend:
                 self.descriptor.endpoint, json=payload, timeout=self._timeout
             )
             response.raise_for_status()
-            body = response.json()
         except (requests.RequestException, ValueError) as exc:
             raise TransportError(f"backend {self.descriptor.name}: {exc}") from exc
+        try:
+            body = response.json()
+        except ValueError as exc:
+            raise MalformedReply(
+                f"backend {self.descriptor.name}: reply is not JSON: {exc}"
+            ) from exc
         text = body.get("text") if isinstance(body, dict) else None
         if not isinstance(text, str):
-            raise TransportError(
+            raise MalformedReply(
                 f"backend {self.descriptor.name}: reply is not an object with a string 'text'"
             )
         return text
@@ -352,7 +361,11 @@ def generate_arg2(
     max_retries: int = 2,
     retry_wait: float = 0.1,
 ) -> GenerationResult:
-    """One candidate Arg2 for a rendered prompt, via cache or backend."""
+    """One candidate Arg2 for a rendered prompt, via cache or backend.
+
+    A transport fault is retried ``max_retries`` times; a ``MalformedReply``
+    is raised at once.
+    """
     key = cache_key(
         backend.descriptor.name,
         backend.descriptor.decoding,
@@ -372,6 +385,8 @@ def generate_arg2(
             try:
                 raw = backend.complete(request.prompt.text)
                 break
+            except MalformedReply:
+                raise  # the same request gets the same reply back
             except TransportError as exc:
                 last_error = exc
                 if attempt < max_retries:

@@ -611,15 +611,18 @@ def run_experiment(
     table = [stage for stage in stages(config, workdir) if kinds is None or stage.kind in kinds]
     if not table:
         raise PipelineError(f"this config has no {' or '.join(sorted(kinds))} stage")
+    manifest = RunManifest(workdir / "run-manifest.json", config.snapshot())
+    if dry_run:  # creates nothing, but fails where a real run could not create the workdir
+        nearest = next(path for path in (workdir, *workdir.parents) if path.exists())
+        if not nearest.is_dir():
+            raise PipelineError(f"cannot create workdir {workdir}: {nearest} is not a directory")
+        manifest.data["plan"] = [stage.name for stage in table]
+        logger.info("dry run plan: %s", manifest.data["plan"])
+        return manifest
     try:
         workdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. the workdir, or one of its parents, is a regular file
         raise PipelineError(f"cannot create workdir {workdir}: {exc.strerror}") from None
-    manifest = RunManifest(workdir / "run-manifest.json", config.snapshot())
-    if dry_run:
-        manifest.data["plan"] = [stage.name for stage in table]
-        logger.info("dry run plan: %s", manifest.data["plan"])
-        return manifest
     with _sole_writer(workdir):
         manifest.save()
         store = Store()

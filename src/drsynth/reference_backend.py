@@ -19,6 +19,12 @@ head, prefix and discriminator work on the dense 32-wide encoding. Each
 backend memoizes its featurized rows by (arg1, arg2, domain token), which
 makes one backend instance a feature store for every model that shares it.
 
+A CE step on a few hundred rows takes under a millisecond, so work it
+redoes on inputs that do not change between steps shows. The CE kernel
+takes ``x.T`` from a caller that built it once, and ``encoder.W`` in either
+memory order with the same bits: the CSR product reads ``W.T`` row-major,
+so a column-major ``W`` is read in place where a row-major one is copied.
+
 Parameter groups mirror the classifier contract: encoder, head, prefix,
 discriminator. The discriminator's parameters are disjoint from the head.
 """
@@ -168,16 +174,25 @@ class ReferenceBackend:
 
     @staticmethod
     def _hidden(params: Params, x: Features) -> np.ndarray:
-        """The tanh encoder's output, before the prefix bias (a fresh array)."""
-        pre = x @ params["encoder.W"].T
+        """The tanh encoder's output, before the prefix bias (a fresh array).
+
+        The bits do not depend on the layout of ``encoder.W``: the CSR
+        product reads ``W.T`` row-major either way, and a dense product is
+        given the row-major ``W`` because BLAS rounds differently by layout.
+        """
+        w = params["encoder.W"]
+        if not sparse.issparse(x):
+            w = np.ascontiguousarray(w)
+        pre = x @ w.T
         pre += params["encoder.b"]
         return np.tanh(pre, out=pre)
 
     @staticmethod
-    def _encoder_grads(x: Features, hidden: np.ndarray, d_encoded: np.ndarray) -> Params:
+    def _encoder_grads(x_t: Features, hidden: np.ndarray, d_encoded: np.ndarray) -> Params:
         """Prefix and encoder gradients from the loss gradient at the encoding.
 
-        Overwrites ``hidden`` with the gradient at the encoder's pre-activation.
+        ``x_t`` is the transposed batch. Overwrites ``hidden`` with the
+        gradient at the encoder's pre-activation.
         """
         d_pre = hidden
         d_pre *= hidden
@@ -185,7 +200,7 @@ class ReferenceBackend:
         d_pre *= d_encoded
         return {
             "prefix.p": d_encoded.sum(axis=0),
-            "encoder.W": (x.T @ d_pre).T,
+            "encoder.W": (x_t @ d_pre).T,
             "encoder.b": d_pre.sum(axis=0),
         }
 
@@ -204,11 +219,13 @@ class ReferenceBackend:
     # --- losses and gradients --------------------------------------------
 
     def ce_loss_and_grads(
-        self, params: Params, x: Features, y: np.ndarray
+        self, params: Params, x: Features, y: np.ndarray, x_t: Features | None = None
     ) -> tuple[float, Params]:
-        """Mean cross-entropy and its gradient for the encoder, prefix and head groups."""
+        """Mean cross-entropy and its gradient for the encoder, prefix and head groups.
+
+        ``x_t`` is ``x.T``, built here unless the caller passes it in.
+        """
         n = x.shape[0]
-        rows = np.arange(n)
         hidden = self._hidden(params, x)
         encoded = hidden + params["prefix.p"]
         log_probs = encoded @ params["head.W"].T
@@ -216,16 +233,18 @@ class ReferenceBackend:
         log_probs -= log_probs.max(axis=1, keepdims=True)
         d_scores = np.exp(log_probs)
         log_probs -= np.log(d_scores.sum(axis=1))[:, None]
-        loss = -float(log_probs[rows, y].mean())
+        # flat index of each row's gold label, for the gather and the scatter
+        gold = np.arange(n) * log_probs.shape[1] + y
+        loss = -float(log_probs.take(gold).mean())
 
         np.exp(log_probs, out=d_scores)
-        d_scores[rows, y] -= 1.0
+        d_scores.reshape(-1)[gold] -= 1.0
         d_scores /= n
         d_encoded = d_scores @ params["head.W"]
         return loss, {
             "head.W": d_scores.T @ encoded,
             "head.b": d_scores.sum(axis=0),
-            **self._encoder_grads(x, hidden, d_encoded),
+            **self._encoder_grads(x.T if x_t is None else x_t, hidden, d_encoded),
         }
 
     def iv_loss_and_grads(
@@ -247,7 +266,7 @@ class ReferenceBackend:
         return loss, {
             "disc.w": encoded.T @ d_z,
             "disc.b": np.array([d_z.sum()]),
-            **self._encoder_grads(x, hidden, d_encoded),
+            **self._encoder_grads(x.T, hidden, d_encoded),
         }
 
     def descent_direction(
@@ -258,15 +277,17 @@ class ReferenceBackend:
         lam: float,
         x_domain: Features | None,
         domain: np.ndarray | None,
+        x_t: Features | None = None,
     ) -> tuple[float, Params]:
         """CE minus lam times IV, and the direction one training step descends.
 
         The classifier groups get the gradient of the returned loss; the
         discriminator gets the gradient of IV alone, so it minimizes the loss
         the classifier maximizes (gradient reversal). At lam=0 this is the CE
-        kernel's result and the domain batch is not read.
+        kernel's result and the domain batch is not read. ``x_t`` is handed to
+        the CE kernel as ``x.T``.
         """
-        ce_loss, direction = self.ce_loss_and_grads(params, x, y)
+        ce_loss, direction = self.ce_loss_and_grads(params, x, y, x_t)
         if lam == 0.0:
             return ce_loss, direction
         iv_loss, iv_grads = self.iv_loss_and_grads(params, x_domain, domain)

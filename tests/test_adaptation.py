@@ -27,11 +27,14 @@ from drsynth.adaptation import (
     save_model,
     stratified_downsample,
     train_base,
+    _instance_label,
+    _train_loop,
 )
 from drsynth.records import ArgumentPair, LabeledInstance, Provenance
 from drsynth.reference_backend import ReferenceBackend, group_keys
 from drsynth.screening import SyntheticInstance
 from drsynth.taxonomy import resolve_label, training_label_set
+from test_reference_backend import _ce_oracle, _iv_oracle
 
 
 def _params_equal(a, b):
@@ -262,6 +265,70 @@ class TestAdaptInvariance:
         # the kernels give it no cross-entropy gradient; invariance training steps it itself
         with pytest.raises(ConfigurationError, match="discriminator"):
             TrainingConfig(trainable_groups=("encoder", "head", "discriminator"))
+
+
+def _reference_loop(backend, params, data, config, groups, real_reference=None):
+    """``_train_loop`` as first written: row-major parameters, and ``x.T`` and
+    the ``[rows, y]`` gather built anew on every step (inside the oracles)."""
+    lam = config.loss.effective_lambda
+    rng = np.random.default_rng(config.seed)
+    shuffled = [data[i] for i in rng.permutation(len(data))]
+    x = backend.featurize_pairs([inst.pair for inst in shuffled])
+    y = np.array([backend.label_index[_instance_label(inst)] for inst in shuffled])
+    if lam:
+        x_real_all = backend.featurize_pairs([inst.pair for inst in real_reference])
+    params = {key: value.copy() for key, value in params.items()}
+    update_keys = group_keys(groups) + group_keys(("discriminator",) if lam else ())
+    for _ in range(config.epochs):
+        _, direction = _ce_oracle(params, x, y)
+        if lam:
+            take = min(len(shuffled), len(real_reference))
+            picked = rng.choice(len(real_reference), size=take, replace=False)
+            x_domain = sparse.vstack([x, x_real_all[picked]], format="csr")
+            domain = np.concatenate([np.ones(len(shuffled)), np.zeros(take)])
+            _, iv = _iv_oracle(params, x_domain, domain)
+            direction = {
+                key: iv[key] if key.startswith("disc.") else value - lam * iv[key]
+                for key, value in direction.items()
+            }
+        for key in update_keys:
+            params[key] -= config.learning_rate * direction[key]
+    return params
+
+
+class TestTrainLoop:
+    @pytest.mark.parametrize("case", ["ce from scratch", "prefix only", "invariance"])
+    def test_loop_equals_the_plain_reference_loop(self, case, base_model, tiny_source, monkeypatch):
+        """The per-loop set-up (``x.T`` once, ``encoder.W`` column-major) changes no bit,
+        and each epoch calls the gradient-checked CE kernel exactly once."""
+        model, _ = base_model
+        backend, params, real = model.backend, model.params, None
+        data, groups = _synthetic(40, seed=6), ("encoder", "head")
+        if case == "ce from scratch":
+            config = TrainingConfig(epochs=40, learning_rate=2.0, seed=5)
+            params, data = backend.init_params(np.random.default_rng(5)), tiny_source.train
+        elif case == "prefix only":
+            config = TrainingConfig(epochs=25, learning_rate=0.5, seed=6)
+            groups = ("prefix",)
+        else:
+            loss = LossSpec(kind=LossKind.CE_MINUS_IV, lam=0.3)
+            config = TrainingConfig(epochs=25, learning_rate=0.5, seed=8, loss=loss)
+            real = tiny_source.train
+        expected = _reference_loop(backend, params, data, config, groups, real)
+
+        calls = []
+        ce_kernel = ReferenceBackend.ce_loss_and_grads
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return ce_kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceBackend, "ce_loss_and_grads", counted)
+        trained = _train_loop(backend, params, data, config, groups, real_reference=real)
+        assert len(calls) == config.epochs
+        assert _params_equal(trained, expected)
+        assert all(value.flags.c_contiguous for value in trained.values())
+        assert not _params_equal(trained, params)  # the loop did move something
 
 
 class TestGradients:

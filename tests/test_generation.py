@@ -1,6 +1,8 @@
 import json
+import time
 
 import pytest
+import requests
 
 from drsynth.fixtures import example_pool, marker_token
 from drsynth.generation import (
@@ -9,6 +11,7 @@ from drsynth.generation import (
     GenerationCache,
     GenerationRejected,
     GenerationRequest,
+    HTTPBackend,
     MockBackend,
     TransportError,
     cache_key,
@@ -122,6 +125,42 @@ class TestGenerateArg2:
         backend = StubBackend(["never seen"], failures=10)
         with pytest.raises(TransportError, match="after 3 attempts"):
             generate_arg2(_request(), backend, max_retries=2, retry_wait=0.0)
+
+    @pytest.mark.parametrize("fault, posts_made", [
+        ("timeout", 3), ("connection", 3), ("429", 3), ("503", 3), ("not-json", 1), ("no-text", 1),
+    ])
+    def test_http_retries_transport_faults_only(self, fault, posts_made, tmp_path, monkeypatch):
+        class Reply:
+            status_code = int(fault) if fault.isdigit() else 200
+
+            def raise_for_status(self):
+                if self.status_code != 200:
+                    raise requests.HTTPError(f"{self.status_code} Server Error", response=self)
+
+            def json(self):
+                if fault == "not-json":
+                    raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+                return {"answer": "no text key"}
+
+        posts, sleeps = [], []
+
+        def post(self, *args, **kwargs):  # offline: no socket is opened
+            posts.append(kwargs["json"])
+            if fault == "timeout":
+                raise requests.Timeout("read timed out")
+            if fault == "connection":
+                raise requests.ConnectionError("connection refused")
+            return Reply()
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        backend = HTTPBackend(BackendDescriptor(name="remote", endpoint="http://127.0.0.1:9/x"))
+        cache = GenerationCache(tmp_path / "cache.jsonl")
+        with pytest.raises(TransportError):
+            generate_arg2(_request(), backend, cache=cache)
+        assert len(posts) == posts_made
+        assert sleeps == ([0.1, 0.2] if posts_made == 3 else [])
+        assert len(cache) == 0 and not (tmp_path / "cache.jsonl").exists()
 
     def test_rejected_on_empty_postprocess(self):
         backend = StubBackend(["Therefore,"])

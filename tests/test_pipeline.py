@@ -7,6 +7,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -315,14 +316,25 @@ class TestResume:
         assert before == after
 
 
-def test_dry_run_plans_without_side_effects(tmp_path):
-    workdir = tmp_path / "dry"
+def test_dry_run_plans_without_side_effects(tmp_path, capsys):
+    workdir = tmp_path / "dry" / "deep"
     manifest = run_experiment(_config(workdir), dry_run=True)
     plan = manifest.data["plan"]
     assert plan[0] == "fixtures"
     assert plan[-1] == "report"
-    assert not (workdir / "results.txt").exists()
-    assert not (workdir / "data").exists()
+    assert not (tmp_path / "dry").exists()  # neither the workdir nor its missing parent
+    # a workdir a real run could not create fails the preview too, and the CLI exits 2
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    config_file = tmp_path / "run.cfg"
+    _write_config(config_file, _config(workdir))
+    for unusable in (blocker, blocker / "deep"):
+        capsys.readouterr()
+        argv = ["run", "--config", str(config_file), "--dry-run", "--workdir", str(unusable)]
+        assert main(argv) == 2
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "run.cfg"]
 
 
 class TestCli:
@@ -522,7 +534,8 @@ class TestBackendErrors:
         assert main(["run", "--config", str(cfg)]) == 3
 
     @pytest.mark.parametrize(
-        "body", [[{"text": "x"}], {"text": 5}, {"text": None}], ids=["list", "number", "null"]
+        "body", [[{"text": "x"}], {"text": 5}, {"text": None}, "not JSON"],
+        ids=["list", "number", "null", "not-json"],
     )
     def test_malformed_reply_is_backend_error_and_never_cached(self, body, tmp_path, monkeypatch):
         class Reply:
@@ -530,14 +543,25 @@ class TestBackendErrors:
                 pass
 
             def json(self):
+                if body == "not JSON":
+                    raise requests.JSONDecodeError("Expecting value", body, 0)
                 return body
 
+        posts, sleeps = [], []
+
+        def post(self, *args, **kwargs):
+            posts.append(kwargs["json"])
+            return Reply()
+
         # every session's post answers offline; no socket is opened
-        monkeypatch.setattr(requests.Session, "post", lambda self, *args, **kwargs: Reply())
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         endpoint = "http://127.0.0.1:9/complete"
         backend = HTTPBackend(BackendDescriptor(name="mistral", endpoint=endpoint))
-        with pytest.raises(TransportError, match="string 'text'"):
+        expected = "reply is not JSON" if body == "not JSON" else "string 'text'"
+        with pytest.raises(TransportError, match=expected):
             backend.complete("prompt")
+        posts.clear()
 
         monkeypatch.setenv("DRSYNTH_LLM_ENDPOINT", endpoint)
         cfg = tmp_path / "run.cfg"
@@ -547,6 +571,7 @@ class TestBackendErrors:
             "seeds = [1]\n"
         )
         assert main(["run", "--config", str(cfg)]) == 3
+        assert len(posts) == 1 and sleeps == []  # a retry would get the same reply
         cache = tmp_path / "work" / "synthetic" / "cache.jsonl"
         assert not cache.exists() or cache.read_text() == ""
 

@@ -175,6 +175,20 @@ class TestKernels:
             scores = encoded @ params["head.W"].T + params["head.b"]
             assert np.array_equal(backend.score_matrix(params, x), scores)
 
+    def test_kernels_equal_the_original_formulas_in_the_training_loops_layout(self):
+        """``_train_loop`` builds ``x.T`` once and holds ``encoder.W`` column-major."""
+        backend, params, csr, y, domain = self._inputs()
+        looped = {**params, "encoder.W": np.asfortranarray(params["encoder.W"])}
+        assert not looped["encoder.W"].flags.c_contiguous
+        for x in (csr, csr.toarray()):
+            for (loss, grads), (expected_loss, expected) in (
+                (backend.ce_loss_and_grads(looped, x, y, x_t=x.T), _ce_oracle(params, x, y)),
+                (backend.iv_loss_and_grads(looped, x, domain), _iv_oracle(params, x, domain)),
+            ):
+                assert loss == expected_loss
+                for key, value in grads.items():
+                    assert np.array_equal(value, expected[key]), key
+
     def test_descent_direction_composes_the_original_formulas(self):
         backend, params, csr, y, domain = self._inputs()
         for x in (csr, csr.toarray()):
