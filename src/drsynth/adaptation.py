@@ -486,15 +486,13 @@ def save_model(model: Model, directory: str | Path) -> Path:
     path = Path(directory)
     path.parent.mkdir(parents=True, exist_ok=True)
     staging = path.with_name(path.name + ".tmp")
-    if staging.exists():
-        shutil.rmtree(staging)
+    remove_artifact(staging)
     (staging / "params").mkdir(parents=True)
     for key, value in model.params.items():
         np.save(staging / "params" / f"{key}.npy", np.ascontiguousarray(value))
     write_json(staging / "manifest.json", model.manifest)
     previous = path.with_name(path.name + ".old")
-    if previous.exists():
-        shutil.rmtree(previous)
+    remove_artifact(previous)
     if path.exists():
         os.replace(path, previous)
     try:
@@ -503,12 +501,22 @@ def save_model(model: Model, directory: str | Path) -> Path:
         if previous.exists():
             os.replace(previous, path)
         raise
-    shutil.rmtree(previous, ignore_errors=True)
+    remove_artifact(previous)
     return path
+
+
+def remove_artifact(path: Path) -> None:
+    """Delete an artifact path if present, whether a directory or a file."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink(missing_ok=True)
 
 
 def load_model(directory: str | Path, backend: ReferenceBackend | None = None) -> Model:
     path = Path(directory)
+    if not path.is_dir():
+        raise ConfigurationError(f"model artifact {path} is not a directory")
     with open(path / "manifest.json", encoding="utf-8") as handle:
         manifest = json.load(handle)
     if backend is None:

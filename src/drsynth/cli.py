@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 ``run`` executes the whole stage table and ``resume`` re-runs a workdir,
-skipping stages whose digest chain is intact. Each stage verb runs the
-table's stages of its kinds (``STAGE_VERBS``); their upstream artifacts must
-already exist.
+skipping stages whose digest chain is intact. Each stage verb in
+``STAGE_VERBS`` runs the table's stages of that kind, whose upstream
+artifacts must already exist: ``adapt`` trains the variants' models and
+``evaluate`` scores the baseline and every variant.
 Exit codes: 0 success, 2 configuration error, 3 backend/transport error.
 """
 
@@ -109,20 +110,12 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-STAGE_VERBS: dict[str, tuple[str, ...]] = {
-    "train-base": ("train-base",),
-    "generate": ("generate",),
-    "screen": ("screen",),
-    "adapt": ("adapt",),
-    "pseudo-label": ("pseudo-label",),
-    "evaluate": ("evaluate", "adapt"),
-    "report": ("report",),
-}
+STAGE_VERBS = ("train-base", "generate", "screen", "adapt", "pseudo-label", "evaluate", "report")
 
 
 def cmd_stage(args: argparse.Namespace) -> int:
-    """Run the stages of one verb's kinds (upstream artifacts assumed)."""
-    run_experiment(_load_config(args), args.workdir, kinds=STAGE_VERBS[args.verb])
+    """Run the stages of the verb's kind (upstream artifacts assumed)."""
+    run_experiment(_load_config(args), args.workdir, kinds={args.verb})
     return EXIT_OK
 
 

@@ -53,8 +53,11 @@ class TransportError(GenerationError):
     """Backend unreachable or misbehaving after retries."""
 
 
-class MalformedReply(TransportError):
-    """The backend answered, but not with a usable body; asking again does not help."""
+class UnretriableReply(TransportError):
+    """The backend answered, and asking again gets the same answer back.
+
+    That is a 4xx status other than 429, or a body without a usable text.
+    """
 
 
 class GenerationRejected(GenerationError):
@@ -271,16 +274,20 @@ class HTTPBackend:
             )
             response.raise_for_status()
         except (requests.RequestException, ValueError) as exc:
-            raise TransportError(f"backend {self.descriptor.name}: {exc}") from exc
+            status = getattr(getattr(exc, "response", None), "status_code", None) or 0
+            # 429 asks the client to wait; any other 4xx refuses the request itself
+            final = 400 <= status < 500 and status != 429
+            error = UnretriableReply if final else TransportError
+            raise error(f"backend {self.descriptor.name}: {exc}") from exc
         try:
             body = response.json()
         except ValueError as exc:
-            raise MalformedReply(
+            raise UnretriableReply(
                 f"backend {self.descriptor.name}: reply is not JSON: {exc}"
             ) from exc
         text = body.get("text") if isinstance(body, dict) else None
         if not isinstance(text, str):
-            raise MalformedReply(
+            raise UnretriableReply(
                 f"backend {self.descriptor.name}: reply is not an object with a string 'text'"
             )
         return text
@@ -363,7 +370,7 @@ def generate_arg2(
 ) -> GenerationResult:
     """One candidate Arg2 for a rendered prompt, via cache or backend.
 
-    A transport fault is retried ``max_retries`` times; a ``MalformedReply``
+    A transport fault is retried ``max_retries`` times; an ``UnretriableReply``
     is raised at once.
     """
     key = cache_key(
@@ -385,7 +392,7 @@ def generate_arg2(
             try:
                 raw = backend.complete(request.prompt.text)
                 break
-            except MalformedReply:
+            except UnretriableReply:
                 raise  # the same request gets the same reply back
             except TransportError as exc:
                 last_error = exc

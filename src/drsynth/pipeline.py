@@ -23,17 +23,21 @@ outputs under the workdir:
   generate               synthetic/candidates.jsonl (unless every method is pseudo)
   screen                 synthetic/screened.jsonl, screening-report.json
   pseudo-label           pseudo/labeled.jsonl (if pseudo is a method)
-  evaluate:baseline:seedS  eval/baseline-seedS.json, -predictions.jsonl
-  adapt:V:seedS          models/V-seedS/, eval/V-seedS.json, -predictions.jsonl
+  adapt:V:seedS          models/V-seedS/<domain>/ per domain, or models/V-seedS/mixed/
+  evaluate:B:seedS       eval/B-seedS.json, -predictions.jsonl (B: baseline, then each V)
   report                 results.txt (stars mark significance), results.tsv
 
-The screen also declares ``data/train.jsonl`` with ``screening.kind =
-"combi"`` (the frequency table counts its labels and adjacency) and a
-``screening.cmap`` file when the screen uses a map. ``run-manifest.json``
-records each stage's digests and wall clock. Side files, named beside a
-declared output and outside every digest: ``synthetic/cache.jsonl``,
-``failures.json`` and ``generation-stats.json`` beside the candidates, and
-``screening-report.txt`` and ``screening-meta.json`` beside the report.
+Each stage declares only the config keys and inputs its action reads, so an
+evaluation setting re-runs only the ``evaluate`` stages and the report, and
+``adaptation.lambda`` only the invariance models and their evaluations.
+Concat and pseudo train from scratch at the ``base.*`` settings; prefix and
+invariance continue the base model at the ``adaptation.*`` settings.
+
+``run-manifest.json`` records each stage's digests and wall clock. Side
+files, named beside a declared output and outside every digest:
+``synthetic/cache.jsonl``, ``failures.json`` and ``generation-stats.json``
+beside the candidates, and ``screening-report.txt`` and
+``screening-meta.json`` beside the report.
 
 Everything the stages of one run share lives in one ``Store``, made by a
 non-dry run and dropped with it, so a workdir edited between runs is
@@ -58,7 +62,6 @@ import json
 import logging
 import os
 import random
-import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,7 +74,6 @@ from .adaptation import (
     ConfigurationError,
     LossKind,
     LossSpec,
-    Model,
     TrainingConfig,
     adapt_concat,
     adapt_invariance,
@@ -80,6 +82,7 @@ from .adaptation import (
     domain_token_literal,
     load_model,
     prepend_domain_token,
+    remove_artifact,
     save_model,
     stratified_downsample,
     train_base,
@@ -414,10 +417,6 @@ _GENERATE_KEYS = (
     "generation.mock_fidelity",
 )
 _EVAL_KEYS = ("domains", "evaluation.protocol", "evaluation.vote_threshold")
-_ADAPT_KEYS = _EVAL_KEYS + (
-    "adaptation.epochs", "adaptation.learning_rate", "adaptation.lambda",
-    "adaptation.mixed_target_size", "base.epochs", "base.learning_rate",
-)
 _REPORT_KEYS = (
     "domains", "seeds", "adaptation.methods", "adaptation.domain_modes",
     "generation.backends", "generation.template", "screening.kind", "evaluation.alpha",
@@ -500,12 +499,6 @@ def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
     labeled = path("pseudo/labeled.jsonl")
     base = {seed: path(f"models/base-seed{seed}") for seed in seeds}
 
-    def eval_outputs(variant: str, seed: int) -> dict[str, Path]:
-        return {
-            "eval": path(f"eval/{variant}-seed{seed}.json"),
-            "predictions": path(f"eval/{variant}-seed{seed}-predictions.jsonl"),
-        }
-
     table: list[Stage] = []
     if any(spec.startswith("fixtures:") for spec in specs.values()):
         table.append(Stage(
@@ -513,7 +506,7 @@ def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
             {kind: path(f"data/{kind}.jsonl") for kind in _CORPORA}, _fixtures,
         ))
     table.append(Stage(
-        "ingest", ("data.split", "domains"), corpora,
+        "ingest", ("data.split",), corpora,
         {"train": train, "dev": dev, "eval": eval_data, "raw": raw}, _ingest,
     ))
     for seed in seeds:
@@ -526,16 +519,19 @@ def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
         table.append(Stage(
             "generate", _GENERATE_KEYS, {"raw": raw}, {"candidates": candidates}, _generate,
         ))
+        screen_keys = ("domains", "screening.kind")
         screen_inputs = {"candidates": candidates, "base": base[seeds[0]]}
         kind = ScreenKind(config.get("screening.kind"))
         cmap = str(config.get("screening.cmap"))
+        if kind is not ScreenKind.STRICT:
+            screen_keys += ("screening.cmap",)
+            if cmap not in ("bundled", "derived"):
+                screen_inputs["cmap"] = Path(cmap)
         if kind is ScreenKind.COMBI:  # adjacency and labels feed the frequency table
+            screen_keys += ("screening.freq_scope",)
             screen_inputs["train"] = train
-        if kind is not ScreenKind.STRICT and cmap not in ("bundled", "derived"):
-            screen_inputs["cmap"] = Path(cmap)
         table.append(Stage(
-            "screen", ("domains", "screening.kind", "screening.cmap", "screening.freq_scope"),
-            screen_inputs,
+            "screen", screen_keys, screen_inputs,
             {"screened": screened, "report": path("synthetic/screening-report.json")},
             _screen,
         ))
@@ -544,26 +540,40 @@ def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
             "pseudo-label", ("domains", "pseudo.per_domain_n", "generation.seed"),
             {"raw": raw, "base": base[seeds[0]]}, {"labeled": labeled}, _pseudo_label,
         ))
-    for seed in seeds:
-        table.append(Stage(
-            f"evaluate:baseline:seed{seed}", _EVAL_KEYS,
-            {"base": base[seed], "eval": eval_data}, eval_outputs("baseline", seed),
-            partial(_evaluate_baseline, seed=seed),
-        ))
+    # the model directories each (variant, mode) is scored on; the baseline is the base model
+    models: dict[tuple[str, str | None], dict[int, Path]] = {("baseline", None): base}
     for method, mode in _variants(config.values):
         variant = _variant_id(method, mode)
+        models[(variant, mode)] = {seed: path(f"models/{variant}-seed{seed}") for seed in seeds}
+        from_scratch = method in ("concat", "pseudo")
+        scale = "base" if from_scratch else "adaptation"
+        adapt_keys = ("domains", f"{scale}.epochs", f"{scale}.learning_rate")
+        if method == "invariance":
+            adapt_keys += ("adaptation.lambda",)
+        if mode == "mixed":
+            adapt_keys += ("adaptation.mixed_target_size",)
         for seed in seeds:
+            adapt_inputs = {"data": labeled if method == "pseudo" else screened}
+            if not from_scratch:
+                adapt_inputs["base"] = base[seed]
+            if method != "prefix":  # prefix adaptation trains on the pool alone
+                adapt_inputs["train"] = train
             table.append(Stage(
-                f"adapt:{variant}:seed{seed}", _ADAPT_KEYS,
-                {"data": labeled if method == "pseudo" else screened, "base": base[seed],
-                 "train": train, "eval": eval_data},
-                {"model": path(f"models/{variant}-seed{seed}"), **eval_outputs(variant, seed)},
+                f"adapt:{variant}:seed{seed}", adapt_keys, adapt_inputs,
+                {"model": models[(variant, mode)][seed]},
                 partial(_adapt, method=method, mode=mode, seed=seed),
             ))
-    # the report reads every evaluating stage's metric report
+    for (variant, mode), directories in models.items():
+        for seed, model in directories.items():
+            table.append(Stage(
+                f"evaluate:{variant}:seed{seed}", _EVAL_KEYS, {"model": model, "eval": eval_data},
+                {"eval": path(f"eval/{variant}-seed{seed}.json"),
+                 "predictions": path(f"eval/{variant}-seed{seed}-predictions.jsonl")},
+                partial(_evaluate, seed=seed, mode=mode),
+            ))
     table.append(Stage(
         "report", _REPORT_KEYS,
-        {stage.name: stage.outputs["eval"] for stage in table if "eval" in stage.outputs},
+        {stage.name: stage.outputs["eval"] for stage in table if stage.kind == "evaluate"},
         {"table": path("results.txt"), "tsv": path("results.tsv")},
         _report,
     ))
@@ -774,82 +784,80 @@ def _pseudo_label(cfg: Mapping[str, object], stage: Stage, store: Store) -> None
     write_pseudo_records(instances, stage.outputs["labeled"])
 
 
-def _evaluate_baseline(cfg: Mapping[str, object], stage: Stage, store: Store, seed: int) -> None:
-    base = load_model(stage.inputs["base"], store.backend)
-    models = {domain: (base, False) for domain in cfg["domains"]}
-    _evaluate(cfg, stage, store, "baseline", seed, models, dict.fromkeys(models, 0))
-
-
 def _adapt(
     cfg: Mapping[str, object], stage: Stage, store: Store, method: str, mode: str, seed: int
 ) -> None:
+    """Train the variant's models: one per domain (``specific``) or one tagged ``mixed``."""
     model_dir = stage.outputs["model"]
-    shutil.rmtree(model_dir, ignore_errors=True)
+    remove_artifact(model_dir)
     parse = read_pseudo_records if method == "pseudo" else read_synthetic_records
     pool = store.read(stage.inputs["data"], parse)
     by_domain = {domain: [i for i in pool if i.domain == domain] for domain in cfg["domains"]}
-    # from-scratch trainings on the combined pool (concat, pseudo) use base-scale
-    # settings; the adaptation epochs/rate apply to continued training only
     scale = "base" if method in ("concat", "pseudo") else "adaptation"
+    loss = LossSpec()  # plain CE records the default lambda, as base training does
+    if method == "invariance":
+        loss = LossSpec(kind=LossKind.CE_MINUS_IV, lam=float(cfg["adaptation.lambda"]))
     config = TrainingConfig(
         epochs=int(cfg[f"{scale}.epochs"]),
         learning_rate=float(cfg[f"{scale}.learning_rate"]),
         seed=seed,
-        loss=LossSpec(
-            kind=LossKind.CE_MINUS_IV if method == "invariance" else LossKind.CE,
-            lam=float(cfg["adaptation.lambda"]),
-        ),
+        loss=loss,
         trainable_groups=("prefix",) if method == "prefix" else ("encoder", "head"),
     )
-    base = load_model(stage.inputs["base"], store.backend)
-    # prefix adaptation trains on the target data alone
-    train = [] if method == "prefix" else store.read(stage.inputs["train"], _train_rows)
+    base = load_model(stage.inputs["base"], store.backend) if "base" in stage.inputs else None
+    train = store.read(stage.inputs["train"], _train_rows) if "train" in stage.inputs else []
 
-    def adapt(target_data: list, out: str) -> Model:
+    def adapt(target_data: list, out: str) -> None:
         if method == "prefix":
             model = adapt_prefix(base, target_data, config)
         elif method == "invariance":
             model = adapt_invariance(base, target_data, train, config)
         else:
-            model = adapt_concat(train, target_data, config, base.backend)
+            model = adapt_concat(train, target_data, config, store.backend)
         save_model(model, model_dir / out)
-        return model
 
     if mode == "specific":
-        models, sizes = {}, {}
         for domain, domain_data in by_domain.items():
             if not domain_data:
                 raise PipelineError(f"no {method} data for domain {domain}")
-            models[domain] = (adapt(domain_data, domain), False)
-            sizes[domain] = len(domain_data)
+            adapt(domain_data, domain)
     else:
         tagged_pool = [
             prepend_domain_token(inst) for pool in by_domain.values() for inst in pool
         ]
         target_size = min(int(cfg["adaptation.mixed_target_size"]), len(tagged_pool))
-        mixed = stratified_downsample(tagged_pool, target_size, seed=seed)
-        model = adapt(mixed, "mixed")
-        models = {domain: (model, True) for domain in by_domain}
-        sizes = dict.fromkeys(by_domain, len(mixed))
-    _evaluate(cfg, stage, store, _variant_id(method, mode), seed, models, sizes)
+        adapt(stratified_downsample(tagged_pool, target_size, seed=seed), "mixed")
 
 
 def _evaluate(
-    cfg: Mapping[str, object], stage: Stage, store: Store, variant: str, seed: int,
-    models: Mapping[str, tuple[Model, bool]], sizes: Mapping[str, int],
+    cfg: Mapping[str, object], stage: Stage, store: Store, seed: int, mode: str | None
 ) -> None:
-    """Score each domain's (model, tagged) pair; write the report and predictions."""
+    """Score one model set; write its metric reports and predictions.
+
+    ``mode`` None is the baseline: one untagged base model for every domain.
+    """
+    variant = stage.name.split(":")[1]
+    directory, domains = stage.inputs["model"], cfg["domains"]
+    if mode == "specific":
+        models = {domain: load_model(directory / domain, store.backend) for domain in domains}
+    else:
+        shared = load_model(directory if mode is None else directory / "mixed", store.backend)
+        models = dict.fromkeys(domains, shared)
+    # the pool rows each model trained on; concat and pseudo count them apart from the source
+    sizes = {
+        domain: 0 if mode is None else model.manifest.get("n_synthetic", model.manifest["n_instances"])
+        for domain, model in models.items()
+    }
     protocol = EvalProtocol(cfg["evaluation.protocol"])
     eval_items = store.eval_items(stage.inputs["eval"], float(cfg["evaluation.vote_threshold"]))
     reports: dict[str, dict] = {}
     prediction_rows: list[dict] = []
-    for domain in cfg["domains"]:
-        model, tagged = models[domain]
+    for domain in domains:
         items = eval_items.get(domain)
         if not items:
             raise PipelineError(f"no evaluation items for domain {domain}")
-        tokens = [domain_token_literal(domain) if tagged else None] * len(items)
-        predicted, _ = batch_predict(model, [item.instance.pair for item in items], tokens)
+        tokens = [domain_token_literal(domain) if mode == "mixed" else None] * len(items)
+        predicted, _ = batch_predict(models[domain], [item.instance.pair for item in items], tokens)
         prediction_rows.extend(
             {**target_record(item.instance), "predicted": label.level2}
             for item, label in zip(items, predicted)
@@ -887,13 +895,10 @@ def _report(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
                 template=str(cfg["generation.template"]), screen=screen, config=mode,
             ))
 
-    # the metric reports come in table order, so each variant's runs in seed order;
-    # the ``ingest`` input is the eval corpus (ingest's output key is ``eval`` too)
+    # the metric reports come in table order, so each variant's runs in seed order
     runs: dict[tuple[str, str], list[MetricReport]] = {}
     sizes: dict[tuple[str, str], int] = {}
-    for name, path in stage.inputs.items():
-        if name.split(":", 1)[0] == "ingest":
-            continue
+    for path in stage.inputs.values():
         payload = json.loads(path.read_text("utf-8"))
         for domain in domains:
             key = (payload["variant"], domain)

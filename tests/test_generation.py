@@ -127,7 +127,8 @@ class TestGenerateArg2:
             generate_arg2(_request(), backend, max_retries=2, retry_wait=0.0)
 
     @pytest.mark.parametrize("fault, posts_made", [
-        ("timeout", 3), ("connection", 3), ("429", 3), ("503", 3), ("not-json", 1), ("no-text", 1),
+        ("timeout", 3), ("connection", 3), ("429", 3), ("503", 3), ("404", 1), ("400", 1),
+        ("not-json", 1), ("no-text", 1),
     ])
     def test_http_retries_transport_faults_only(self, fault, posts_made, tmp_path, monkeypatch):
         class Reply:

@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -256,6 +257,20 @@ class TestResume:
         resume(workdir)
         assert target.read_bytes() == payload_before
 
+    @pytest.mark.parametrize("model", ["base-seed1", "prefix-specific-syn-seed1"])
+    def test_model_replaced_by_a_file_is_rebuilt_without_leftovers(self, tmp_path, capsys, model):
+        workdir = tmp_path / "run"
+        manifest = run_experiment(_config(workdir, seeds=[1]))
+        model = workdir / "models" / model
+        for _ in range(2):  # a second round once tripped over the first one's ``.old`` file
+            shutil.rmtree(model)
+            model.write_text("not a model\n")
+            capsys.readouterr()
+            assert main(["resume", str(workdir)]) == 0
+            assert f"manifest identity: {manifest.identity_digest()}" in capsys.readouterr().out
+            leftovers = [p for p in (workdir / "models").rglob("*") if p.suffix in (".tmp", ".old")]
+            assert model.is_dir() and leftovers == []
+
     def test_regenerate_reruns_only_generate(self, tmp_path, caplog):
         workdir = tmp_path / "run"
         manifest = run_experiment(_config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]}))
@@ -489,6 +504,21 @@ class TestCli:
         assert _stages_run(caplog) == []
         assert named.read_bytes() == before
 
+    @pytest.mark.parametrize("verb", ["adapt", "evaluate"])
+    def test_model_path_that_is_a_file_is_config_error(self, finished_run, tmp_path, capsys, verb):
+        workdir = tmp_path / "run"
+        shutil.copytree(finished_run[0], workdir)
+        config_file = tmp_path / "run.cfg"
+        _write_config(config_file, _config(workdir))
+        model = workdir / "models/base-seed1"
+        shutil.rmtree(model)
+        model.write_text("not a model\n")
+        capsys.readouterr()
+        assert main([verb, "--config", str(config_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert f"{model} is not a directory" in err
+
     def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
         with pytest.raises(ConfigurationError, match="include_similarity"):
             PipelineConfig.from_mapping({"generation.include_similarity": True})
@@ -671,6 +701,53 @@ class TestConfigChangeClosure:
         self._assert_resume_matches_fresh_run(
             tmp_path / "run", tmp_path / "fresh", overrides, make_cause_rows_intra
         )
+
+    @pytest.mark.parametrize("edit, marker, report", [
+        ({"evaluation.protocol": "all-gold-fn"}, "evaluate:", ["report"]),
+        # at these settings the invariance models move too little to change a prediction,
+        # so every eval report stays byte-identical and the report is skipped
+        ({"adaptation.lambda": 0.5}, ":invariance-", []),
+        ({"adaptation.mixed_target_size": 40}, "-mixed-", ["report"]),
+    ], ids=["protocol", "lambda", "mixed-target-size"])
+    def test_edit_reruns_only_the_stages_that_read_it(
+        self, grid_run, tmp_path, caplog, edit, marker, report
+    ):
+        """The edited key's adapt stages (if any) and the evaluations of what they train."""
+        workdir = tmp_path / "run"
+        shutil.copytree(grid_run[0], workdir)
+        config = _config(workdir, **GRID_OVERRIDES, **edit)
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        run_experiment(config)
+        names = [stage.name for stage in stages(config, workdir)]
+        expected = [name for name in names if name.startswith(("adapt:", "evaluate:")) and marker in name]
+        assert _stages_run(caplog) == expected + report
+
+    @pytest.mark.parametrize("screen", ["strict", "combi"])
+    def test_every_stage_reads_its_whole_slice(self, screen, tmp_path, monkeypatch):
+        """Undeclared reads fail as ``KeyError``; this checks that no declared key goes unread."""
+        import drsynth.pipeline as pipeline
+
+        reads: dict[str, set] = {}
+        table = pipeline.stages
+
+        class RecordedSlice(dict):
+            def __getitem__(self, key):
+                reads.setdefault(self.stage, set()).add(key)
+                return super().__getitem__(key)
+
+        def recorded(action):
+            def run(cfg, stage, store):
+                cfg = RecordedSlice(cfg)
+                cfg.stage = stage.name
+                action(cfg, stage, store)
+            return run
+
+        monkeypatch.setattr(pipeline, "stages", lambda config, workdir: [
+            dataclasses.replace(stage, action=recorded(stage.action)) for stage in table(config, workdir)
+        ])
+        config = _config(tmp_path / "run", **GRID_OVERRIDES, **{"screening.kind": screen})
+        run_experiment(config)
+        assert reads == {stage.name: set(stage.config_keys) for stage in table(config, tmp_path / "run")}
 
     def test_removed_variant_pruned_to_match_fresh_run(self, tmp_path):
         workdir = tmp_path / "run"
@@ -938,11 +1015,12 @@ class TestDeriveOnce:
         config = _config(workdir, seeds=[1], **{"adaptation.methods": ["prefix"]})
         run_experiment(config, kinds={"fixtures", "ingest", "train-base", "generate", "screen"})
         store = Store()
-        report = workdir / "eval/prefix-specific-syn-seed1.json"
+        models = workdir / "models/prefix-specific-syn-seed1"
 
         def adapt():
             _run_action(store, config, "adapt:prefix-specific-syn:seed1")
-            return sum(json.loads(report.read_text())["sizes"].values())
+            manifests = [models / domain / "manifest.json" for domain in ("EP", "WK", "NV")]
+            return sum(json.loads(path.read_text())["n_instances"] for path in manifests)
 
         size = adapt()
         assert adapt() == size
@@ -1095,7 +1173,8 @@ class TestOneWriterAndKills:
         ("screen", "screened"),
         ("pseudo-label", "labeled"),
         ("evaluate:baseline:seed1", "eval"),
-        ("adapt:prefix-specific-syn:seed1", "predictions"),
+        ("adapt:prefix-specific-syn:seed1", "model"),
+        ("evaluate:prefix-specific-syn:seed1", "predictions"),
         ("report", "table"),
     ])
     def test_resume_after_a_kill_matches_the_uninterrupted_run(
