@@ -5,7 +5,8 @@ skipping stages whose digest chain is intact. Each stage verb in
 ``STAGE_VERBS`` runs the table's stages of that kind, whose upstream
 artifacts must already exist: ``adapt`` trains the variants' models and
 ``evaluate`` scores the baseline and every variant.
-Exit codes: 0 success, 2 configuration error, 3 backend/transport error.
+Exit codes: 0 success, 2 configuration error (or a file that cannot be
+read or written), 3 backend/transport error.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except (ConfigurationError, CorpusFormatError, FileNotFoundError, LabelError) as exc:
+    except (ConfigurationError, CorpusFormatError, LabelError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TransportError as exc:

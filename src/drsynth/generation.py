@@ -425,6 +425,7 @@ class BatchFailure(NamedTuple):
 class BatchResult(NamedTuple):
     instances: list[SyntheticInstance]
     failures: list[BatchFailure]
+    cache_hits: int  # among ``instances``; telemetry that the records leave out
 
 
 def generate_batch(
@@ -470,6 +471,7 @@ def generate_batch(
 
     instances: list[SyntheticInstance] = []
     failures: list[BatchFailure] = []
+    cache_hits = 0
     for request, backend in jobs:
         try:
             result = generate_arg2(request, backend, cache=cache)
@@ -487,6 +489,7 @@ def generate_batch(
                 "generation rejected (%s, %s): %s", request.domain, request.intended.level2, exc
             )
             continue
+        cache_hits += result.cache_hit
         instances.append(
             SyntheticInstance(
                 pair=ArgumentPair(arg1=request.arg1, arg2=result.arg2),
@@ -496,8 +499,7 @@ def generate_batch(
                 domain=request.domain,
                 connective=request.prompt.connective,
                 example_id=request.prompt.example_id,
-                cache_hit=result.cache_hit,
                 decoding=result.backend.decoding.as_dict(),
             )
         )
-    return BatchResult(instances=instances, failures=failures)
+    return BatchResult(instances=instances, failures=failures, cache_hits=cache_hits)

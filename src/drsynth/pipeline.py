@@ -10,8 +10,9 @@ stage, store)`` with exactly that slice, so an undeclared config key fails
 as ``KeyError``; it reads only ``stage.inputs`` and writes only
 ``stage.outputs``, so ``stages()`` alone decides the workdir layout.
 Re-running a workdir skips every stage whose digest matches and whose
-outputs are intact: a changed screening setting re-runs screening and
-everything downstream while reusing the generation cache.
+outputs are intact: a changed screening setting re-runs the screen and the
+report while reusing the generation cache, and retrains only where the kept
+rows change.
 
 The stage table, in order (``S`` ranges over ``seeds``, ``V`` over the
 ``adaptation.methods`` x ``adaptation.domain_modes`` variants), with the
@@ -739,7 +740,7 @@ def _generate(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     )
     stats = {
         "requests": len(result.instances) + len(result.failures),
-        "cache_hits": sum(inst.cache_hit for inst in result.instances),
+        "cache_hits": result.cache_hits,
         "rejected": len(result.failures),
     }
     # telemetry, not a declared output: cache state stays out of the manifest identity
@@ -749,9 +750,7 @@ def _generate(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
 def _screen(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     candidates = read_synthetic_records(stage.inputs["candidates"])
     base = load_model(stage.inputs["base"], store.backend)
-    predictions, _ = batch_predict(base, [c.pair for c in candidates])
-    for candidate, label in zip(candidates, predictions):
-        candidate.set_predicted(label)
+    predicted, _ = batch_predict(base, [c.pair for c in candidates])
     kind = ScreenKind(cfg["screening.kind"])
     cmap = freq = None
     if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
@@ -759,7 +758,7 @@ def _screen(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     if kind is ScreenKind.COMBI:
         train = store.read(stage.inputs["train"], _train_rows)
         freq = frequency_table_from_instances(train, scope=str(cfg["screening.freq_scope"]))
-    kept, report = screen_batch(candidates, kind, cmap, freq)
+    kept, report = screen_batch(candidates, predicted, kind, cmap, freq)
     write_synthetic_records(kept, stage.outputs["screened"])
     report_path = stage.outputs["report"]
     write_text(report_path, report_to_json(report) + "\n")

@@ -19,6 +19,7 @@ from .records import (
     ArgumentPair,
     Provenance,
     RawDocument,
+    _iter_json_lines,
     make_adjacent_pairs,
     write_records,
 )
@@ -136,8 +137,6 @@ def write_pseudo_records(instances: Iterable[PseudoLabeledInstance], path: str |
 
 
 def read_pseudo_records(path: str | Path) -> list[PseudoLabeledInstance]:
-    from .records import _iter_json_lines
-
     instances = []
     for _, record in _iter_json_lines(path):
         instances.append(

@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .records import ArgumentPair
+from .records import ArgumentPair, _iter_json_lines, write_records
 from .taxonomy import (
     ConfusionMap,
     FrequencyTable,
@@ -44,61 +44,46 @@ class ScreenKind(str, Enum):
 
 
 class ScreeningError(ValueError):
-    """A screen was applied to an instance that is not ready for it."""
+    """A screen lacks the map it needs, or its report does not add up."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticInstance:
-    """A generated candidate pair with intended label and screening state."""
+    """A generated candidate pair with its intended label and generation provenance."""
 
     pair: ArgumentPair
     intended: RelationLabel
     backend: str
     template: str
     domain: str
-    predicted: RelationLabel | None = None
     connective: str | None = None
     example_id: str = ""
-    cache_hit: bool = False  # in memory only: records must not depend on cache state
     decoding: Mapping[str, object] = field(default_factory=dict)
-    verdicts: dict[ScreenKind, bool] = field(default_factory=dict)
-
-    def set_predicted(self, label: RelationLabel) -> None:
-        if self.predicted is not None and self.predicted != label:
-            raise ScreeningError("prediction already set to a different label")
-        self.predicted = label
-
-    def set_verdict(self, kind: ScreenKind, keep: bool) -> None:
-        if kind in self.verdicts and self.verdicts[kind] != keep:
-            raise ScreeningError(f"{kind.value} verdict already set")
-        self.verdicts[kind] = keep
-
-    def _require_prediction(self) -> RelationLabel:
-        if self.predicted is None:
-            raise ScreeningError("instance has no base-model prediction yet")
-        return self.predicted
 
 
-def strict_screen(inst: SyntheticInstance) -> bool:
+def strict_screen(intended: RelationLabel, predicted: RelationLabel) -> bool:
     """Keep iff the base model predicted the intended label."""
-    return inst._require_prediction() == inst.intended
+    return predicted == intended
 
 
-def confusion_screen(inst: SyntheticInstance, cmap: ConfusionMap) -> bool:
+def confusion_screen(
+    intended: RelationLabel, predicted: RelationLabel, cmap: ConfusionMap
+) -> bool:
     """Keep unless the prediction equals confuse(intended).
 
     An intended label without a map entry has no misprediction to screen
     out, so its instances are kept.
     """
-    predicted = inst._require_prediction()
-    return inst.intended not in cmap or predicted != cmap.confusion_of(inst.intended)
+    return intended not in cmap or predicted != cmap.confusion_of(intended)
 
 
-def combi_screen(inst: SyntheticInstance, cmap: ConfusionMap, freq: FrequencyTable) -> bool:
+def combi_screen(
+    intended: RelationLabel, predicted: RelationLabel, cmap: ConfusionMap, freq: FrequencyTable
+) -> bool:
     """Confusion screen for rare intended labels, strict screen otherwise."""
-    if is_rare(inst.intended, freq):
-        return confusion_screen(inst, cmap)
-    return strict_screen(inst)
+    if is_rare(intended, freq):
+        return confusion_screen(intended, predicted, cmap)
+    return strict_screen(intended, predicted)
 
 
 @dataclass
@@ -142,25 +127,28 @@ class ScreeningReport:
 
 def screen_batch(
     batch: Sequence[SyntheticInstance],
+    predicted: Sequence[RelationLabel],
     kind: ScreenKind,
     cmap: ConfusionMap | None = None,
     freq: FrequencyTable | None = None,
 ) -> tuple[list[SyntheticInstance], ScreeningReport]:
-    """Apply one screen to a whole batch, preserving input order."""
+    """Apply one screen to a whole batch, given the base model's label for each instance.
+
+    Input order is preserved; ``predicted`` must be as long as ``batch``.
+    """
     if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI) and cmap is None:
         raise ScreeningError(f"{kind.value} screen needs a confusion map")
     if kind is ScreenKind.COMBI and freq is None:
         raise ScreeningError("combi screen needs a frequency table")
     report = ScreeningReport(screen=kind)
     kept: list[SyntheticInstance] = []
-    for inst in batch:
+    for inst, label in zip(batch, predicted, strict=True):
         if kind is ScreenKind.STRICT:
-            verdict = strict_screen(inst)
+            verdict = strict_screen(inst.intended, label)
         elif kind is ScreenKind.CONFUSION:
-            verdict = confusion_screen(inst, cmap)
+            verdict = confusion_screen(inst.intended, label, cmap)
         else:
-            verdict = combi_screen(inst, cmap, freq)
-        inst.set_verdict(kind, verdict)
+            verdict = combi_screen(inst.intended, label, cmap, freq)
         report.record(inst, verdict)
         if verdict:
             kept.append(inst)
@@ -191,27 +179,19 @@ def synthetic_record(inst: SyntheticInstance) -> dict:
         "template": inst.template,
         "example_id": inst.example_id,
         "decoding": dict(inst.decoding),
-        "verdicts": {kind.value: keep for kind, keep in inst.verdicts.items()},
     }
     if inst.connective is not None:
         record["connective"] = inst.connective
-    if inst.predicted is not None:
-        record["predicted"] = inst.predicted.level2
     return record
 
 
 def write_synthetic_records(instances: Iterable[SyntheticInstance], path: str | Path) -> None:
-    from .records import write_records
-
     write_records((synthetic_record(i) for i in instances), path)
 
 
 def read_synthetic_records(path: str | Path) -> list[SyntheticInstance]:
-    from .records import _iter_json_lines
-
-    instances: list[SyntheticInstance] = []
-    for _, record in _iter_json_lines(path):
-        inst = SyntheticInstance(
+    return [
+        SyntheticInstance(
             pair=ArgumentPair(
                 arg1=record["arg1"], arg2=record["arg2"], doc_id=record.get("doc_id", "")
             ),
@@ -223,12 +203,8 @@ def read_synthetic_records(path: str | Path) -> list[SyntheticInstance]:
             example_id=record.get("example_id", ""),
             decoding=record.get("decoding", {}),
         )
-        if "predicted" in record:
-            inst.predicted = resolve_label(record["predicted"])
-        for name, keep in record.get("verdicts", {}).items():
-            inst.verdicts[ScreenKind(name)] = bool(keep)
-        instances.append(inst)
-    return instances
+        for _, record in _iter_json_lines(path)
+    ]
 
 
 def report_to_json(report: ScreeningReport) -> str:

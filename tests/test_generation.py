@@ -270,8 +270,9 @@ class TestGenerateBatch:
         cache = GenerationCache(tmp_path / "cache.jsonl")
         first = self._run(sentences, labels, seed=3, cache=cache)
         second = self._run(sentences, labels, seed=3, cache=cache)
+        assert first.cache_hits == 0
         assert [i.pair for i in first.instances] == [i.pair for i in second.instances]
-        assert all(i.cache_hit for i in second.instances)
+        assert second.cache_hits == len(second.instances)
 
     def test_no_instance_starts_with_its_connective(self):
         labels = training_label_set()

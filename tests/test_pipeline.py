@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import fcntl
 import hashlib
 import json
@@ -519,6 +520,21 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert f"{model} is not a directory" in err
 
+    def test_failed_write_exits_2_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        import drsynth.records as records
+
+        def full_disk(path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(records, "_atomic", full_disk)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'workdir = "{tmp_path / "work"}"\nseeds = [1]\n')
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No space left on device" in err, err
+        assert "Traceback" not in err
+
     def test_similarity_with_dc_template_rejected_before_any_stage(self, tmp_path, capsys):
         with pytest.raises(ConfigurationError, match="include_similarity"):
             PipelineConfig.from_mapping({"generation.include_similarity": True})
@@ -626,6 +642,17 @@ class TestConfigChangeClosure:
             after["adapt:prefix-specific-syn:seed1"]
             != before["adapt:prefix-specific-syn:seed1"]
         )
+
+    def test_rescreen_that_keeps_the_same_rows_retrains_nothing(self, grid_run, tmp_path, caplog):
+        """On this grid combi keeps strict's rows, so the pool and every model stay as they are."""
+        workdir = tmp_path / "run"
+        shutil.copytree(grid_run[0], workdir)
+        combi = {**GRID_OVERRIDES, "screening.kind": "combi"}
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        manifest = run_experiment(_config(workdir, **combi))
+        assert _stages_run(caplog) == ["screen", "report"]
+        fresh = run_experiment(_config(tmp_path / "fresh", **combi))
+        assert manifest.identity_digest() == fresh.identity_digest()
 
     def test_changed_screen_reaches_the_report(self, tmp_path):
         workdir = tmp_path / "run"
