@@ -141,11 +141,12 @@ def gold_label_set(
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     cutoff = Fraction(str(threshold))
-    total = instance.total_votes
+    # count / total >= num / den, cross-multiplied (total > 0): exact in integers
+    need = cutoff.numerator * instance.total_votes
     gold = {
         label
         for label, count in instance.votes
-        if label is not NO_RELATION and Fraction(count, total) >= cutoff
+        if label is not NO_RELATION and count * cutoff.denominator >= need
     }
     majority = majority_label(instance)
     if majority is not NO_RELATION:
@@ -377,8 +378,13 @@ def ingest_raw_corpus(path: str | Path) -> list[RawDocument]:
     return docs
 
 
+# one encoder for every canonical row: ``json.dumps`` with keyword arguments
+# builds a new encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _CANONICAL.encode(record)
 
 
 def source_record(instance: LabeledInstance, section: int) -> dict:
@@ -413,8 +419,12 @@ def _atomic(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        yield handle
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
+import drsynth
 from drsynth.evaluation import (
     EvalProtocol,
     EvaluationError,
@@ -12,6 +17,7 @@ from drsynth.evaluation import (
     RunSummary,
     SignificanceResult,
     VariantMeta,
+    _two_tailed_p,
     aggregate_runs,
     render_results_table,
     results_tsv,
@@ -258,6 +264,23 @@ class TestTTest:
     def test_short_samples_rejected(self):
         with pytest.raises(EvaluationError):
             t_test([1.0], [2.0, 3.0])
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 4.0, 37.3, 1e10])
+    @pytest.mark.parametrize("t_abs", [0.0, 5e-324, 1e-300, 0.7, 12.2, 40.0, 1e6])
+    def test_p_value_is_bit_equal_to_scipy_stats(self, df, t_abs):
+        for t_stat in (t_abs, -t_abs):
+            assert _two_tailed_p(t_stat, df) == 2.0 * float(stats.t.sf(abs(t_stat), df))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(drsynth.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", "import drsynth.cli, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 def _summary(macro_mean, acc_mean, values=None):

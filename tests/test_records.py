@@ -1,8 +1,13 @@
+import errno
+import itertools
+import json
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
-from drsynth import fixtures
+from drsynth import fixtures, records
 from drsynth.records import (
     Adjacency,
     ArgumentPair,
@@ -72,6 +77,19 @@ class TestGoldLabelSet:
         inst = _crowd(_votes(cause=10))
         with pytest.raises(ValueError):
             gold_label_set(inst, threshold=0.0)
+
+    def test_every_ten_vote_split_matches_the_fraction_rule(self):
+        labels = [resolve_label(n) for n in ("cause", "concession", "conjunction")]
+        splits = [c for c in itertools.product(range(11), repeat=3) if sum(c) == 10]
+        for step in range(1, 11):
+            threshold = step / 10
+            cutoff = Fraction(str(threshold))
+            for counts in splits:
+                inst = _crowd({l: c for l, c in zip(labels, counts) if c})
+                expected = {
+                    l for l, c in zip(labels, counts) if c and Fraction(c, 10) >= cutoff
+                } | {majority_label(inst)}
+                assert gold_label_set(inst, threshold=threshold) == expected, (counts, threshold)
 
 
 class TestMajority:
@@ -242,6 +260,31 @@ class TestRoundTrip:
         out = tmp_path / "rewritten.jsonl"
         write_records([target_record(i) for i in first], out)
         assert ingest_target_corpus(out) == first
+
+    def test_canonical_row_bytes_match_json_dumps(self):
+        row = {"arg2": "Tokyo は 東京 — naïve", "arg1": "é \U0001F600 \u2028", "n": [1, 2.5, None]}
+        assert records._dump(row) == json.dumps(
+            row, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        )
+
+    def test_failed_write_leaves_no_temp_file_and_the_old_target(self, tmp_path, monkeypatch):
+        out = tmp_path / "rows.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        real_dump = records._dump
+        calls = []
+
+        def full_disk_on_third(record):
+            calls.append(record)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_dump(record)
+
+        monkeypatch.setattr(records, "_dump", full_disk_on_third)
+        with pytest.raises(OSError) as raised:
+            write_records([{"i": i} for i in range(5)], out)
+        assert raised.value.errno == errno.ENOSPC
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert out.read_bytes() == b"old\n"
 
     def test_fixture_build_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
