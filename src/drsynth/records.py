@@ -414,7 +414,8 @@ def target_record(instance: CrowdAnnotatedInstance) -> dict:
 def _atomic(path: str | Path) -> Iterator[TextIO]:
     """A text handle on a temp file beside ``path``, renamed over it once the block succeeds.
 
-    Readers see the old file or the complete new one, never a partial write.
+    Readers see the old file or the complete new one, never a partial write;
+    a write or rename that fails removes the temp file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -422,10 +423,10 @@ def _atomic(path: str | Path) -> Iterator[TextIO]:
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def write_text(path: str | Path, content: str) -> None:

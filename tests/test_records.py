@@ -286,6 +286,17 @@ class TestRoundTrip:
         assert list(tmp_path.glob("*.tmp")) == []
         assert out.read_bytes() == b"old\n"
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "rows.jsonl"
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_records([{"i": 1}], out)
+        assert list(tmp_path.iterdir()) == []
+
     def test_fixture_build_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         fixtures.build_source_corpus(a, counts=fixtures.tiny_source_counts(), seed=3)
