@@ -97,9 +97,12 @@ def resolve_label(raw: str) -> RelationLabel:
 
     Raises LabelError naming the offending string when it is unknown.
     """
-    key = normalize_label_string(raw)
+    # every registry key is its own normal form, so a canonical string needs no folding
+    label = _REGISTRY.get(raw)
+    if label is not None:
+        return label
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[normalize_label_string(raw)]
     except KeyError:
         raise LabelError(f"unknown relation label: {raw!r}") from None
 

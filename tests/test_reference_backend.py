@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
+import pytest
 from scipy import sparse
 
 from drsynth.records import ArgumentPair
-from drsynth.reference_backend import ReferenceBackend, _sigmoid, _softplus
+from drsynth.reference_backend import FEATURIZE_CHUNK_ROWS, ReferenceBackend, _sigmoid, _softplus
 
 
 def _char_loop_tokens(text: str) -> list[str]:
@@ -49,19 +52,69 @@ class TestTokenizer:
         assert backend._tokens(text) == _char_loop_tokens(text)
 
 
+def _chunk_plus_three() -> list[ArgumentPair]:
+    """A batch one chunk and three rows long, so its last rows fall in a second pass."""
+    return [
+        ArgumentPair(arg1=f"row {i} shares word{i % 97}", arg2=f"then {i % 13} and more{i}")
+        for i in range(FEATURIZE_CHUNK_ROWS + 3)
+    ]
+
+
+def _row_bytes(row) -> tuple:
+    return row.indices.dtype, row.indices.tobytes(), row.values.dtype, row.values.tobytes()
+
+
 class TestFeatureStore:
     def test_sparse_rows_equal_dense_featurizer(self):
         backend = ReferenceBackend()
         texts = [text for text in UNICODE_SAMPLE if text.strip()]
         pairs = [ArgumentPair(arg1=text, arg2=texts[-1 - i]) for i, text in enumerate(texts)]
-        pairs.append(ArgumentPair(arg1="?!", arg2="¿..."))
-        tokens = [None, "⟨EP⟩"] * (len(pairs) // 2) + [None] * (len(pairs) % 2)
-        x = backend.featurize_pairs(pairs, tokens)
-        assert isinstance(x, sparse.csr_array)
-        assert x.dtype == np.float64 and x.shape == (len(pairs), backend.feature_dim)
-        dense = np.stack([_dense_featurize(backend, p, t) for p, t in zip(pairs, tokens)])
-        assert np.array_equal(x.toarray(), dense)
-        assert x[[len(pairs) - 1]].nnz == 0  # a pair without tokens is an empty row
+        empty = ArgumentPair(arg1="?!", arg2="¿...")
+        unseen = ArgumentPair(arg1="a zyzzyva appears", arg2="only in a later batch")
+        large = _chunk_plus_three()
+        batches = [
+            # tagged and untagged rows, and a pair without tokens
+            (pairs + [empty], [None, "⟨EP⟩"] * (len(pairs) // 2) + [None] * (len(pairs) % 2 + 1)),
+            # every sample tagged, mostly memo misses
+            (pairs, ["⟨EP⟩"] * len(pairs)),
+            # duplicate keys, memo hits mixed with misses, and tokens first seen now
+            ([pairs[0], unseen, pairs[0], unseen, empty, pairs[1], unseen], [None, None, "⟨WK⟩", None, None, "⟨EP⟩", "⟨EP⟩"]),
+            # a row on each side of a chunk boundary
+            (large, [None] * len(large)),
+        ]
+        stored = {}
+        for batch, tokens in batches:
+            x = backend.featurize_pairs(batch, tokens)
+            assert isinstance(x, sparse.csr_array)
+            assert x.dtype == np.float64 and x.shape == (len(batch), backend.feature_dim)
+            dense = np.stack([_dense_featurize(backend, p, t) for p, t in zip(batch, tokens)])
+            assert np.array_equal(x.toarray(), dense)
+            for i, (pair, token) in enumerate(zip(batch, tokens)):
+                row = stored.setdefault((pair, token), backend.featurize(pair, token))
+                assert backend.featurize(pair, token) is row
+                span = slice(x.indptr[i], x.indptr[i + 1])
+                assert np.array_equal(x.indices[span], row.indices)
+                assert np.array_equal(x.data[span], row.values)
+        assert backend.featurize(empty).indices.size == 0  # a pair without tokens is an empty row
+
+    def test_row_bits_do_not_depend_on_the_batch(self):
+        large = _chunk_plus_three()
+        probes = [large[3], large[-2], ArgumentPair(arg1=UNICODE_SAMPLE[4], arg2=UNICODE_SAMPLE[5])]
+        shuffled = large[:50] + probes
+        random.Random(3).shuffle(shuffled)
+        for probe in probes:
+            alone = _row_bytes(ReferenceBackend().featurize(probe, "⟨EP⟩"))
+            for batch in (shuffled, large + probes):
+                backend = ReferenceBackend()
+                backend.featurize_pairs(batch, ["⟨EP⟩"] * len(batch))
+                assert _row_bytes(backend.featurize(probe, "⟨EP⟩")) == alone
+
+    def test_domain_tokens_must_match_pairs(self):
+        backend = ReferenceBackend()
+        pairs = [ArgumentPair(arg1="one two", arg2="three"), ArgumentPair(arg1="four", arg2="five")]
+        for tokens in ([None], [None, None, "⟨EP⟩"]):
+            with pytest.raises(ValueError):
+                backend.featurize_pairs(pairs, tokens)
 
     def test_memo_keeps_domain_tokens_apart(self):
         backend = ReferenceBackend()

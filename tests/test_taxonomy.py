@@ -57,11 +57,18 @@ def test_generation_label_set_sizes():
         ("no relation", "no-relation"),
         ("  synchronous  ", "synchronous"),
         ("level_of_detail", "level-of-detail"),
+        ("Level_of detail", "level-of-detail"),
     ],
 )
 def test_label_normalization(raw, expected):
     assert normalize_label_string(raw) == expected
     assert resolve_label(raw).level2 == expected
+
+
+def test_every_label_name_is_its_own_normal_form():
+    for label in all_labels():
+        assert normalize_label_string(label.level2) == label.level2
+        assert resolve_label(label.level2) is label
 
 
 def test_unknown_label_error_names_the_label():
