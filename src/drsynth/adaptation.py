@@ -302,18 +302,8 @@ def adapt_ce(base_model: Model, data: Sequence, config: TrainingConfig) -> Model
 _FROZEN_BY_PREFIX = ("encoder", "head", "discriminator")
 
 
-def adapt_prefix(
-    base_model: Model,
-    synthetic: Sequence,
-    config: TrainingConfig,
-    prefix_dim: int = 512,
-) -> Model:
-    """Prefix-only adaptation; every non-prefix group stays bit-identical.
-
-    ``prefix_dim`` is the per-token embedding width a transformer backend
-    would allocate (recorded in the manifest); the reference backend's
-    prefix block has a fixed shape.
-    """
+def adapt_prefix(base_model: Model, synthetic: Sequence, config: TrainingConfig) -> Model:
+    """Prefix-only adaptation; every non-prefix group stays bit-identical."""
     if any(group != "prefix" for group in config.trainable_groups):
         raise ConfigurationError("prefix adaptation trains only the prefix group")
     before = all_checksums(base_model.params)
@@ -324,7 +314,7 @@ def adapt_prefix(
             raise ConfigurationError(f"prefix adaptation modified frozen group {group}")
     return _build_model(
         base_model.backend, params, config, synthetic, kind="prefix",
-        parent=base_model.artifact_id, extra={"prefix_dim": prefix_dim},
+        parent=base_model.artifact_id,
     )
 
 
@@ -432,43 +422,6 @@ def stratified_downsample(
             chosen.extend(members[i] for i in picked)
     chosen.sort()
     return [data[i] for i in chosen]
-
-
-# --- transformer-scale prefix budget -------------------------------------
-
-
-@dataclass(frozen=True)
-class TransformerShape:
-    """Shape facts needed to size a prefix block for a transformer backend."""
-
-    num_layers: int
-    hidden_dim: int
-    full_finetune_params: int
-
-
-# 12-layer, 768-wide encoder; full fine-tuning moves ~130M parameters.
-REFERENCE_TRANSFORMER = TransformerShape(
-    num_layers=12, hidden_dim=768, full_finetune_params=130_000_000
-)
-
-PREFIX_EMBED_DIM = 512
-PREFIX_PARAM_BUDGET = 7_000_000
-
-
-def prefix_parameter_count(
-    shape: TransformerShape, prefix_length: int, embed_dim: int = PREFIX_EMBED_DIM
-) -> int:
-    """Trainable parameters of per-layer key/value prefix blocks."""
-    return 2 * shape.num_layers * prefix_length * embed_dim
-
-
-def default_prefix_length(
-    shape: TransformerShape,
-    embed_dim: int = PREFIX_EMBED_DIM,
-    budget: int = PREFIX_PARAM_BUDGET,
-) -> int:
-    """Prefix length whose parameter count lands nearest the budget."""
-    return round(budget / (2 * shape.num_layers * embed_dim))
 
 
 # --- artifact IO ---------------------------------------------------------

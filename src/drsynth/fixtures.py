@@ -42,6 +42,9 @@ from .taxonomy import (
 
 SOURCE_DOMAIN = "SRC"
 
+# Share of source fixture pairs marked intra-sentential.
+INTRA_RATE = 0.15
+
 # (train, dev) counts per training label in the source fixture.
 SOURCE_LABEL_COUNTS: Mapping[str, tuple[int, int]] = {
     "conjunction": (3584, 298),
@@ -119,9 +122,9 @@ def _sentence(rng: random.Random, marker: str | None = None) -> str:
 
 
 def _labeled_instance(
-    rng: random.Random, label: RelationLabel, domain: str, doc_id: str, intra_rate: float
+    rng: random.Random, label: RelationLabel, domain: str, doc_id: str
 ) -> LabeledInstance:
-    adjacency = Adjacency.INTRA if rng.random() < intra_rate else Adjacency.INTER
+    adjacency = Adjacency.INTRA if rng.random() < INTRA_RATE else Adjacency.INTER
     pair = ArgumentPair(
         arg1=_sentence(rng),
         arg2=_sentence(rng, marker_token(label)),
@@ -135,7 +138,6 @@ def build_source_corpus(
     path: str | Path,
     counts: Mapping[str, tuple[int, int]] = SOURCE_LABEL_COUNTS,
     seed: int = 0,
-    intra_rate: float = 0.15,
 ) -> None:
     """Write a source-annotated fixture; train in sections 3-20, dev in 1-2."""
     rng = random.Random(seed)
@@ -148,9 +150,8 @@ def build_source_corpus(
             for i in range(n):
                 serial += 1
                 section = section_list[i % len(section_list)]
-                inst = _labeled_instance(
-                    rng, label, SOURCE_DOMAIN, f"src_{section:02d}{serial:05d}", intra_rate
-                )
+                doc_id = f"src_{section:02d}{serial:05d}"
+                inst = _labeled_instance(rng, label, SOURCE_DOMAIN, doc_id)
                 records.append(source_record(inst, section))
     write_records(records, path)
 
@@ -250,8 +251,9 @@ def make_raw_documents(
     return docs
 
 
-def tiny_source_counts(train_per_label: int = 14, dev_per_label: int = 3) -> dict[str, tuple[int, int]]:
-    return {name: (train_per_label, dev_per_label) for name in SOURCE_LABEL_COUNTS}
+def tiny_source_counts() -> dict[str, tuple[int, int]]:
+    """14 train and 3 dev records per training label."""
+    return {name: (14, 3) for name in SOURCE_LABEL_COUNTS}
 
 
 def tiny_target_counts(per_domain: int = 1) -> dict[str, tuple[int, int, int]]:
@@ -259,16 +261,12 @@ def tiny_target_counts(per_domain: int = 1) -> dict[str, tuple[int, int, int]]:
     return {name: (per_domain, per_domain, per_domain) for name in labels}
 
 
-def example_pool(
-    domains: Sequence[str] = DEFAULT_DOMAINS,
-    include_similarity: bool = True,
-    seed: int = 3,
-) -> list[InContextExample]:
-    """One in-context example per (domain, generation label)."""
-    rng = random.Random(seed)
+def example_pool(domains: Sequence[str] = DEFAULT_DOMAINS) -> list[InContextExample]:
+    """One in-context example per (domain, generation label, similarity included)."""
+    rng = random.Random(3)
     pool = []
     for domain in domains:
-        for label in generation_label_set(include_similarity=include_similarity):
+        for label in generation_label_set(include_similarity=True):
             pool.append(
                 InContextExample(
                     arg1=_sentence(rng),

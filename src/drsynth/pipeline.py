@@ -201,15 +201,26 @@ class PipelineError(ConfigurationError):
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Flat ``key = value`` config with JSON-typed values and includes."""
-    path = Path(path)
+    return _parse_config(Path(path), ())
+
+
+def _parse_config(path: Path, including: tuple[Path, ...]) -> dict[str, object]:
+    """``parse_config_file`` of ``path``, included from the resolved files in ``including``."""
+    resolved = path.resolve()
+    if resolved in including:
+        raise ConfigurationError(f"{path}: include cycle")
+    try:
+        text = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     values: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("include "):
             include = (path.parent / line.split(None, 1)[1]).resolve()
-            values.update(parse_config_file(include))
+            values.update(_parse_config(include, (*including, resolved)))
             continue
         key, sep, raw = line.partition("=")
         if not sep:
@@ -247,9 +258,35 @@ class PipelineConfig:
         return self.values[key]
 
     def validate(self) -> None:
+        # ahead of the type check, so that any value outside (0, 1] gets the range message
+        threshold = self.get("evaluation.vote_threshold")
+        if not isinstance(threshold, (int, float)) or not 0 < threshold <= 1:
+            raise ConfigurationError("evaluation.vote_threshold must be a number in (0, 1]")
+        for key, default in DEFAULTS.items():
+            value = self.get(key)
+            if default is not None and not _has_type_of(value, default):
+                raise ConfigurationError(
+                    f"{key} = {json.dumps(value)} does not have the type of {json.dumps(default)}"
+                )
+        choice = self.get("generation.connective_choice")
+        if not (choice is None or (type(choice) is int and choice in (0, 1))):
+            raise ConfigurationError(
+                f"generation.connective_choice must be null, 0 or 1, got {json.dumps(choice)}"
+            )
         seeds = self.get("seeds")
-        if not isinstance(seeds, list) or not seeds:
+        if not seeds:
             raise ConfigurationError("seeds must be a non-empty list")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {json.dumps(seeds)}")
+        fixture_specs = {
+            spec for spec in (self.get(f"data.{kind}") for kind in _CORPORA)
+            if spec.startswith("fixtures:")
+        }
+        # one fixtures stage builds every corpus at one size
+        if len(fixture_specs) > 1 or not fixture_specs <= {"fixtures:tiny", "fixtures:full"}:
+            raise ConfigurationError(
+                f"fixture specs must be all fixtures:tiny or all fixtures:full: {sorted(fixture_specs)}"
+            )
         for method in self.get("adaptation.methods"):
             if method not in _VALID_METHODS:
                 raise ConfigurationError(f"unknown adaptation method {method!r}")
@@ -267,14 +304,20 @@ class PipelineConfig:
             # only the strict screen drops every similarity candidate (the classifier never
             # predicts similarity); adaptation trains on the training labels alone
             raise ConfigurationError("generation.include_similarity needs screening.kind strict")
-        threshold = self.get("evaluation.vote_threshold")
-        if not isinstance(threshold, (int, float)) or not 0 < threshold <= 1:
-            raise ConfigurationError("evaluation.vote_threshold must be a number in (0, 1]")
         EvalProtocol(self.get("evaluation.protocol"))
         SplitSpec.parse(str(self.get("data.split")))
 
     def snapshot(self) -> dict[str, object]:
         return dict(sorted(self.values.items()))
+
+
+def _has_type_of(value: object, default: object) -> bool:
+    """Whether ``value`` has the JSON type of ``default``; a bool is not a number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type_of(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def _digest_bytes(payload: bytes) -> str:
@@ -501,9 +544,10 @@ def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
     base = {seed: path(f"models/base-seed{seed}") for seed in seeds}
 
     table: list[Stage] = []
-    if any(spec.startswith("fixtures:") for spec in specs.values()):
+    fixture_keys = [f"data.{kind}" for kind, spec in specs.items() if spec.startswith("fixtures:")]
+    if fixture_keys:  # validate made every fixture spec name one size
         table.append(Stage(
-            "fixtures", ("data.source", "data.fixture_seed", "domains"), {},
+            "fixtures", (fixture_keys[0], "data.fixture_seed", "domains"), {},
             {kind: path(f"data/{kind}.jsonl") for kind in _CORPORA}, _fixtures,
         ))
     table.append(Stage(
@@ -650,7 +694,7 @@ def run_experiment(
 def _fixtures(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     seed = int(cfg["data.fixture_seed"])
     out = stage.outputs
-    if str(cfg["data.source"]) == "fixtures:full":
+    if cfg[stage.config_keys[0]] == "fixtures:full":  # the first data.* key with a fixture spec
         fixtures.build_source_corpus(out["source"], seed=seed)
         fixtures.build_target_corpus(out["target"], seed=seed + 1)
         docs_per_domain, sentences_per_doc = 8, 60

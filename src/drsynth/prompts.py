@@ -215,8 +215,3 @@ def select_example(
         raise LabelError(f"no in-context example for label {label}")
     index = _stable_choice(len(candidates), seed, "example", domain, label.level2)
     return candidates[index]
-
-
-def load_golden_prompt(path: str) -> str:
-    with open(path, encoding="utf-8", newline="") as handle:
-        return handle.read()

@@ -315,9 +315,7 @@ def ingest_source_corpus(
     return SourceIngest(train=train, dev=dev, dropped=dropped)
 
 
-def ingest_target_corpus(
-    path: str | Path, annotators: int = ANNOTATORS_PER_ITEM
-) -> list[CrowdAnnotatedInstance]:
+def ingest_target_corpus(path: str | Path) -> list[CrowdAnnotatedInstance]:
     """Load crowd-annotated records, excluding no-relation-majority items."""
     instances: list[CrowdAnnotatedInstance] = []
     excluded = 0
@@ -337,9 +335,7 @@ def ingest_target_corpus(
                 doc_id=str(record["doc_id"]),
                 adjacency=Adjacency(record.get("adjacency", "inter")),
             )
-            instance = CrowdAnnotatedInstance.from_votes(
-                pair, votes, str(record["domain"]), annotators=annotators
-            )
+            instance = CrowdAnnotatedInstance.from_votes(pair, votes, str(record["domain"]))
         except ValueError as exc:
             raise CorpusFormatError(f"{where}: {exc}") from exc
         if majority_label(instance) is NO_RELATION:

@@ -240,10 +240,6 @@ def default_confusion_map() -> ConfusionMap:
     return parse_confusion_map(_read_resource("confusion.txt"))
 
 
-def confusion_of(label: RelationLabel, cmap: ConfusionMap) -> RelationLabel:
-    return cmap.confusion_of(label)
-
-
 def derive_confusion_map(
     matrix: Mapping[RelationLabel, Mapping[RelationLabel, int]],
 ) -> ConfusionMap:
@@ -301,10 +297,10 @@ class FrequencyTable:
 RARE_THRESHOLD = 0.05
 
 
-def is_rare(label: RelationLabel, freq: FrequencyTable, threshold: float = RARE_THRESHOLD) -> bool:
-    """True when the label's share is strictly below the threshold.
+def is_rare(label: RelationLabel, freq: FrequencyTable) -> bool:
+    """True when the label's share is strictly below ``RARE_THRESHOLD``.
 
     The threshold is interpreted as a decimal literal, so a share of exactly
     5% is not rare.
     """
-    return freq.fraction(label) < Fraction(str(threshold))
+    return freq.fraction(label) < Fraction(str(RARE_THRESHOLD))

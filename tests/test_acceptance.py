@@ -20,15 +20,11 @@ from drsynth import fixtures
 from drsynth.adaptation import (
     LossKind,
     LossSpec,
-    PREFIX_PARAM_BUDGET,
-    REFERENCE_TRANSFORMER,
     TrainingConfig,
     adapt_ce,
     adapt_invariance,
     adapt_prefix,
     all_checksums,
-    default_prefix_length,
-    prefix_parameter_count,
     stratified_downsample,
     train_base,
 )
@@ -48,7 +44,6 @@ from drsynth.prompts import (
     InContextExample,
     PromptTemplateKind,
     load_definitions,
-    load_golden_prompt,
     render_dc_prompt,
     render_dr_prompt,
 )
@@ -58,7 +53,6 @@ from drsynth.reference_backend import ReferenceBackend
 from drsynth.screening import ScreenKind, SyntheticInstance, screen_batch
 from drsynth.taxonomy import (
     FrequencyTable,
-    confusion_of,
     default_confusion_map,
     generation_label_set,
     resolve_label,
@@ -158,7 +152,7 @@ def test_screening_monotonicity_and_confusion_entries():
         cmap = default_confusion_map()
         assert len(cmap.entries) == 15
         for intended, confused in table6.items():
-            assert confusion_of(resolve_label(intended), cmap).level2 == confused
+            assert cmap.confusion_of(resolve_label(intended)).level2 == confused
 
         labels = training_label_set()
         freq = FrequencyTable(
@@ -213,7 +207,7 @@ def test_prompt_golden_files():
             dc_example,
             choice=1,
         )
-        assert dc.text == load_golden_prompt(GOLDEN / "dc_prompt.txt")
+        assert dc.text == (GOLDEN / "dc_prompt.txt").read_bytes().decode("utf-8")
         assert dc.connective == "Therefore,"
 
         dr_example = InContextExample(
@@ -230,7 +224,7 @@ def test_prompt_golden_files():
             load_definitions()[resolve_label("conjunction")],
             dr_example,
         )
-        assert dr.text == load_golden_prompt(GOLDEN / "dr_prompt.txt")
+        assert dr.text == (GOLDEN / "dr_prompt.txt").read_bytes().decode("utf-8")
     assert watch.elapsed < 1.0
     _report("prompt golden files (both panels byte-for-byte)", watch)
 
@@ -320,7 +314,7 @@ def adaptation_setup(tmp_path_factory):
 
 
 def test_adaptation_contracts(adaptation_setup):
-    """Frozen base, lambda-0 identity, gradient check, prefix budget."""
+    """Frozen base, lambda-0 identity, gradient check."""
     base, train, synthetic = adaptation_setup
     with Stopwatch() as watch:
         # (a) prefix adaptation leaves base parameter checksums unchanged
@@ -386,14 +380,9 @@ def test_adaptation_contracts(adaptation_setup):
             analytic = grads[key].ravel()[index]
             denom = max(abs(analytic), abs(numeric), 1e-8)
             assert abs(analytic - numeric) / denom <= 1e-4
-
-        # (d) prefix parameter count within 10% of the 7M budget
-        length = default_prefix_length(REFERENCE_TRANSFORMER)
-        count = prefix_parameter_count(REFERENCE_TRANSFORMER, length)
-        assert abs(count - PREFIX_PARAM_BUDGET) / PREFIX_PARAM_BUDGET <= 0.10
     assert watch.elapsed < 120.0
     _report(
-        "adaptation contracts (frozen base, lambda-0 identity, gradients, 7M budget)",
+        "adaptation contracts (frozen base, lambda-0 identity, gradients)",
         watch,
     )
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from drsynth import fixtures
 from drsynth.adaptation import ConfigurationError
 from drsynth.cli import main
 from drsynth.generation import BackendDescriptor, HTTPBackend, TransportError
@@ -118,6 +119,17 @@ class TestConfigParsing:
             PipelineConfig.from_mapping({"seeds": []})
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_mapping({"generation.template": "XYZ"})
+
+    def test_fixture_target_beside_file_corpora_is_built_at_its_own_size(
+        self, tiny_corpus_dir, tmp_path
+    ):
+        workdir = tmp_path / "run"
+        corpora = _file_corpora(tiny_corpus_dir)
+        config = _config(workdir, **{**corpora, "data.target": "fixtures:full"})
+        assert stages(config, workdir)[0].config_keys == ("data.target", "data.fixture_seed", "domains")
+        run_experiment(config, kinds={"fixtures"})
+        rows = (workdir / "data/target.jsonl").read_bytes().count(b"\n")
+        assert rows == sum(map(sum, fixtures.TARGET_LABEL_COUNTS.values())) + 25
 
 
 @pytest.fixture(scope="module")
@@ -390,10 +402,29 @@ class TestCli:
         assert payload["train"] == 210
         assert payload["dev"] == 28
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
+        b"unknown.key = 1",
+        b"include bad.cfg",  # an include cycle
+        b"seeds = [1]\n\xff",  # not UTF-8
+        b'seeds = ["a"]',
+        b'base.epochs = "x"',
+        b"seeds = [1, 1]",
+        b"seeds = [1.5]",
+        b"seeds = [true]",
+        b'domains = "EP"',
+        b"adaptation.epochs = false",
+        b"generation.connective_choice = 2",
+        b"generation.connective_choice = true",
+        b'data.target = "fixtures:bogus"',
+        b'data.target = "fixtures:full"',  # beside the default fixtures:tiny source
+    ])
+    def test_bad_config_exit_code(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("unknown.key = 1\n")
+        cfg.write_bytes(f'workdir = "{tmp_path / "work"}"\n'.encode() + line + b"\n")
         assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "work").exists()
 
     def test_dry_run_prints_plan(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

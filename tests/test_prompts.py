@@ -7,7 +7,6 @@ from drsynth.prompts import (
     InContextExample,
     PromptError,
     load_definitions,
-    load_golden_prompt,
     pick_connective,
     render_dc_prompt,
     render_dr_prompt,
@@ -46,7 +45,7 @@ def test_dc_prompt_matches_golden_bytes():
     prompt = render_dc_prompt(
         FIG_DC_ARG1, resolve_label("cause"), FIG_DC_EXAMPLE, choice=1
     )
-    assert prompt.text == load_golden_prompt(GOLDEN / "dc_prompt.txt")
+    assert prompt.text == (GOLDEN / "dc_prompt.txt").read_bytes().decode("utf-8")
     assert prompt.connective == "Therefore,"
 
 
@@ -58,7 +57,7 @@ def test_dr_prompt_matches_golden_bytes():
         definitions[resolve_label("conjunction")],
         FIG_DR_EXAMPLE,
     )
-    assert prompt.text == load_golden_prompt(GOLDEN / "dr_prompt.txt")
+    assert prompt.text == (GOLDEN / "dr_prompt.txt").read_bytes().decode("utf-8")
 
 
 def test_dc_rendering_is_deterministic():

@@ -9,7 +9,6 @@ from drsynth.taxonomy import (
     LabelError,
     RelationLabel,
     all_labels,
-    confusion_of,
     default_confusion_map,
     default_connective_map,
     derive_confusion_map,
@@ -129,7 +128,7 @@ def test_bundled_confusion_map_matches_expected_entries():
     cmap = default_confusion_map()
     assert len(cmap.entries) == 15
     for intended, confused in EXPECTED_CONFUSION.items():
-        assert confusion_of(resolve_label(intended), cmap).level2 == confused
+        assert cmap.confusion_of(resolve_label(intended)).level2 == confused
 
 
 def test_confusion_map_never_maps_to_itself():
@@ -143,7 +142,7 @@ def test_confusion_map_never_maps_to_itself():
 def test_confusion_of_missing_entry_errors():
     cmap = default_confusion_map()
     with pytest.raises(LabelError):
-        confusion_of(resolve_label("disjunction"), cmap)
+        cmap.confusion_of(resolve_label("disjunction"))
 
 
 def _matrix_from(rows):
@@ -211,7 +210,7 @@ def test_is_rare_reference_ratios():
 def test_is_rare_exact_boundary_is_not_rare():
     freq = _freq_from_counts({"cause": 50, "conjunction": 950})
     assert freq.fraction(resolve_label("cause")) == Fraction(1, 20)
-    assert not is_rare(resolve_label("cause"), freq, threshold=0.05)
+    assert not is_rare(resolve_label("cause"), freq)
 
 
 def test_is_rare_missing_label_errors():
@@ -254,5 +253,5 @@ def test_maps_load_from_edited_config_files(tmp_path):
     confusion = tmp_path / "confusion.txt"
     confusion.write_text("cause -> contrast\ncontrast -> cause\n")
     loaded = load_confusion_map(str(confusion))
-    assert confusion_of(resolve_label("cause"), loaded) == resolve_label("contrast")
+    assert loaded.confusion_of(resolve_label("cause")) == resolve_label("contrast")
     assert len(loaded.entries) == 2
