@@ -16,6 +16,12 @@ Four ways to move a source-trained classifier toward target-domain data:
   ce          plain continued training (the lam=0 degenerate case of
               invariance, kept as its own entry point)
 
+Every regime trains on a ``TrainingSet``: the rows' CSR features, their
+label ids and the byte stream a model manifest's ``data_fingerprint``
+hashes. A pool becomes one through the backend's feature memo
+(``training_set``); a data file's rows are featurized once and may come
+from a feature side file, so a re-run need not parse or featurize them.
+
 Plus the domain-mixed utilities: domain-token prepending and stratified
 downsampling with largest-remainder apportionment.
 """
@@ -37,9 +43,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .records import ArgumentPair, LabeledInstance, write_json
-from .reference_backend import PARAMETER_GROUPS, Params, ReferenceBackend, group_keys
-from .taxonomy import RelationLabel, resolve_label
+from .records import Adjacency, ArgumentPair, LabeledInstance, write_json
+from .reference_backend import PARAMETER_GROUPS, Features, Params, ReferenceBackend, group_keys
+from .taxonomy import FrequencyTable, RelationLabel, resolve_label
 
 logger = logging.getLogger(__name__)
 
@@ -124,13 +130,82 @@ def all_checksums(params: Params) -> dict[str, str]:
     return {group: group_checksum(params, group) for group in PARAMETER_GROUPS}
 
 
-def data_fingerprint(instances: Sequence) -> str:
-    digest = hashlib.sha256()
-    for inst in instances:
-        parts = [inst.pair.arg1, inst.pair.arg2, _instance_label(inst).level2, inst.domain]
-        digest.update("\x1f".join(parts).encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
+@dataclass(frozen=True)
+class TrainingSet:
+    """Featurized training rows, in order: all that training and a model manifest read.
+
+    ``x`` holds one CSR row per instance, ``y`` the index of its label in the
+    backend's label order, ``inter`` whether its pair is inter-sentential, and
+    ``fingerprint`` the UTF-8 of ``arg1 US arg2 US label US domain RS`` per row
+    (US and RS the ASCII unit and record separators), whose sha256 is the
+    manifest's ``data_fingerprint``.
+    """
+
+    x: sparse.csr_array
+    y: np.ndarray
+    inter: np.ndarray
+    fingerprint: bytes
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __add__(self, other: "TrainingSet") -> "TrainingSet":
+        """These rows, then ``other``'s."""
+        return TrainingSet(
+            sparse.vstack([self.x, other.x], format="csr"),
+            np.concatenate([self.y, other.y]),
+            np.concatenate([self.inter, other.inter]),
+            self.fingerprint + other.fingerprint,
+        )
+
+    @property
+    def digest(self) -> str:
+        return hashlib.sha256(self.fingerprint).hexdigest()
+
+
+def training_set(instances: Sequence, backend: ReferenceBackend, memo: bool = True) -> TrainingSet:
+    """The instances as a ``TrainingSet``, featurized by ``featurize_pairs`` (``memo``)
+    or, for the rows of a data file, by ``featurize_rows``.
+
+    A label outside the backend's label set raises ``ConfigurationError``.
+    """
+    labels = [_instance_label(inst) for inst in instances]
+    try:
+        y = np.array([backend.label_index[label] for label in labels], dtype=np.int64)
+    except KeyError as exc:
+        raise ConfigurationError(f"label {exc.args[0]} outside the training label set") from None
+    pairs = [inst.pair for inst in instances]
+    x = (backend.featurize_pairs if memo else backend.featurize_rows)(pairs)
+    inter = np.array([pair.adjacency is Adjacency.INTER for pair in pairs], dtype=bool)
+    fingerprint = "".join(
+        f"{inst.pair.arg1}\x1f{inst.pair.arg2}\x1f{label.level2}\x1f{inst.domain}\x1e"
+        for inst, label in zip(instances, labels)
+    )
+    return TrainingSet(x, y, inter, fingerprint.encode("utf-8"))
+
+
+def frequency_table(
+    train: TrainingSet, labels: Sequence[RelationLabel], scope: str = "inter-sentential-only"
+) -> FrequencyTable:
+    """Label frequency table over a training slice; ``labels`` are the ids' labels.
+
+    With the default scope only inter-sentential pairs are counted, which is
+    the reference used to call a label rare.
+    """
+    if scope == "inter-sentential-only":
+        ids = train.y[train.inter]
+    elif scope == "all":
+        ids = train.y
+    else:
+        raise ValueError(f"unknown frequency scope {scope!r}")
+    if not ids.size:
+        raise ValueError("no instances in scope for frequency table")
+    counts = np.bincount(ids, minlength=len(labels))
+    return FrequencyTable(
+        counts={labels[i]: int(n) for i, n in enumerate(counts) if n},
+        total=int(ids.size),
+        scope=scope,
+    )
 
 
 def _artifact_id(manifest: dict, params: Params) -> str:
@@ -149,10 +224,10 @@ def _instance_label(inst) -> RelationLabel:
 def _train_loop(
     backend: ReferenceBackend,
     params: Params,
-    data: Sequence,
+    data: TrainingSet,
     config: TrainingConfig,
     trainable_groups: Sequence[str],
-    real_reference: Sequence | None = None,
+    real_reference: TrainingSet | None = None,
 ) -> Params:
     """Full-batch gradient descent; one step per epoch along ``descent_direction``.
 
@@ -173,11 +248,6 @@ def _train_loop(
     """
     if not data:
         raise ConfigurationError("training data must be non-empty")
-    for inst in data:
-        if _instance_label(inst) not in backend.label_index:
-            raise ConfigurationError(
-                f"label {_instance_label(inst)} outside the training label set"
-            )
     lam = config.loss.effective_lambda
     use_iv = lam > 0.0
     if use_iv and not real_reference:
@@ -185,11 +255,7 @@ def _train_loop(
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
-    shuffled = [data[i] for i in order]
-    x = backend.featurize_pairs([inst.pair for inst in shuffled])
-    y = np.array([backend.label_index[_instance_label(inst)] for inst in shuffled])
-    if use_iv:
-        x_real_all = backend.featurize_pairs([inst.pair for inst in real_reference])
+    x, y = data.x[order], data.y[order]
 
     params = backend.copy_params(params)
     params["encoder.W"] = np.asfortranarray(params["encoder.W"])
@@ -198,10 +264,10 @@ def _train_loop(
     x_domain = domain = None
     for _ in range(config.epochs):
         if use_iv:
-            take = min(len(shuffled), len(real_reference))
+            take = min(len(data), len(real_reference))
             picked = rng.choice(len(real_reference), size=take, replace=False)
-            x_domain = sparse.vstack([x, x_real_all[picked]], format="csr")
-            domain = np.concatenate([np.ones(len(shuffled)), np.zeros(take)])
+            x_domain = sparse.vstack([x, real_reference.x[picked]], format="csr")
+            domain = np.concatenate([np.ones(len(data)), np.zeros(take)])
         _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain, x_t)
         for key in update_keys:
             params[key] -= config.learning_rate * direction[key]
@@ -213,7 +279,7 @@ def _build_model(
     backend: ReferenceBackend,
     params: Params,
     config: TrainingConfig,
-    data: Sequence,
+    data: TrainingSet,
     kind: str,
     parent: str = "",
     extra: dict | None = None,
@@ -223,7 +289,7 @@ def _build_model(
         "backend": backend.name,
         "labels": [label.level2 for label in backend.labels],
         "config": config.snapshot(),
-        "data_fingerprint": data_fingerprint(data),
+        "data_fingerprint": data.digest,
         "n_instances": len(data),
         "parent": parent,
     }
@@ -235,7 +301,7 @@ def _build_model(
 
 
 def train_base(
-    train: Sequence[LabeledInstance],
+    train: TrainingSet,
     dev: Sequence[LabeledInstance],
     config: TrainingConfig,
     backend: ReferenceBackend,
@@ -260,15 +326,19 @@ def batch_predict(
     pairs: Sequence[ArgumentPair],
     domain_tokens: Sequence[str | None] | None = None,
 ) -> tuple[list[RelationLabel], np.ndarray]:
-    x = model.backend.featurize_pairs(pairs, domain_tokens)
+    return predict_features(model, model.backend.featurize_pairs(pairs, domain_tokens))
+
+
+def predict_features(model: Model, x: Features) -> tuple[list[RelationLabel], np.ndarray]:
+    """``batch_predict`` of rows already featurized."""
     scores = model.backend.score_matrix(model.params, x)
     indices = scores.argmax(axis=1)
     return [model.labels[int(i)] for i in indices], scores
 
 
 def adapt_concat(
-    source: Sequence[LabeledInstance],
-    synthetic: Sequence,
+    source: TrainingSet,
+    synthetic: TrainingSet,
     config: TrainingConfig,
     backend: ReferenceBackend,
 ) -> Model:
@@ -277,7 +347,7 @@ def adapt_concat(
     With an empty synthetic pool this is exactly train_base under the same
     seed; the manifest keeps per-provenance counts for the record.
     """
-    combined = list(source) + list(synthetic)
+    combined = source + synthetic
     rng = np.random.default_rng(config.seed)
     params = _train_loop(backend, backend.init_params(rng), combined, config, ("encoder", "head"))
     extra = {
@@ -287,7 +357,7 @@ def adapt_concat(
     return _build_model(backend, params, config, combined, kind="concat", extra=extra)
 
 
-def adapt_ce(base_model: Model, data: Sequence, config: TrainingConfig) -> Model:
+def adapt_ce(base_model: Model, data: TrainingSet, config: TrainingConfig) -> Model:
     """Continue training the base classifier on new data with plain CE."""
     if config.loss.effective_lambda != 0.0:
         raise ConfigurationError("adapt_ce is cross-entropy only; use adapt_invariance")
@@ -302,7 +372,7 @@ def adapt_ce(base_model: Model, data: Sequence, config: TrainingConfig) -> Model
 _FROZEN_BY_PREFIX = ("encoder", "head", "discriminator")
 
 
-def adapt_prefix(base_model: Model, synthetic: Sequence, config: TrainingConfig) -> Model:
+def adapt_prefix(base_model: Model, synthetic: TrainingSet, config: TrainingConfig) -> Model:
     """Prefix-only adaptation; every non-prefix group stays bit-identical."""
     if any(group != "prefix" for group in config.trainable_groups):
         raise ConfigurationError("prefix adaptation trains only the prefix group")
@@ -320,8 +390,8 @@ def adapt_prefix(base_model: Model, synthetic: Sequence, config: TrainingConfig)
 
 def adapt_invariance(
     base_model: Model,
-    synthetic: Sequence,
-    real_reference: Sequence[LabeledInstance],
+    synthetic: TrainingSet,
+    real_reference: TrainingSet,
     config: TrainingConfig,
 ) -> Model:
     """Continue training on CE minus lam times the invariance term.

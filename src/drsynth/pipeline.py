@@ -18,7 +18,7 @@ The stage table, in order (``S`` ranges over ``seeds``, ``V`` over the
 ``adaptation.methods`` x ``adaptation.domain_modes`` variants), with the
 outputs under the workdir:
 
-  fixtures               data/{source,target,raw}.jsonl (``fixtures:`` corpora only)
+  fixtures               data/{source,target,raw}.jsonl (only the ``fixtures:`` corpora)
   ingest                 data/{train,dev,eval,raw-canonical}.jsonl
   train-base:seedS       models/base-seedS/ (with dev-confusion.json)
   generate               synthetic/candidates.jsonl (unless every method is pseudo)
@@ -36,9 +36,10 @@ invariance continue the base model at the ``adaptation.*`` settings.
 
 ``run-manifest.json`` records each stage's digests and wall clock. Side
 files, named beside a declared output and outside every digest:
-``synthetic/cache.jsonl``, ``failures.json`` and ``generation-stats.json``
-beside the candidates, and ``screening-report.txt`` and
-``screening-meta.json`` beside the report.
+``data/train-features.npz`` and ``data/eval-features.npz`` beside the train
+and eval rows (see ``feature_files``), ``synthetic/cache.jsonl``,
+``failures.json`` and ``generation-stats.json`` beside the candidates, and
+``screening-report.txt`` and ``screening-meta.json`` beside the report.
 
 Everything the stages of one run share lives in one ``Store``, made by a
 non-dry run and dropped with it, so a workdir edited between runs is
@@ -50,7 +51,11 @@ its action runs. Every stage featurizes through the store's one
 ``ReferenceBackend``, parses each canonical ``data/`` file and the screened
 and pseudo-labeled pools once per content digest (``ingest`` hands over
 the rows it writes), and shares each eval item's gold set and majority
-label per eval digest and vote threshold. A non-dry run holds an exclusive
+label per eval digest and vote threshold. The train rows and the eval
+features come from the store as matrices: from the side files ``ingest``
+wrote when their stamps match, or else parsed and featurized in memory,
+so a run that skips ``ingest`` parses no train row and featurizes no row
+of either file. A non-dry run holds an exclusive
 ``flock`` on the workdir directory; a second writer fails with
 ``PipelineError`` (CLI exit 2) before it touches the workdir.
 """
@@ -70,23 +75,29 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
+from scipy import sparse
+
 from . import fixtures
 from .adaptation import (
     ConfigurationError,
     LossKind,
     LossSpec,
     TrainingConfig,
+    TrainingSet,
     adapt_concat,
     adapt_invariance,
     adapt_prefix,
     batch_predict,
     domain_token_literal,
+    frequency_table,
     load_model,
+    predict_features,
     prepend_domain_token,
     remove_artifact,
     save_model,
     stratified_downsample,
     train_base,
+    training_set,
 )
 from .evaluation import (
     EvalProtocol,
@@ -101,6 +112,13 @@ from .evaluation import (
     results_tsv,
     score,
     t_test,
+)
+from .feature_files import (
+    features_path,
+    read_eval_features,
+    read_training_set,
+    write_eval_features,
+    write_training_set,
 )
 from .generation import (
     Backend,
@@ -119,13 +137,13 @@ from .pseudo_label import (
 )
 from .records import (
     CrowdAnnotatedInstance,
+    LabeledInstance,
     SplitSpec,
     gold_label_set,
     ingest_raw_corpus,
     ingest_source_corpus,
     ingest_target_corpus,
     majority_label,
-    frequency_table_from_instances,
     source_record,
     target_record,
     write_json,
@@ -469,9 +487,10 @@ _MODEL_NAMES = {"concat": "base+syn", "prefix": "base>syn", "invariance": "base>
 
 
 class EvalItem(NamedTuple):
-    """One eval instance with its gold label set and majority label."""
+    """One eval instance, its row in the eval file, its gold label set and majority label."""
 
     instance: CrowdAnnotatedInstance
+    row: int
     gold: frozenset[RelationLabel]
     majority: RelationLabel
 
@@ -489,6 +508,8 @@ class Store:
         self._parsed: dict[tuple[Path, Callable], tuple[str, object]] = {}
         # (eval file digest, vote threshold) -> each domain's eval items
         self._gold: dict[tuple[str, float], dict[str, list[EvalItem]]] = {}
+        # (eval file digest, tagged) -> the eval rows' features in file order
+        self._eval_x: dict[tuple[str, bool], sparse.csr_array] = {}
 
     def digest(self, path: Path) -> str:
         """``digest_path`` of a declared path, memoized until ``forget`` drops it."""
@@ -518,12 +539,57 @@ class Store:
         key = (self.digest(path), threshold)
         if key not in self._gold:
             by_domain: dict[str, list[EvalItem]] = {}
-            for inst in self.read(path, ingest_target_corpus):
+            for row, inst in enumerate(self.read(path, ingest_target_corpus)):
                 by_domain.setdefault(inst.domain, []).append(EvalItem(
-                    inst, frozenset(gold_label_set(inst, threshold)), majority_label(inst)
+                    inst, row, frozenset(gold_label_set(inst, threshold)), majority_label(inst)
                 ))
             self._gold[key] = by_domain
         return self._gold[key]
+
+    # The side files: only ``ingest`` writes them, through the two ``keep_`` methods.
+
+    def training_set(self, path: Path) -> TrainingSet:
+        """The rows of a canonical train file as a ``TrainingSet``, once per content digest.
+
+        Read from the side file beside it when its stamps match; otherwise
+        parsed and featurized here, as ingest builds it. Callers must not
+        mutate it.
+        """
+        return self.read(path, self._training_set)
+
+    def _training_set(self, path: Path) -> TrainingSet:
+        train = read_training_set(features_path(path), self.digest(path), self.backend.feature_dim)
+        return train if train is not None else _file_training_set(_train_rows(path), self.backend)
+
+    def keep_training_set(self, path: Path, train: TrainingSet) -> None:
+        """Write the side file of the train file just written at ``path``, and cache ``train``."""
+        write_training_set(features_path(path), train, self.digest(path))
+        self.hand_over(path, self._training_set, train)
+
+    def eval_features(self, path: Path, tagged: bool) -> sparse.csr_array:
+        """The eval file's rows in file order, untagged or each tagged with its domain token.
+
+        Read from the side file beside it when its stamps match; otherwise
+        featurized here from the parsed rows, as ingest builds them.
+        """
+        digest = self.digest(path)
+        if (digest, tagged) not in self._eval_x:
+            stored = read_eval_features(features_path(path), digest, self.backend.feature_dim)
+            if stored is not None:
+                self._eval_x[(digest, False)], self._eval_x[(digest, True)] = stored
+            else:
+                rows = self.read(path, ingest_target_corpus)
+                self._eval_x[(digest, tagged)] = _eval_matrix(rows, self.backend, tagged)
+        return self._eval_x[(digest, tagged)]
+
+    def keep_eval_features(self, path: Path, rows: Sequence[CrowdAnnotatedInstance]) -> None:
+        """Featurize the eval rows just written at ``path``, write their side file and cache them."""
+        digest = self.digest(path)
+        for tagged in (False, True):
+            self._eval_x[(digest, tagged)] = _eval_matrix(rows, self.backend, tagged)
+        write_eval_features(
+            features_path(path), self._eval_x[(digest, False)], self._eval_x[(digest, True)], digest
+        )
 
 
 def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
@@ -544,11 +610,11 @@ def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
     base = {seed: path(f"models/base-seed{seed}") for seed in seeds}
 
     table: list[Stage] = []
-    fixture_keys = [f"data.{kind}" for kind, spec in specs.items() if spec.startswith("fixtures:")]
-    if fixture_keys:  # validate made every fixture spec name one size
+    built = [kind for kind, spec in specs.items() if spec.startswith("fixtures:")]
+    if built:  # validate made every fixture spec name one size
         table.append(Stage(
-            "fixtures", (fixture_keys[0], "data.fixture_seed", "domains"), {},
-            {kind: path(f"data/{kind}.jsonl") for kind in _CORPORA}, _fixtures,
+            "fixtures", (f"data.{built[0]}", "data.fixture_seed", "domains"), {},
+            {kind: corpora[kind] for kind in built}, _fixtures,
         ))
     table.append(Stage(
         "ingest", ("data.split",), corpora,
@@ -692,53 +758,55 @@ def run_experiment(
 
 
 def _fixtures(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
-    seed = int(cfg["data.fixture_seed"])
-    out = stage.outputs
-    if cfg[stage.config_keys[0]] == "fixtures:full":  # the first data.* key with a fixture spec
-        fixtures.build_source_corpus(out["source"], seed=seed)
-        fixtures.build_target_corpus(out["target"], seed=seed + 1)
-        docs_per_domain, sentences_per_doc = 8, 60
-    else:
-        fixtures.build_source_corpus(
-            out["source"], counts=fixtures.tiny_source_counts(), seed=seed
+    """Build the corpora whose ``data.*`` key names a fixture spec, and only those."""
+    seed, domains, out = int(cfg["data.fixture_seed"]), cfg["domains"], stage.outputs
+    full = cfg[stage.config_keys[0]] == "fixtures:full"  # the first data.* key with a fixture spec
+    if "source" in out:
+        counts = fixtures.SOURCE_LABEL_COUNTS if full else fixtures.tiny_source_counts()
+        fixtures.build_source_corpus(out["source"], counts=counts, seed=seed)
+    if "target" in out:
+        if full:
+            fixtures.build_target_corpus(out["target"], domains=domains, seed=seed + 1)
+        else:
+            fixtures.build_target_corpus(
+                out["target"],
+                counts=fixtures.tiny_target_counts(per_domain=4),
+                domains=domains,
+                seed=seed + 1,
+                no_relation_extra=3,
+            )
+    if "raw" in out:
+        docs_per_domain, sentences_per_doc = (8, 60) if full else (3, 16)
+        fixtures.build_raw_corpus(
+            out["raw"],
+            domains=domains,
+            docs_per_domain=docs_per_domain,
+            sentences_per_doc=sentences_per_doc,
+            seed=seed + 2,
         )
-        fixtures.build_target_corpus(
-            out["target"],
-            counts=fixtures.tiny_target_counts(per_domain=4),
-            domains=cfg["domains"],
-            seed=seed + 1,
-            no_relation_extra=3,
-        )
-        docs_per_domain, sentences_per_doc = 3, 16
-    fixtures.build_raw_corpus(
-        out["raw"],
-        domains=cfg["domains"],
-        docs_per_domain=docs_per_domain,
-        sentences_per_doc=sentences_per_doc,
-        seed=seed + 2,
-    )
 
 
 def _ingest(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     corpora, out = stage.inputs, stage.outputs
     ingest = ingest_source_corpus(corpora["source"], SplitSpec.parse(str(cfg["data.split"])))
     # canonicalized copies; sections riding along for round-trips. Each copy
-    # parses back to the rows it was written from, so they go to the cache.
-    for name, section, instances, parse in (
-        ("train", 0, ingest.train, _train_rows), ("dev", 1, ingest.dev, _dev_rows)
-    ):
+    # parses back to the rows it was written from, so they go to the cache;
+    # the train rows go there, and to their side file, as a TrainingSet.
+    for name, section, instances in (("train", 0, ingest.train), ("dev", 1, ingest.dev)):
         write_records((source_record(inst, section=section) for inst in instances), out[name])
-        store.hand_over(out[name], parse, instances)
+    store.hand_over(out["dev"], _dev_rows, ingest.dev)
+    store.keep_training_set(out["train"], _file_training_set(ingest.train, store.backend))
     target = ingest_target_corpus(corpora["target"])
     write_records((target_record(i) for i in target), out["eval"])
     store.hand_over(out["eval"], ingest_target_corpus, target)
+    store.keep_eval_features(out["eval"], target)
     docs = ingest_raw_corpus(corpora["raw"])
     write_raw_corpus(docs, out["raw"])
     store.hand_over(out["raw"], ingest_raw_corpus, docs)
 
 
 def _train_base(cfg: Mapping[str, object], stage: Stage, store: Store, seed: int) -> None:
-    train = store.read(stage.inputs["train"], _train_rows)
+    train = store.training_set(stage.inputs["train"])
     dev_set = store.read(stage.inputs["dev"], _dev_rows)
     config = TrainingConfig(
         epochs=int(cfg["base.epochs"]),
@@ -800,8 +868,8 @@ def _screen(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
         cmap = _confusion_map(str(cfg["screening.cmap"]), stage.inputs)
     if kind is ScreenKind.COMBI:
-        train = store.read(stage.inputs["train"], _train_rows)
-        freq = frequency_table_from_instances(train, scope=str(cfg["screening.freq_scope"]))
+        train = store.training_set(stage.inputs["train"])
+        freq = frequency_table(train, store.backend.labels, scope=str(cfg["screening.freq_scope"]))
     kept, report = screen_batch(candidates, predicted, kind, cmap, freq)
     write_synthetic_records(kept, stage.outputs["screened"])
     report_path = stage.outputs["report"]
@@ -848,9 +916,10 @@ def _adapt(
         trainable_groups=("prefix",) if method == "prefix" else ("encoder", "head"),
     )
     base = load_model(stage.inputs["base"], store.backend) if "base" in stage.inputs else None
-    train = store.read(stage.inputs["train"], _train_rows) if "train" in stage.inputs else []
+    train = store.training_set(stage.inputs["train"]) if "train" in stage.inputs else None
 
-    def adapt(target_data: list, out: str) -> None:
+    def adapt(instances: list, out: str) -> None:
+        target_data = training_set(instances, store.backend)
         if method == "prefix":
             model = adapt_prefix(base, target_data, config)
         elif method == "invariance":
@@ -893,14 +962,14 @@ def _evaluate(
     }
     protocol = EvalProtocol(cfg["evaluation.protocol"])
     eval_items = store.eval_items(stage.inputs["eval"], float(cfg["evaluation.vote_threshold"]))
+    features = store.eval_features(stage.inputs["eval"], tagged=mode == "mixed")
     reports: dict[str, dict] = {}
     prediction_rows: list[dict] = []
     for domain in domains:
         items = eval_items.get(domain)
         if not items:
             raise PipelineError(f"no evaluation items for domain {domain}")
-        tokens = [domain_token_literal(domain) if mode == "mixed" else None] * len(items)
-        predicted, _ = batch_predict(models[domain], [item.instance.pair for item in items], tokens)
+        predicted, _ = predict_features(models[domain], features[[item.row for item in items]])
         prediction_rows.extend(
             {**target_record(item.instance), "predicted": label.level2}
             for item, label in zip(items, predicted)
@@ -977,6 +1046,19 @@ def _train_rows(path: Path) -> list:
 
 def _dev_rows(path: Path) -> list:
     return ingest_source_corpus(path, _ALL_DEV).dev
+
+
+def _file_training_set(rows: Sequence[LabeledInstance], backend: ReferenceBackend) -> TrainingSet:
+    """The train file's rows as a ``TrainingSet``; file rows stay out of the feature memo."""
+    return training_set(rows, backend, memo=False)
+
+
+def _eval_matrix(
+    rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend, tagged: bool
+) -> sparse.csr_array:
+    """The eval rows' features, each tagged with its domain's token when ``tagged``."""
+    tokens = [domain_token_literal(row.domain) if tagged else None for row in rows]
+    return backend.featurize_rows([row.pair for row in rows], tokens)
 
 
 def hash_domain(domain: str) -> int:

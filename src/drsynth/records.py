@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .taxonomy import (
     NO_RELATION,
-    FrequencyTable,
     RelationLabel,
     first_in_order,
     resolve_label,
@@ -407,8 +408,8 @@ def target_record(instance: CrowdAnnotatedInstance) -> dict:
 
 
 @contextmanager
-def _atomic(path: str | Path) -> Iterator[TextIO]:
-    """A text handle on a temp file beside ``path``, renamed over it once the block succeeds.
+def _atomic(path: str | Path, binary: bool = False) -> Iterator[TextIO | BinaryIO]:
+    """A handle on a temp file beside ``path``, renamed over it once the block succeeds.
 
     Readers see the old file or the complete new one, never a partial write;
     a write or rename that fails removes the temp file.
@@ -417,7 +418,7 @@ def _atomic(path: str | Path) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -436,6 +437,12 @@ def write_json(path: str | Path, payload: object) -> None:
     write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def write_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write named arrays atomically as an uncompressed ``.npz``."""
+    with _atomic(path, binary=True) as handle:
+        np.savez(handle, **arrays)
+
+
 def write_records(records: Iterable[dict], path: str | Path) -> None:
     """Write canonical records atomically, one row at a time; identical inputs, identical bytes."""
     with _atomic(path) as handle:
@@ -452,25 +459,3 @@ def write_raw_corpus(docs: Iterable[RawDocument], path: str | Path) -> None:
         ),
         path,
     )
-
-
-def frequency_table_from_instances(
-    instances: Sequence[LabeledInstance], scope: str = "inter-sentential-only"
-) -> FrequencyTable:
-    """Label frequency table over a training slice.
-
-    With the default scope only inter-sentential pairs are counted, which is
-    the reference used to call a label rare.
-    """
-    if scope == "inter-sentential-only":
-        pool = [i for i in instances if i.pair.adjacency is Adjacency.INTER]
-    elif scope == "all":
-        pool = list(instances)
-    else:
-        raise ValueError(f"unknown frequency scope {scope!r}")
-    if not pool:
-        raise ValueError("no instances in scope for frequency table")
-    counts: dict[RelationLabel, int] = {}
-    for instance in pool:
-        counts[instance.label] = counts.get(instance.label, 0) + 1
-    return FrequencyTable(counts=counts, total=len(pool), scope=scope)

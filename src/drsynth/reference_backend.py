@@ -22,8 +22,9 @@ makes one backend instance a feature store for every model that shares it.
 per ``FEATURIZE_CHUNK_ROWS`` rows: each token maps to an id in the backend's
 vocabulary, one sort counts each (row, slot), and a row is divided by its L2
 norm where that exceeds 1. It then reads every row through ``featurize``,
-which reads the memo and featurizes a miss alone. A row's bits do not depend
-on the batch it came in.
+which reads the memo and featurizes a miss alone. ``featurize_rows`` runs
+the same passes over every row of a data file and keeps nothing in the memo.
+A row's bits do not depend on the batch it came in.
 
 A CE step on a few hundred rows takes under a millisecond, so work it
 redoes on inputs that do not change between steps shows. The CE kernel
@@ -139,8 +140,10 @@ class ReferenceBackend:
     def _tokens(self, text: str) -> list[str]:
         return _TOKEN.findall(text.lower())
 
-    def _featurize_new(self, keys: Sequence[tuple[str, str, str | None]]) -> None:
-        """Featurize distinct keys the memo lacks in one numpy pass, and memoize them.
+    def _featurize_keys(
+        self, keys: Sequence[tuple[str, str, str | None]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR ``(indptr, indices, values)`` of the keys' rows, in one numpy pass.
 
         Each row holds hashed token counts with argument-position prefixes,
         divided by the row's L2 norm when that exceeds 1. The counts are
@@ -181,8 +184,13 @@ class ReferenceBackend:
         norms = np.sqrt(np.bincount(row_of, weights=counts * counts, minlength=n))
         values = counts / np.maximum(norms, 1.0)[row_of]
         indices = (cells - row_of * dim).astype(np.int32)
+        return np.searchsorted(row_of, np.arange(n + 1)), indices, values
+
+    def _featurize_new(self, keys: Sequence[tuple[str, str, str | None]]) -> None:
+        """Featurize distinct keys the memo lacks in one pass, and memoize them."""
+        indptr, indices, values = self._featurize_keys(keys)
         values.flags.writeable = indices.flags.writeable = False
-        bounds = np.searchsorted(row_of, np.arange(n + 1)).tolist()
+        bounds = indptr.tolist()
         for key, start, end in zip(keys, bounds, bounds[1:]):
             self._rows[key] = SparseRow(indices[start:end], values[start:end])
 
@@ -216,6 +224,28 @@ class ReferenceBackend:
         indices = np.concatenate([row.indices for row in rows] + [np.empty(0, np.int32)])
         values = np.concatenate([row.values for row in rows] + [np.empty(0)])
         return sparse.csr_array((values, indices, indptr), shape=(len(rows), self.feature_dim))
+
+    def featurize_rows(
+        self, pairs: Sequence[ArgumentPair], domain_tokens: Sequence[str | None] | None = None
+    ) -> sparse.csr_array:
+        """``featurize_pairs`` of every row afresh, in chunks, neither reading nor filling the memo.
+
+        For the rows of a data file, which a store keeps as one matrix: in the
+        memo they would cost a row object each for as long as the backend lives.
+        """
+        if domain_tokens is None:
+            domain_tokens = [None] * len(pairs)
+        keys = [(p.arg1, p.arg2, t) for p, t in zip(pairs, domain_tokens, strict=True)]
+        indptr, indices, values = [np.zeros(1, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
+        for start in range(0, len(keys), FEATURIZE_CHUNK_ROWS):
+            bounds, slots, counts = self._featurize_keys(keys[start : start + FEATURIZE_CHUNK_ROWS])
+            indptr.append(bounds[1:] + indptr[-1][-1])
+            indices.append(slots)
+            values.append(counts)
+        return sparse.csr_array(
+            (np.concatenate(values), np.concatenate(indices), np.concatenate(indptr)),
+            shape=(len(keys), self.feature_dim),
+        )
 
     # --- parameters -----------------------------------------------------
 

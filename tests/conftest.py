@@ -1,7 +1,7 @@
 import pytest
 
 from drsynth import fixtures
-from drsynth.adaptation import TrainingConfig, train_base
+from drsynth.adaptation import TrainingConfig, train_base, training_set
 from drsynth.records import ingest_source_corpus, ingest_target_corpus
 from drsynth.reference_backend import ReferenceBackend
 
@@ -41,7 +41,8 @@ def tiny_target(tiny_corpus_dir):
 def base_model(tiny_source):
     """Source-trained reference classifier plus its dev confusion matrix."""
     config = TrainingConfig(epochs=300, learning_rate=2.0, seed=7)
+    backend = ReferenceBackend()
     model, confusion = train_base(
-        tiny_source.train, tiny_source.dev, config, ReferenceBackend()
+        training_set(tiny_source.train, backend), tiny_source.dev, config, backend
     )
     return model, confusion

@@ -27,6 +27,7 @@ from drsynth.adaptation import (
     all_checksums,
     stratified_downsample,
     train_base,
+    training_set,
 )
 from drsynth.evaluation import (
     EvalProtocol,
@@ -287,11 +288,12 @@ def adaptation_setup(tmp_path_factory):
         root / "source.jsonl", counts=fixtures.tiny_source_counts(), seed=500
     )
     ingested = ingest_source_corpus(root / "source.jsonl")
+    backend = ReferenceBackend()
     base, _ = train_base(
-        ingested.train,
+        training_set(ingested.train, backend),
         ingested.dev,
         TrainingConfig(epochs=300, learning_rate=2.0, seed=11),
-        ReferenceBackend(),
+        backend,
     )
     rng = random.Random(3)
     labels = training_label_set()
@@ -310,7 +312,7 @@ def adaptation_setup(tmp_path_factory):
                 domain="EP",
             )
         )
-    return base, ingested.train, synthetic
+    return base, training_set(ingested.train, backend), training_set(synthetic, backend)
 
 
 def test_adaptation_contracts(adaptation_setup):

@@ -22,6 +22,7 @@ from drsynth.adaptation import (
     save_model,
     stratified_downsample,
     train_base,
+    training_set,
     _instance_label,
     _train_loop,
 )
@@ -68,11 +69,12 @@ class TestTrainBase:
 
     def test_repeat_seed_identical_confusion_and_params(self, tiny_source):
         config = TrainingConfig(epochs=60, learning_rate=2.0, seed=13)
+        backend_a, backend_b = ReferenceBackend(), ReferenceBackend()
         first, confusion_a = train_base(
-            tiny_source.train, tiny_source.dev, config, ReferenceBackend()
+            training_set(tiny_source.train, backend_a), tiny_source.dev, config, backend_a
         )
         second, confusion_b = train_base(
-            tiny_source.train, tiny_source.dev, config, ReferenceBackend()
+            training_set(tiny_source.train, backend_b), tiny_source.dev, config, backend_b
         )
         assert confusion_a == confusion_b
         assert _params_equal(first.params, second.params)
@@ -80,7 +82,8 @@ class TestTrainBase:
 
     def test_empty_train_rejected(self):
         with pytest.raises(ConfigurationError):
-            train_base([], [], TrainingConfig(), ReferenceBackend())
+            backend = ReferenceBackend()
+            train_base(training_set([], backend), [], TrainingConfig(), backend)
 
     def test_label_outside_training_set_rejected(self, tiny_source):
         rogue = LabeledInstance(
@@ -90,8 +93,9 @@ class TestTrainBase:
             provenance=Provenance.SOURCE,
         )
         with pytest.raises(ConfigurationError, match="similarity"):
+            backend = ReferenceBackend()
             train_base(
-                tiny_source.train[:5] + [rogue], [], TrainingConfig(), ReferenceBackend()
+                training_set(tiny_source.train[:5] + [rogue], backend), [], TrainingConfig(), backend
             )
 
 
@@ -128,27 +132,35 @@ class TestPredict:
 class TestAdaptConcat:
     def test_empty_synthetic_equals_train_base(self, tiny_source):
         config = TrainingConfig(epochs=40, learning_rate=2.0, seed=21)
-        base, _ = train_base(tiny_source.train, [], config, ReferenceBackend())
-        combined = adapt_concat(tiny_source.train, [], config, ReferenceBackend())
+        backend_a, backend_b = ReferenceBackend(), ReferenceBackend()
+        base, _ = train_base(training_set(tiny_source.train, backend_a), [], config, backend_a)
+        combined = adapt_concat(
+            training_set(tiny_source.train, backend_b), training_set([], backend_b), config, backend_b
+        )
         assert _params_equal(base.params, combined.params)
 
     def test_manifest_counts(self, tiny_source):
         synthetic = _synthetic(100)
         config = TrainingConfig(epochs=5, learning_rate=0.5, seed=3)
-        model = adapt_concat(tiny_source.train[:100], synthetic, config, ReferenceBackend())
+        backend = ReferenceBackend()
+        model = adapt_concat(
+            training_set(tiny_source.train[:100], backend), training_set(synthetic, backend),
+            config, backend,
+        )
         assert model.manifest["n_source"] == 100
         assert model.manifest["n_synthetic"] == 100
         assert model.manifest["n_instances"] == 200
 
     def test_seed_changes_shuffle_not_counts(self, tiny_source):
-        synthetic = _synthetic(60)
+        backend = ReferenceBackend()
+        source, synthetic = training_set(tiny_source.train[:60], backend), training_set(_synthetic(60), backend)
         a = adapt_concat(
-            tiny_source.train[:60], synthetic,
-            TrainingConfig(epochs=5, learning_rate=0.5, seed=1), ReferenceBackend(),
+            source, synthetic,
+            TrainingConfig(epochs=5, learning_rate=0.5, seed=1), backend,
         )
         b = adapt_concat(
-            tiny_source.train[:60], synthetic,
-            TrainingConfig(epochs=5, learning_rate=0.5, seed=2), ReferenceBackend(),
+            source, synthetic,
+            TrainingConfig(epochs=5, learning_rate=0.5, seed=2), backend,
         )
         assert a.manifest["n_instances"] == b.manifest["n_instances"]
         assert a.manifest["data_fingerprint"] == b.manifest["data_fingerprint"]
@@ -164,7 +176,7 @@ class TestAdaptPrefix:
     def test_base_checksums_unchanged(self, base_model):
         model, _ = base_model
         before = all_checksums(model.params)
-        adapted = adapt_prefix(model, _synthetic(80), self._config())
+        adapted = adapt_prefix(model, training_set(_synthetic(80), model.backend), self._config())
         after = all_checksums(adapted.params)
         for group in ("encoder", "head", "discriminator"):
             assert before[group] == after[group]
@@ -172,26 +184,27 @@ class TestAdaptPrefix:
 
     def test_zero_epochs_is_noop(self, base_model):
         model, _ = base_model
-        adapted = adapt_prefix(model, _synthetic(10), self._config(epochs=0))
+        adapted = adapt_prefix(model, training_set(_synthetic(10), model.backend), self._config(epochs=0))
         assert _params_equal(adapted.params, model.params)
 
     def test_encoder_in_trainable_groups_rejected(self, base_model):
         model, _ = base_model
         config = TrainingConfig(trainable_groups=("encoder", "prefix"), seed=1)
         with pytest.raises(ConfigurationError):
-            adapt_prefix(model, _synthetic(10), config)
+            adapt_prefix(model, training_set(_synthetic(10), model.backend), config)
 
 
 class TestAdaptInvariance:
     def test_lambda_zero_matches_plain_ce(self, base_model, tiny_source):
         model, _ = base_model
-        synthetic = _synthetic(70, seed=4)
+        synthetic = training_set(_synthetic(70, seed=4), model.backend)
+        real = training_set(tiny_source.train, model.backend)
         shared = dict(epochs=30, learning_rate=0.5, seed=17)
         iv_config = TrainingConfig(
             loss=LossSpec(kind=LossKind.CE_MINUS_IV, lam=0.0), **shared
         )
         ce_config = TrainingConfig(loss=LossSpec(kind=LossKind.CE, lam=0.0), **shared)
-        adapted_iv = adapt_invariance(model, synthetic, tiny_source.train, iv_config)
+        adapted_iv = adapt_invariance(model, synthetic, real, iv_config)
         adapted_ce = adapt_ce(model, synthetic, ce_config)
         assert _params_equal(adapted_iv.params, adapted_ce.params)
 
@@ -201,7 +214,10 @@ class TestAdaptInvariance:
             epochs=5, learning_rate=0.1, seed=2,
             loss=LossSpec(kind=LossKind.CE_MINUS_IV, lam=0.1),
         )
-        adapted = adapt_invariance(model, _synthetic(30), tiny_source.train, config)
+        adapted = adapt_invariance(
+            model, training_set(_synthetic(30), model.backend),
+            training_set(tiny_source.train, model.backend), config,
+        )
         assert adapted.manifest["lambda"] == 0.1
         assert adapted.manifest["config"]["loss"]["lambda"] == 0.1
 
@@ -211,7 +227,10 @@ class TestAdaptInvariance:
             epochs=20, learning_rate=0.5, seed=9,
             loss=LossSpec(kind=LossKind.CE_MINUS_IV, lam=0.1),
         )
-        adapted = adapt_invariance(model, _synthetic(50), tiny_source.train, config)
+        adapted = adapt_invariance(
+            model, training_set(_synthetic(50), model.backend),
+            training_set(tiny_source.train, model.backend), config,
+        )
         assert not np.array_equal(adapted.params["disc.w"], model.params["disc.w"])
 
     def test_epoch_steps_along_the_checked_gradients(self, base_model, tiny_source):
@@ -225,7 +244,9 @@ class TestAdaptInvariance:
         config = TrainingConfig(
             epochs=1, learning_rate=lr, seed=8, loss=LossSpec(kind=LossKind.CE_MINUS_IV, lam=lam)
         )
-        trained = adapt_invariance(model, synthetic, real, config).params
+        trained = adapt_invariance(
+            model, training_set(synthetic, backend), training_set(real, backend), config
+        ).params
 
         rng = np.random.default_rng(config.seed)
         shuffled = [synthetic[i] for i in rng.permutation(len(synthetic))]
@@ -244,7 +265,10 @@ class TestAdaptInvariance:
         model, _ = base_model
         config = TrainingConfig(loss=LossSpec(kind=LossKind.CE_MINUS_IV, lam=0.1), seed=1)
         with pytest.raises(ConfigurationError):
-            adapt_invariance(model, _synthetic(10), [], config)
+            adapt_invariance(
+                model, training_set(_synthetic(10), model.backend),
+                training_set([], model.backend), config,
+            )
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -313,7 +337,10 @@ class TestTrainLoop:
             return ce_kernel(self, *args, **kwargs)
 
         monkeypatch.setattr(ReferenceBackend, "ce_loss_and_grads", counted)
-        trained = _train_loop(backend, params, data, config, groups, real_reference=real)
+        trained = _train_loop(
+            backend, params, training_set(data, backend), config, groups,
+            real_reference=None if real is None else training_set(real, backend),
+        )
         assert len(calls) == config.epochs
         assert _params_equal(trained, expected)
         assert all(value.flags.c_contiguous for value in trained.values())
@@ -531,7 +558,7 @@ class TestArtifacts:
     def test_prefix_adapter_survives_save_and_load(self, base_model, tmp_path):
         model, _ = base_model
         adapted = adapt_prefix(
-            model, _synthetic(40),
+            model, training_set(_synthetic(40), model.backend),
             TrainingConfig(epochs=10, learning_rate=0.5, seed=3, trainable_groups=("prefix",)),
         )
         save_model(adapted, tmp_path / "prefix")
@@ -548,7 +575,7 @@ class TestArtifacts:
         model, _ = base_model
         path = save_model(model, tmp_path / "artifact")
         newer = adapt_prefix(
-            model, _synthetic(10),
+            model, training_set(_synthetic(10), model.backend),
             TrainingConfig(epochs=2, learning_rate=0.5, seed=3, trainable_groups=("prefix",)),
         )
         replace = os.replace

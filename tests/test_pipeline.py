@@ -14,13 +14,15 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
 from drsynth import fixtures
-from drsynth.adaptation import ConfigurationError
+from drsynth.adaptation import ConfigurationError, training_set
 from drsynth.cli import main
 from drsynth.generation import BackendDescriptor, HTTPBackend, TransportError
+from drsynth.reference_backend import ReferenceBackend
 from drsynth.pipeline import (
     DEFAULTS,
     PipelineConfig,
@@ -58,6 +60,15 @@ def _config(workdir, **overrides):
 def _stages_run(caplog) -> list[str]:
     """Names of the stages whose actions ran while ``caplog`` was capturing."""
     return [r.args[0] for r in caplog.records if r.msg == "stage %s: running"]
+
+
+def _assert_same_training_set(a, b) -> None:
+    """Equal rows, bit for bit: CSR arrays, label ids, adjacency and fingerprint stream."""
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.x, name), getattr(b.x, name)), name
+    assert a.x.shape == b.x.shape
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.inter, b.inter)
+    assert a.fingerprint == b.fingerprint
 
 
 def _file_corpora(corpus_dir) -> dict[str, str]:
@@ -130,6 +141,17 @@ class TestConfigParsing:
         run_experiment(config, kinds={"fixtures"})
         rows = (workdir / "data/target.jsonl").read_bytes().count(b"\n")
         assert rows == sum(map(sum, fixtures.TARGET_LABEL_COUNTS.values())) + 25
+        # the corpora named by a file are neither declared nor written
+        assert set(stages(config, workdir)[0].outputs) == {"target"}
+        assert not (workdir / "data/source.jsonl").exists()
+        assert not (workdir / "data/raw.jsonl").exists()
+
+    def test_full_fixture_target_holds_only_the_configured_domains(self, tmp_path):
+        workdir = tmp_path / "run"
+        full = {f"data.{kind}": "fixtures:full" for kind in ("source", "target", "raw")}
+        run_experiment(_config(workdir, domains=["EP"], **full), kinds={"fixtures"})
+        lines = (workdir / "data/target.jsonl").read_text().splitlines()
+        assert lines and {json.loads(line)["domain"] for line in lines} == {"EP"}
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +227,8 @@ class TestRunExperiment:
         declared = [path for stage in stages(config, workdir) for path in stage.outputs.values()]
         side_files = {
             "run-manifest.json",
+            "data/train-features.npz",
+            "data/eval-features.npz",
             "synthetic/cache.jsonl",
             "synthetic/failures.json",
             "synthetic/generation-stats.json",
@@ -997,8 +1021,11 @@ class TestDeriveOnce:
             run_experiment(config, kinds={"fixtures"})
         store = Store()
         _run_action(store, config, "ingest")
+        train = tmp_path / "run" / "data/train.jsonl"
+        digest, handed = store._parsed[(train, store._training_set)]
+        assert digest == digest_path(train)
+        _assert_same_training_set(handed, training_set(_train_rows(train), ReferenceBackend()))
         for relative, parse in (
-            ("data/train.jsonl", _train_rows),
             ("data/dev.jsonl", _dev_rows),
             ("data/eval.jsonl", ingest_target_corpus),
             ("data/raw-canonical.jsonl", ingest_raw_corpus),
@@ -1031,11 +1058,11 @@ class TestDeriveOnce:
             ("ingest_raw_corpus", "raw.jsonl"), ("ingest_target_corpus", "target.jsonl")
         ]
         calls.clear()
-        # a second run that retrains the base models parses each canonical file once
+        # a second run that retrains the base models parses each canonical file once,
+        # except the train rows, which come from their side file
         run_experiment(_config(workdir, **{"base.epochs": 20}))
         assert sorted(calls) == [
             ("_dev_rows", "dev.jsonl"),
-            ("_train_rows", "train.jsonl"),
             ("ingest_raw_corpus", "raw-canonical.jsonl"),
             ("ingest_target_corpus", "eval.jsonl"),
         ]

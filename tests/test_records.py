@@ -16,7 +16,6 @@ from drsynth.records import (
     DEFAULT_SPLIT,
     RawDocument,
     SplitSpec,
-    frequency_table_from_instances,
     gold_label_set,
     ingest_raw_corpus,
     ingest_source_corpus,
@@ -27,6 +26,8 @@ from drsynth.records import (
     target_record,
     write_records,
 )
+from drsynth.adaptation import frequency_table, training_set
+from drsynth.reference_backend import ReferenceBackend
 from drsynth.taxonomy import LabelError, resolve_label
 
 
@@ -334,10 +335,12 @@ class TestArgumentPair:
 
 
 def test_frequency_scope_filters_intra_sentential(tiny_source):
-    table_all = frequency_table_from_instances(tiny_source.train, scope="all")
-    table_inter = frequency_table_from_instances(tiny_source.train)
+    backend = ReferenceBackend()
+    train = training_set(tiny_source.train, backend)
+    table_all = frequency_table(train, backend.labels, scope="all")
+    table_inter = frequency_table(train, backend.labels)
     assert table_all.total == len(tiny_source.train)
     assert table_inter.total <= table_all.total
     assert table_inter.scope == "inter-sentential-only"
     with pytest.raises(ValueError):
-        frequency_table_from_instances(tiny_source.train, scope="bogus")
+        frequency_table(train, backend.labels, scope="bogus")
