@@ -61,6 +61,13 @@ _TOKEN = re.compile(r"[^\W_]+")
 # to peak memory, and the time per row barely changes from 128 to 2,048 rows.
 FEATURIZE_CHUNK_ROWS = 512
 
+# rows per block of the CE kernel's ``head.W`` gradient. OpenBLAS splits one
+# product over many rows differently at different thread counts, and the
+# rounding follows the split; a sum of products over fixed blocks of this
+# many rows has the same bits at 1, 2 and 4 threads, and at this many rows
+# or fewer it is the plain product.
+HEAD_GRAD_BLOCK_ROWS = 1024
+
 PARAMETER_GROUPS: Mapping[str, tuple[str, ...]] = {
     "encoder": ("encoder.W", "encoder.b"),
     "prefix": ("prefix.p",),
@@ -88,6 +95,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
     expz = np.exp(z[~positive])
     out[~positive] = expz / (1.0 + expz)
+    return out
+
+
+def _blocked_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` summed over consecutive blocks of ``HEAD_GRAD_BLOCK_ROWS`` rows."""
+    out = a[:HEAD_GRAD_BLOCK_ROWS].T @ b[:HEAD_GRAD_BLOCK_ROWS]
+    for start in range(HEAD_GRAD_BLOCK_ROWS, a.shape[0], HEAD_GRAD_BLOCK_ROWS):
+        out += a[start : start + HEAD_GRAD_BLOCK_ROWS].T @ b[start : start + HEAD_GRAD_BLOCK_ROWS]
     return out
 
 
@@ -343,7 +358,7 @@ class ReferenceBackend:
         d_scores /= n
         d_encoded = d_scores @ params["head.W"]
         return loss, {
-            "head.W": d_scores.T @ encoded,
+            "head.W": _blocked_gram(d_scores, encoded),
             "head.b": d_scores.sum(axis=0),
             **self._encoder_grads(x.T if x_t is None else x_t, hidden, d_encoded),
         }

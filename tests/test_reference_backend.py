@@ -1,11 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from drsynth.records import ArgumentPair
-from drsynth.reference_backend import FEATURIZE_CHUNK_ROWS, ReferenceBackend, _sigmoid, _softplus
+from drsynth.reference_backend import (
+    FEATURIZE_CHUNK_ROWS,
+    HEAD_GRAD_BLOCK_ROWS,
+    ReferenceBackend,
+    _sigmoid,
+    _softplus,
+)
 
 
 def _char_loop_tokens(text: str) -> list[str]:
@@ -258,3 +267,37 @@ class TestKernels:
                 if lam:
                     for key in ("disc.w", "disc.b"):
                         assert np.array_equal(direction[key], iv[key]), key
+
+
+_KERNEL_BYTES = """
+import hashlib, sys
+import numpy as np
+from scipy import sparse
+from drsynth.reference_backend import ReferenceBackend
+
+backend = ReferenceBackend()
+rng = np.random.default_rng(5)
+n = int(sys.argv[1])
+x = sparse.random_array((n, backend.feature_dim), density=0.04, format="csr", rng=rng)
+y = rng.integers(0, len(backend.labels), size=n)
+loss, grads = backend.ce_loss_and_grads(backend.init_params(rng), x, y)
+digest = hashlib.sha256(np.float64(loss).tobytes())
+for key in sorted(grads):
+    digest.update(key.encode() + np.ascontiguousarray(grads[key]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_ce_kernel_bits_do_not_depend_on_the_blas_thread_count():
+    """More rows than one ``head.W`` gradient block: the gradient is a sum of fixed
+    blocks, so one and two BLAS threads give the same bytes."""
+    rows = HEAD_GRAD_BLOCK_ROWS * 16 + 7  # a plain product this long splits by thread count
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", _KERNEL_BYTES, str(rows)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
