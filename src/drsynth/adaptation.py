@@ -149,19 +149,6 @@ class TrainingSet:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __add__(self, other: "TrainingSet") -> "TrainingSet":
-        """These rows, then ``other``'s."""
-        return TrainingSet(
-            sparse.vstack([self.x, other.x], format="csr"),
-            np.concatenate([self.y, other.y]),
-            np.concatenate([self.inter, other.inter]),
-            self.fingerprint + other.fingerprint,
-        )
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.fingerprint).hexdigest()
-
 
 def training_set(instances: Sequence, backend: ReferenceBackend, memo: bool = True) -> TrainingSet:
     """The instances as a ``TrainingSet``, featurized by ``featurize_pairs`` (``memo``)
@@ -208,6 +195,14 @@ def frequency_table(
     )
 
 
+def _fingerprint_digest(data: Sequence[TrainingSet]) -> str:
+    """The manifest's ``data_fingerprint`` of the rows of ``data``, in order."""
+    digest = hashlib.sha256()
+    for part in data:
+        digest.update(part.fingerprint)
+    return digest.hexdigest()
+
+
 def _artifact_id(manifest: dict, params: Params) -> str:
     digest = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode("utf-8"))
     for key in sorted(params):
@@ -224,12 +219,17 @@ def _instance_label(inst) -> RelationLabel:
 def _train_loop(
     backend: ReferenceBackend,
     params: Params,
-    data: TrainingSet,
+    data: Sequence[TrainingSet],
     config: TrainingConfig,
     trainable_groups: Sequence[str],
     real_reference: TrainingSet | None = None,
 ) -> Params:
     """Full-batch gradient descent; one step per epoch along ``descent_direction``.
+
+    The training rows are those of the ``data`` sets, in order. They are
+    stacked and shuffled in one expression, so no stacked copy outlives the
+    shuffle: concat's source rows are a 17k-row matrix that the run's store
+    already holds.
 
     Each step moves the trainable groups, and with an active invariance term
     also the discriminator, against the backend's gradient-checked
@@ -246,7 +246,8 @@ def _train_loop(
     set-up. The invariance batch is drawn anew each epoch, so its transpose
     is built per step.
     """
-    if not data:
+    n = sum(map(len, data))
+    if not n:
         raise ConfigurationError("training data must be non-empty")
     lam = config.loss.effective_lambda
     use_iv = lam > 0.0
@@ -254,8 +255,9 @@ def _train_loop(
         raise ConfigurationError("invariance training needs real reference data")
 
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(data))
-    x, y = data.x[order], data.y[order]
+    order = rng.permutation(n)
+    x = sparse.vstack([part.x for part in data], format="csr")[order]
+    y = np.concatenate([part.y for part in data])[order]
 
     params = backend.copy_params(params)
     params["encoder.W"] = np.asfortranarray(params["encoder.W"])
@@ -264,10 +266,10 @@ def _train_loop(
     x_domain = domain = None
     for _ in range(config.epochs):
         if use_iv:
-            take = min(len(data), len(real_reference))
+            take = min(n, len(real_reference))
             picked = rng.choice(len(real_reference), size=take, replace=False)
             x_domain = sparse.vstack([x, real_reference.x[picked]], format="csr")
-            domain = np.concatenate([np.ones(len(data)), np.zeros(take)])
+            domain = np.concatenate([np.ones(n), np.zeros(take)])
         _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain, x_t)
         for key in update_keys:
             params[key] -= config.learning_rate * direction[key]
@@ -279,7 +281,7 @@ def _build_model(
     backend: ReferenceBackend,
     params: Params,
     config: TrainingConfig,
-    data: TrainingSet,
+    data: Sequence[TrainingSet],
     kind: str,
     parent: str = "",
     extra: dict | None = None,
@@ -289,8 +291,8 @@ def _build_model(
         "backend": backend.name,
         "labels": [label.level2 for label in backend.labels],
         "config": config.snapshot(),
-        "data_fingerprint": data.digest,
-        "n_instances": len(data),
+        "data_fingerprint": _fingerprint_digest(data),
+        "n_instances": sum(map(len, data)),
         "parent": parent,
     }
     if extra:
@@ -310,8 +312,8 @@ def train_base(
     if not train:
         raise ConfigurationError("empty training set")
     rng = np.random.default_rng(config.seed)
-    params = _train_loop(backend, backend.init_params(rng), train, config, ("encoder", "head"))
-    model = _build_model(backend, params, config, train, kind="base")
+    params = _train_loop(backend, backend.init_params(rng), [train], config, ("encoder", "head"))
+    model = _build_model(backend, params, config, [train], kind="base")
     confusion: dict[RelationLabel, dict[RelationLabel, int]] = {}
     if dev:
         predicted, _ = batch_predict(model, [inst.pair for inst in dev])
@@ -347,7 +349,7 @@ def adapt_concat(
     With an empty synthetic pool this is exactly train_base under the same
     seed; the manifest keeps per-provenance counts for the record.
     """
-    combined = source + synthetic
+    combined = [source, synthetic]
     rng = np.random.default_rng(config.seed)
     params = _train_loop(backend, backend.init_params(rng), combined, config, ("encoder", "head"))
     extra = {
@@ -362,10 +364,10 @@ def adapt_ce(base_model: Model, data: TrainingSet, config: TrainingConfig) -> Mo
     if config.loss.effective_lambda != 0.0:
         raise ConfigurationError("adapt_ce is cross-entropy only; use adapt_invariance")
     params = _train_loop(
-        base_model.backend, base_model.params, data, config, config.trainable_groups
+        base_model.backend, base_model.params, [data], config, config.trainable_groups
     )
     return _build_model(
-        base_model.backend, params, config, data, kind="ce", parent=base_model.artifact_id
+        base_model.backend, params, config, [data], kind="ce", parent=base_model.artifact_id
     )
 
 
@@ -377,13 +379,13 @@ def adapt_prefix(base_model: Model, synthetic: TrainingSet, config: TrainingConf
     if any(group != "prefix" for group in config.trainable_groups):
         raise ConfigurationError("prefix adaptation trains only the prefix group")
     before = all_checksums(base_model.params)
-    params = _train_loop(base_model.backend, base_model.params, synthetic, config, ("prefix",))
+    params = _train_loop(base_model.backend, base_model.params, [synthetic], config, ("prefix",))
     after = all_checksums(params)
     for group in _FROZEN_BY_PREFIX:
         if before[group] != after[group]:
             raise ConfigurationError(f"prefix adaptation modified frozen group {group}")
     return _build_model(
-        base_model.backend, params, config, synthetic, kind="prefix",
+        base_model.backend, params, config, [synthetic], kind="prefix",
         parent=base_model.artifact_id,
     )
 
@@ -407,13 +409,13 @@ def adapt_invariance(
     params = _train_loop(
         base_model.backend,
         base_model.params,
-        synthetic,
+        [synthetic],
         config,
         config.trainable_groups,
         real_reference=real_reference,
     )
     return _build_model(
-        base_model.backend, params, config, synthetic, kind="invariance",
+        base_model.backend, params, config, [synthetic], kind="invariance",
         parent=base_model.artifact_id,
         extra={"lambda": config.loss.lam, "n_real_reference": len(real_reference)},
     )

@@ -122,7 +122,9 @@ def _read(
             and stamps.get(_ARRAYS) == _arrays_sha256(arrays)
         ):
             return arrays
-    # a damaged zip or array header can fail in many ways; each means "rebuild"
+    # A damaged file fails in many ways: flipping each bit of a small side file
+    # in turn raised BadZipFile, EOFError, OSError, ValueError, RuntimeError and
+    # NotImplementedError, or loaded and failed the arrays stamp. Each means "rebuild".
     except Exception as exc:  # noqa: BLE001
         logger.info("feature side file %s unreadable (%s); rebuilding", path, exc)
         return None

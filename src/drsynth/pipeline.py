@@ -137,7 +137,6 @@ from .pseudo_label import (
 )
 from .records import (
     CrowdAnnotatedInstance,
-    LabeledInstance,
     SplitSpec,
     gold_label_set,
     ingest_raw_corpus,
@@ -559,7 +558,7 @@ class Store:
 
     def _training_set(self, path: Path) -> TrainingSet:
         train = read_training_set(features_path(path), self.digest(path), self.backend.feature_dim)
-        return train if train is not None else _file_training_set(_train_rows(path), self.backend)
+        return train if train is not None else training_set(_train_rows(path), self.backend, memo=False)
 
     def keep_training_set(self, path: Path, train: TrainingSet) -> None:
         """Write the side file of the train file just written at ``path``, and cache ``train``."""
@@ -795,7 +794,8 @@ def _ingest(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     for name, section, instances in (("train", 0, ingest.train), ("dev", 1, ingest.dev)):
         write_records((source_record(inst, section=section) for inst in instances), out[name])
     store.hand_over(out["dev"], _dev_rows, ingest.dev)
-    store.keep_training_set(out["train"], _file_training_set(ingest.train, store.backend))
+    # file rows stay out of the backend's feature memo
+    store.keep_training_set(out["train"], training_set(ingest.train, store.backend, memo=False))
     target = ingest_target_corpus(corpora["target"])
     write_records((target_record(i) for i in target), out["eval"])
     store.hand_over(out["eval"], ingest_target_corpus, target)
@@ -1046,11 +1046,6 @@ def _train_rows(path: Path) -> list:
 
 def _dev_rows(path: Path) -> list:
     return ingest_source_corpus(path, _ALL_DEV).dev
-
-
-def _file_training_set(rows: Sequence[LabeledInstance], backend: ReferenceBackend) -> TrainingSet:
-    """The train file's rows as a ``TrainingSet``; file rows stay out of the feature memo."""
-    return training_set(rows, backend, memo=False)
 
 
 def _eval_matrix(

@@ -251,10 +251,11 @@ class ReferenceBackend:
         if domain_tokens is None:
             domain_tokens = [None] * len(pairs)
         keys = [(p.arg1, p.arg2, t) for p, t in zip(pairs, domain_tokens, strict=True)]
-        indptr, indices, values = [np.zeros(1, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
+        # int32 offsets, so that scipy keeps the matrix's index arrays at 4 bytes a value
+        indptr, indices, values = [np.zeros(1, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
         for start in range(0, len(keys), FEATURIZE_CHUNK_ROWS):
             bounds, slots, counts = self._featurize_keys(keys[start : start + FEATURIZE_CHUNK_ROWS])
-            indptr.append(bounds[1:] + indptr[-1][-1])
+            indptr.append((bounds[1:] + indptr[-1][-1]).astype(np.int32))
             indices.append(slots)
             values.append(counts)
         return sparse.csr_array(

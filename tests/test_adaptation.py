@@ -338,7 +338,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(ReferenceBackend, "ce_loss_and_grads", counted)
         trained = _train_loop(
-            backend, params, training_set(data, backend), config, groups,
+            backend, params, [training_set(data, backend)], config, groups,
             real_reference=None if real is None else training_set(real, backend),
         )
         assert len(calls) == config.epochs

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import drsynth.pipeline as pipeline
-from drsynth.adaptation import TrainingSet, prepend_domain_token, training_set
+from drsynth.adaptation import (
+    TrainingConfig,
+    TrainingSet,
+    _train_loop,
+    adapt_concat,
+    prepend_domain_token,
+    training_set,
+)
 from drsynth.feature_files import (
     features_path,
     read_eval_features,
@@ -76,17 +83,22 @@ def test_training_set_rows_equal_featurize_pairs_rows(memo):
     assert train.y.tolist() == [backend.label_index[resolve_label(n)] for n in
                                 ("cause", "cause", "cause", "contrast", "contrast")]
     assert train.inter.tolist() == [True, False, True, True, True]
-    assert train.digest == _old_data_fingerprint(instances)
+    assert hashlib.sha256(train.fingerprint).hexdigest() == _old_data_fingerprint(instances)
     assert (backend._rows != {}) is memo  # file rows stay out of the memo
 
 
-def test_training_sets_concatenate_rows_and_fingerprints():
+def test_concat_trains_on_the_source_rows_then_the_pool():
+    """Two sets train and fingerprint as the one set of their rows in order."""
     instances, backend = _hand_built(), ReferenceBackend()
-    both = training_set(instances[:2], backend) + training_set(instances[2:], backend)
-    whole = training_set(instances, backend)
-    assert (both.x != whole.x).nnz == 0 and both.x.shape == whole.x.shape
-    assert np.array_equal(both.y, whole.y) and np.array_equal(both.inter, whole.inter)
-    assert both.digest == whole.digest == _old_data_fingerprint(instances)
+    config = TrainingConfig(epochs=5, learning_rate=0.5, seed=3)
+    parts = adapt_concat(
+        training_set(instances[:2], backend), training_set(instances[2:], backend), config, backend
+    )
+    params = backend.init_params(np.random.default_rng(config.seed))
+    whole = _train_loop(backend, params, [training_set(instances, backend)], config, ("encoder", "head"))
+    assert all(np.array_equal(parts.params[key], whole[key]) for key in whole)
+    assert parts.manifest["data_fingerprint"] == _old_data_fingerprint(instances)
+    assert parts.manifest["n_instances"] == len(instances)
 
 
 def test_side_file_round_trip_and_stamps(tmp_path):
