@@ -507,6 +507,8 @@ class Store:
         self._parsed: dict[tuple[Path, Callable], tuple[str, object]] = {}
         # (eval file digest, vote threshold) -> each domain's eval items
         self._gold: dict[tuple[str, float], dict[str, list[EvalItem]]] = {}
+        # train file digest -> its rows as a TrainingSet
+        self._train: dict[str, TrainingSet] = {}
         # (eval file digest, tagged) -> the eval rows' features in file order
         self._eval_x: dict[tuple[str, bool], sparse.csr_array] = {}
 
@@ -554,16 +556,18 @@ class Store:
         parsed and featurized here, as ingest builds it. Callers must not
         mutate it.
         """
-        return self.read(path, self._training_set)
-
-    def _training_set(self, path: Path) -> TrainingSet:
-        train = read_training_set(features_path(path), self.digest(path), self.backend.feature_dim)
-        return train if train is not None else training_set(_train_rows(path), self.backend, memo=False)
+        digest = self.digest(path)
+        if digest not in self._train:
+            train = read_training_set(features_path(path), digest, self.backend.feature_dim)
+            if train is None:
+                train = training_set(_train_rows(path), self.backend, memo=False)
+            self._train[digest] = train
+        return self._train[digest]
 
     def keep_training_set(self, path: Path, train: TrainingSet) -> None:
         """Write the side file of the train file just written at ``path``, and cache ``train``."""
+        self._train[self.digest(path)] = train
         write_training_set(features_path(path), train, self.digest(path))
-        self.hand_over(path, self._training_set, train)
 
     def eval_features(self, path: Path, tagged: bool) -> sparse.csr_array:
         """The eval file's rows in file order, untagged or each tagged with its domain token.

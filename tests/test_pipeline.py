@@ -950,6 +950,30 @@ def test_derived_confusion_map_from_dev_confusion(tmp_path):
     assert resolve_label("cause") not in cmap
 
 
+def test_run_frees_its_store_without_the_cycle_collector(tmp_path, monkeypatch):
+    """A reference cycle would keep the store's rows and matrices alive after the run,
+    until a full collection lands in some later run's time."""
+    import gc
+    import weakref
+
+    import drsynth.pipeline as pipeline
+
+    made = []
+
+    class Tracked(Store):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(pipeline, "Store", Tracked)
+    gc.disable()
+    try:
+        run_experiment(_config(tmp_path / "run", seeds=[1]))
+        assert made and made[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_runner_parses_a_file_once_per_content(tmp_path):
     run_experiment(_config(tmp_path / "run", seeds=[1]), kinds={"fixtures", "ingest"})
     store = Store()
@@ -1022,8 +1046,7 @@ class TestDeriveOnce:
         store = Store()
         _run_action(store, config, "ingest")
         train = tmp_path / "run" / "data/train.jsonl"
-        digest, handed = store._parsed[(train, store._training_set)]
-        assert digest == digest_path(train)
+        handed = store._train[digest_path(train)]
         _assert_same_training_set(handed, training_set(_train_rows(train), ReferenceBackend()))
         for relative, parse in (
             ("data/dev.jsonl", _dev_rows),
