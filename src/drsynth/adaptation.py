@@ -17,8 +17,8 @@ Four ways to move a source-trained classifier toward target-domain data:
               invariance, kept as its own entry point)
 
 Every regime trains on a ``TrainingSet``: the rows' CSR features, their
-label ids and the byte stream a model manifest's ``data_fingerprint``
-hashes. A pool becomes one through the backend's feature memo
+label ids and adjacency, and the byte stream a model manifest's
+``data_fingerprint`` hashes. A pool becomes one through the backend's feature memo
 (``training_set``); a data file's rows are featurized once and may come
 from a feature side file, so a re-run need not parse or featurize them.
 
