@@ -14,9 +14,16 @@ labels are treated; three protocols are implemented:
       alternatives are credited as TPs (the reading used by some prior
       evaluations, kept for comparability).
 
-All per-class arithmetic is exact (fractions); macro-F1 averages over the
-classes that occur in at least one gold set, never over classes that only
-appear as predictions.
+All per-class arithmetic is exact (integer counts, fraction metrics);
+macro-F1 averages over the classes that occur in at least one gold set,
+never over classes that only appear as predictions.
+
+``score`` has one counting kernel. It takes a ``ScoreBatch``: the items as
+columns of label ids (a column of ``taxonomy.all_labels()``, the global
+order) and a gold mask over those columns. Under every protocol each item
+adds a fixed (tp, fp, fn) vector per class, so the kernel counts them all
+at once with ``bincount`` and mask sums. A list of ``PredictionRecord``s is
+turned into a batch first and counted by the same kernel.
 """
 
 from __future__ import annotations
@@ -27,9 +34,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
 from scipy import special
 
-from .taxonomy import RelationLabel, resolve_label
+from .taxonomy import RelationLabel, all_labels, label_order, resolve_label
+
+_LABELS = all_labels()
+# the label columns in the order of their names, the order of a report's per-class table
+_BY_NAME = sorted(range(len(_LABELS)), key=lambda column: _LABELS[column].level2)
 
 
 class EvalProtocol(str, Enum):
@@ -129,57 +141,85 @@ def report_from_payload(payload: dict) -> MetricReport:
     )
 
 
+@dataclass(frozen=True)
+class ScoreBatch:
+    """Scored items as columns; a label is its column in ``all_labels()``.
+
+    ``predicted`` and ``majority`` hold one label column per item, ``gold``
+    one row per item with ``True`` at the columns of its gold labels. Each
+    item's majority label is in its gold set.
+    """
+
+    predicted: np.ndarray
+    gold: np.ndarray
+    majority: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.predicted)
+        if self.gold.shape != (n, len(_LABELS)) or len(self.majority) != n:
+            raise EvaluationError("batch columns disagree on the item count or the label columns")
+        if not self.gold[np.arange(n), self.majority].all():
+            raise EvaluationError("majority label outside gold set")
+
+    def __len__(self) -> int:
+        return len(self.predicted)
+
+
+def _batch(records: Sequence[PredictionRecord]) -> ScoreBatch:
+    gold = np.zeros((len(records), len(_LABELS)), dtype=bool)
+    for row, record in enumerate(records):
+        gold[row, [label_order(label) for label in record.gold]] = True
+    return ScoreBatch(
+        np.array([label_order(r.predicted) for r in records], dtype=np.intp),
+        gold,
+        np.array([label_order(r.majority) for r in records], dtype=np.intp),
+    )
+
+
 def score(
-    records: Sequence[PredictionRecord],
+    records: Sequence[PredictionRecord] | ScoreBatch,
     protocol: EvalProtocol = EvalProtocol.DISCARD_ALTERNATIVES,
     run_id: str = "",
 ) -> MetricReport:
-    """Score predictions against multi-gold sets under one protocol."""
-    if not records:
+    """Score predictions against multi-gold sets under one protocol.
+
+    A hit adds a TP for the predicted label; a miss adds an FP for it and an
+    FN for the majority label, or for every gold label under
+    ``all-gold-fn``. Under ``alternatives-as-tp`` every gold label but the
+    one already counted (the prediction on a hit, the majority on a miss)
+    adds a TP too, so the TPs are the gold counts less the missed majorities.
+    """
+    if not len(records):
         raise EvaluationError("cannot score an empty record list")
     if not isinstance(protocol, EvalProtocol):
         raise EvaluationError(f"unknown protocol {protocol!r}")
-    tp: dict[RelationLabel, int] = {}
-    fp: dict[RelationLabel, int] = {}
-    fn: dict[RelationLabel, int] = {}
-    occurring: set[RelationLabel] = set()
-    hits = 0
-
-    def bump(counter: dict[RelationLabel, int], label: RelationLabel) -> None:
-        counter[label] = counter.get(label, 0) + 1
-
-    for record in records:
-        occurring.update(record.gold)
-        if record.predicted in record.gold:
-            hits += 1
-            bump(tp, record.predicted)
-            if protocol is EvalProtocol.ALTERNATIVES_AS_TP:
-                for alt in record.gold - {record.predicted}:
-                    bump(tp, alt)
-        else:
-            bump(fp, record.predicted)
-            if protocol is EvalProtocol.ALL_GOLD_FN:
-                for gold in record.gold:
-                    bump(fn, gold)
-            else:
-                bump(fn, record.majority)
-                if protocol is EvalProtocol.ALTERNATIVES_AS_TP:
-                    for alt in record.gold - {record.majority}:
-                        bump(tp, alt)
-
-    seen = occurring | set(tp) | set(fp) | set(fn)
+    batch = records if isinstance(records, ScoreBatch) else _batch(records)
+    n, width = len(batch), len(_LABELS)
+    hit = batch.gold[np.arange(n), batch.predicted]
+    miss = ~hit
+    missed_majority = np.bincount(batch.majority[miss], minlength=width)
+    if protocol is EvalProtocol.ALTERNATIVES_AS_TP:
+        tp = batch.gold.sum(axis=0) - missed_majority
+    else:
+        tp = np.bincount(batch.predicted[hit], minlength=width)
+    fp = np.bincount(batch.predicted[miss], minlength=width)
+    if protocol is EvalProtocol.ALL_GOLD_FN:
+        fn = batch.gold[miss].sum(axis=0)
+    else:
+        fn = missed_majority
+    occurring = batch.gold.any(axis=0)
+    seen = occurring | (tp > 0) | (fp > 0) | (fn > 0)
+    tp, fp, fn = tp.tolist(), fp.tolist(), fn.tolist()  # Python ints for exact fractions
     per_class = {
-        label: ClassScores(tp.get(label, 0), fp.get(label, 0), fn.get(label, 0))
-        for label in sorted(seen, key=lambda l: l.level2)
+        _LABELS[c]: ClassScores(tp[c], fp[c], fn[c]) for c in _BY_NAME if seen[c]
     }
-    macro = sum(
-        (per_class[label].f1 for label in occurring), start=Fraction(0)
-    ) / len(occurring)
+    occurring_f1 = [per_class[_LABELS[c]].f1 for c in np.flatnonzero(occurring).tolist()]
+    macro = sum(occurring_f1, start=Fraction(0)) / len(occurring_f1)
     return MetricReport(
-        accuracy=Fraction(hits, len(records)),
+        accuracy=Fraction(int(hit.sum()), n),
         per_class=per_class,
         macro_f1=macro,
-        n_items=len(records),
+        n_items=n,
         protocol=protocol,
         run_id=run_id,
     )

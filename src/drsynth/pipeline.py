@@ -48,14 +48,17 @@ input digests, the skip checks, the digests recorded after an action and
 the keys of its parse cache, so a run reads each declared file's bytes at
 most once; the entries that overlap a stage's outputs are dropped before
 its action runs. Every stage featurizes through the store's one
-``ReferenceBackend``, parses each canonical ``data/`` file and the screened
-and pseudo-labeled pools once per content digest (``ingest`` hands over
-the rows it writes), and shares each eval item's gold set and majority
-label per eval digest and vote threshold. The train rows and the eval
-features come from the store as matrices: from the side files ``ingest``
-wrote when their stamps match, or else parsed and featurized in memory,
-so a run that skips ``ingest`` parses no train row and featurizes no row
-of either file. A non-dry run holds an exclusive
+``ReferenceBackend`` and parses each canonical ``data/`` file and the
+screened and pseudo-labeled pools once per content digest (``ingest``
+hands over the rows it writes). The train rows come from the store as a
+``TrainingSet``, and the eval rows as arrays: their features, untagged and
+tagged, an n x 18 vote matrix and their domains. Both come from the side
+files ``ingest`` wrote when their stamps match, or else are parsed and
+built in memory, so a run that skips ``ingest`` parses no train or eval
+row and featurizes no row of either file. An ``evaluate`` stage derives
+the gold masks and majority labels from the vote matrix at its own vote
+threshold (about a millisecond for 6,203 rows, so nothing caches them),
+and scores label ids against them. A non-dry run holds an exclusive
 ``flock`` on the workdir directory; a second writer fails with
 ``PipelineError`` (CLI exit 2) before it touches the workdir.
 """
@@ -73,8 +76,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
+import numpy as np
 from scipy import sparse
 
 from . import fixtures
@@ -102,7 +106,7 @@ from .adaptation import (
 from .evaluation import (
     EvalProtocol,
     MetricReport,
-    PredictionRecord,
+    ScoreBatch,
     SignificanceResult,
     VariantMeta,
     aggregate_runs,
@@ -114,10 +118,11 @@ from .evaluation import (
     t_test,
 )
 from .feature_files import (
+    EvalArrays,
     features_path,
-    read_eval_features,
+    read_eval_arrays,
     read_training_set,
-    write_eval_features,
+    write_eval_arrays,
     write_training_set,
 )
 from .generation import (
@@ -138,13 +143,13 @@ from .pseudo_label import (
 from .records import (
     CrowdAnnotatedInstance,
     SplitSpec,
-    gold_label_set,
+    gold_label_masks,
     ingest_raw_corpus,
     ingest_source_corpus,
     ingest_target_corpus,
-    majority_label,
     source_record,
     target_record,
+    vote_matrix,
     write_json,
     write_raw_corpus,
     write_records,
@@ -161,9 +166,9 @@ from .screening import (
 )
 from .taxonomy import (
     ConfusionMap,
-    RelationLabel,
     derive_confusion_map,
     generation_label_set,
+    label_order,
     load_confusion_map,
     resolve_label,
 )
@@ -485,15 +490,6 @@ _REPORT_KEYS = (
 _MODEL_NAMES = {"concat": "base+syn", "prefix": "base>syn", "invariance": "base>IV>syn"}
 
 
-class EvalItem(NamedTuple):
-    """One eval instance, its row in the eval file, its gold label set and majority label."""
-
-    instance: CrowdAnnotatedInstance
-    row: int
-    gold: frozenset[RelationLabel]
-    majority: RelationLabel
-
-
 class Store:
     """All state the stages of one run share; nothing in it outlives the run.
 
@@ -505,12 +501,10 @@ class Store:
         self.backend = ReferenceBackend()
         self._digests: dict[Path, str] = {}
         self._parsed: dict[tuple[Path, Callable], tuple[str, object]] = {}
-        # (eval file digest, vote threshold) -> each domain's eval items
-        self._gold: dict[tuple[str, float], dict[str, list[EvalItem]]] = {}
         # train file digest -> its rows as a TrainingSet
         self._train: dict[str, TrainingSet] = {}
-        # (eval file digest, tagged) -> the eval rows' features in file order
-        self._eval_x: dict[tuple[str, bool], sparse.csr_array] = {}
+        # eval file digest -> the ``EvalArrays`` fields read or built so far, by name
+        self._eval: dict[str, dict[str, object]] = {}
 
     def digest(self, path: Path) -> str:
         """``digest_path`` of a declared path, memoized until ``forget`` drops it."""
@@ -535,18 +529,6 @@ class Store:
         """Cache ``rows`` (``parse`` of the file just written) under the file's memoized digest."""
         self._parsed[(path, parse)] = (self.digest(path), rows)
 
-    def eval_items(self, path: Path, threshold: float) -> dict[str, list[EvalItem]]:
-        """Eval items by domain with their gold sets, derived once per eval content and threshold."""
-        key = (self.digest(path), threshold)
-        if key not in self._gold:
-            by_domain: dict[str, list[EvalItem]] = {}
-            for row, inst in enumerate(self.read(path, ingest_target_corpus)):
-                by_domain.setdefault(inst.domain, []).append(EvalItem(
-                    inst, row, frozenset(gold_label_set(inst, threshold)), majority_label(inst)
-                ))
-            self._gold[key] = by_domain
-        return self._gold[key]
-
     # The side files: only ``ingest`` writes them, through the two ``keep_`` methods.
 
     def training_set(self, path: Path) -> TrainingSet:
@@ -569,30 +551,28 @@ class Store:
         self._train[self.digest(path)] = train
         write_training_set(features_path(path), train, self.digest(path))
 
-    def eval_features(self, path: Path, tagged: bool) -> sparse.csr_array:
-        """The eval file's rows in file order, untagged or each tagged with its domain token.
+    def eval_array(self, path: Path, name: str) -> sparse.csr_array | np.ndarray:
+        """One field of the eval file's ``EvalArrays``, its rows in file order.
 
-        Read from the side file beside it when its stamps match; otherwise
-        featurized here from the parsed rows, as ingest builds them.
+        Read, with the other fields, from the side file beside it when its
+        stamps match; otherwise built here from the parsed rows as ingest
+        builds it, and only the fields asked for.
         """
         digest = self.digest(path)
-        if (digest, tagged) not in self._eval_x:
-            stored = read_eval_features(features_path(path), digest, self.backend.feature_dim)
-            if stored is not None:
-                self._eval_x[(digest, False)], self._eval_x[(digest, True)] = stored
-            else:
-                rows = self.read(path, ingest_target_corpus)
-                self._eval_x[(digest, tagged)] = _eval_matrix(rows, self.backend, tagged)
-        return self._eval_x[(digest, tagged)]
+        if digest not in self._eval:
+            stored = read_eval_arrays(features_path(path), digest, self.backend.feature_dim)
+            self._eval[digest] = {} if stored is None else stored._asdict()
+        arrays = self._eval[digest]
+        if name not in arrays:
+            arrays[name] = _eval_field(self.read(path, ingest_target_corpus), self.backend, name)
+        return arrays[name]
 
-    def keep_eval_features(self, path: Path, rows: Sequence[CrowdAnnotatedInstance]) -> None:
-        """Featurize the eval rows just written at ``path``, write their side file and cache them."""
+    def keep_eval_arrays(self, path: Path, rows: Sequence[CrowdAnnotatedInstance]) -> None:
+        """Build the eval rows just written at ``path`` as arrays, write their side file and cache them."""
         digest = self.digest(path)
-        for tagged in (False, True):
-            self._eval_x[(digest, tagged)] = _eval_matrix(rows, self.backend, tagged)
-        write_eval_features(
-            features_path(path), self._eval_x[(digest, False)], self._eval_x[(digest, True)], digest
-        )
+        arrays = EvalArrays(*(_eval_field(rows, self.backend, name) for name in EvalArrays._fields))
+        self._eval[digest] = arrays._asdict()
+        write_eval_arrays(features_path(path), arrays, digest)
 
 
 def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
@@ -794,7 +774,7 @@ def _ingest(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     ingest = ingest_source_corpus(corpora["source"], SplitSpec.parse(str(cfg["data.split"])))
     # canonicalized copies; sections riding along for round-trips. Each copy
     # parses back to the rows it was written from, so they go to the cache;
-    # the train rows go there, and to their side file, as a TrainingSet.
+    # the train and eval rows go there, and to their side files, as arrays.
     for name, section, instances in (("train", 0, ingest.train), ("dev", 1, ingest.dev)):
         write_records((source_record(inst, section=section) for inst in instances), out[name])
     store.hand_over(out["dev"], _dev_rows, ingest.dev)
@@ -802,8 +782,7 @@ def _ingest(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     store.keep_training_set(out["train"], training_set(ingest.train, store.backend, memo=False))
     target = ingest_target_corpus(corpora["target"])
     write_records((target_record(i) for i in target), out["eval"])
-    store.hand_over(out["eval"], ingest_target_corpus, target)
-    store.keep_eval_features(out["eval"], target)
+    store.keep_eval_arrays(out["eval"], target)
     docs = ingest_raw_corpus(corpora["raw"])
     write_raw_corpus(docs, out["raw"])
     store.hand_over(out["raw"], ingest_raw_corpus, docs)
@@ -965,30 +944,28 @@ def _evaluate(
         for domain, model in models.items()
     }
     protocol = EvalProtocol(cfg["evaluation.protocol"])
-    eval_items = store.eval_items(stage.inputs["eval"], float(cfg["evaluation.vote_threshold"]))
-    features = store.eval_features(stage.inputs["eval"], tagged=mode == "mixed")
+    eval_data = stage.inputs["eval"]
+    features = store.eval_array(eval_data, "tagged" if mode == "mixed" else "untagged")
+    gold, majority = gold_label_masks(
+        store.eval_array(eval_data, "votes"), float(cfg["evaluation.vote_threshold"])
+    )
+    row_domains = store.eval_array(eval_data, "domain")
     reports: dict[str, dict] = {}
     prediction_rows: list[dict] = []
     for domain in domains:
-        items = eval_items.get(domain)
-        if not items:
+        rows = np.flatnonzero(row_domains == domain)
+        if not rows.size:
             raise PipelineError(f"no evaluation items for domain {domain}")
-        predicted, _ = predict_features(models[domain], features[[item.row for item in items]])
+        predicted, _ = predict_features(models[domain], features[rows])
         prediction_rows.extend(
-            {**target_record(item.instance), "predicted": label.level2}
-            for item, label in zip(items, predicted)
+            {"predicted": label.level2, "row": row} for row, label in zip(rows.tolist(), predicted)
         )
-        records = [
-            PredictionRecord(
-                item_id=f"{item.instance.pair.doc_id}#{index}",
-                predicted=label,
-                gold=item.gold,
-                majority=item.majority,
-                domain=domain,
-            )
-            for index, (item, label) in enumerate(zip(items, predicted))
-        ]
-        reports[domain] = report_payload(score(records, protocol, run_id=f"seed{seed}"))
+        batch = ScoreBatch(
+            np.array([label_order(label) for label in predicted], dtype=np.intp),
+            gold[rows],
+            majority[rows],
+        )
+        reports[domain] = report_payload(score(batch, protocol, run_id=f"seed{seed}"))
     write_json(
         stage.outputs["eval"],
         {"variant": variant, "seed": seed, "sizes": dict(sizes), "reports": reports},
@@ -1052,11 +1029,15 @@ def _dev_rows(path: Path) -> list:
     return ingest_source_corpus(path, _ALL_DEV).dev
 
 
-def _eval_matrix(
-    rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend, tagged: bool
-) -> sparse.csr_array:
-    """The eval rows' features, each tagged with its domain's token when ``tagged``."""
-    tokens = [domain_token_literal(row.domain) if tagged else None for row in rows]
+def _eval_field(
+    rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend, name: str
+) -> sparse.csr_array | np.ndarray:
+    """The ``EvalArrays`` field ``name`` of the eval rows."""
+    if name == "votes":
+        return vote_matrix(rows)
+    if name == "domain":
+        return np.array([row.domain for row in rows], dtype=str)
+    tokens = [domain_token_literal(row.domain) if name == "tagged" else None for row in rows]
     return backend.featurize_rows([row.pair for row in rows], tokens)
 
 

@@ -31,7 +31,9 @@ import numpy as np
 from .taxonomy import (
     NO_RELATION,
     RelationLabel,
+    all_labels,
     first_in_order,
+    label_order,
     resolve_label,
     training_label_set,
 )
@@ -127,32 +129,43 @@ def majority_label(instance: CrowdAnnotatedInstance) -> RelationLabel:
     return first_in_order(label for label, count in votes.items() if count == top)
 
 
-def gold_label_set(
-    instance: CrowdAnnotatedInstance, threshold: float = 0.4
-) -> set[RelationLabel]:
-    """All labels holding at least ``threshold`` of the votes, plus the
-    majority label.
+def vote_matrix(instances: Sequence[CrowdAnnotatedInstance]) -> np.ndarray:
+    """The instances' votes as an n x 18 ``uint8`` matrix, one column per label of
+    ``all_labels()``, so in the global order; a count is at most the annotator count."""
+    votes = np.zeros((len(instances), len(all_labels())), dtype=np.uint8)
+    for row, instance in enumerate(instances):
+        for label, count in instance.votes:
+            votes[row, label_order(label)] = count
+    return votes
 
-    Dispersed vote distributions can leave the plurality label below the
-    threshold; including the majority unconditionally keeps the gold set
-    non-empty for every retained instance. no-relation never enters a gold
-    set: it marks the absence of an implicit relation and is not a
-    predictable class.
+
+def gold_label_masks(votes: np.ndarray, threshold: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's gold label set, as a boolean mask over ``vote_matrix`` columns,
+    and its majority label's column.
+
+    A gold set holds every label with at least ``threshold`` of the row's
+    votes, plus the majority label. Dispersed vote distributions can leave
+    the plurality label below the threshold; including the majority
+    unconditionally keeps the gold set non-empty for every retained
+    instance. no-relation never enters a gold set: it marks the absence of
+    an implicit relation and is not a predictable class. The majority is the
+    first column holding the row's most votes, so ties break by the global
+    label order, as ``majority_label`` breaks them.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     cutoff = Fraction(str(threshold))
-    # count / total >= num / den, cross-multiplied (total > 0): exact in integers
-    need = cutoff.numerator * instance.total_votes
-    gold = {
-        label
-        for label, count in instance.votes
-        if label is not NO_RELATION and count * cutoff.denominator >= need
-    }
-    majority = majority_label(instance)
-    if majority is not NO_RELATION:
-        gold.add(majority)
-    return gold
+    counts = votes.astype(np.int64)
+    # count / total >= num / den is count * den >= num * total, exact in integers:
+    # with integer counts, count >= ceil(num * total / den), taken once per distinct total
+    totals, row_total = np.unique(counts.sum(axis=1), return_inverse=True)
+    need = np.array([-(-cutoff.numerator * t // cutoff.denominator) for t in totals.tolist()])
+    gold = counts >= need[row_total][:, None]
+    no_relation = label_order(NO_RELATION)
+    gold[:, no_relation] = False
+    majority = counts.argmax(axis=1)
+    gold[np.arange(len(majority)), majority] |= majority != no_relation
+    return gold, majority
 
 
 @dataclass(frozen=True)

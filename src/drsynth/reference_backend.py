@@ -234,8 +234,10 @@ class ReferenceBackend:
         for start in range(0, len(new), FEATURIZE_CHUNK_ROWS):
             self._featurize_new(new[start : start + FEATURIZE_CHUNK_ROWS])
         rows = [self.featurize(p, t) for p, t in zip(pairs, domain_tokens)]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([row.indices.size for row in rows], out=indptr[1:])
+        # int32 offsets, as ``featurize_rows`` builds them: an int64 ``indptr``
+        # makes scipy widen the matrix's indices to 8 bytes a value too
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum([row.indices.size for row in rows], dtype=np.int32, out=indptr[1:])
         indices = np.concatenate([row.indices for row in rows] + [np.empty(0, np.int32)])
         values = np.concatenate([row.values for row in rows] + [np.empty(0)])
         return sparse.csr_array((values, indices, indptr), shape=(len(rows), self.feature_dim))

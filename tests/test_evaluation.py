@@ -5,26 +5,41 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import drsynth
 from drsynth.evaluation import (
+    ClassScores,
     EvalProtocol,
     EvaluationError,
+    MetricReport,
     MetricSummary,
     PredictionRecord,
     RunSummary,
+    ScoreBatch,
     SignificanceResult,
     VariantMeta,
     _two_tailed_p,
     aggregate_runs,
     render_results_table,
+    report_payload,
     results_tsv,
     score,
     t_test,
 )
-from drsynth.taxonomy import resolve_label
+from drsynth.records import (
+    ArgumentPair,
+    CrowdAnnotatedInstance,
+    gold_label_masks,
+    majority_label,
+    vote_matrix,
+)
+from drsynth.taxonomy import NO_RELATION, all_labels, label_order, resolve_label
+from test_records import _gold_label_set
 
 CAUSE = resolve_label("cause")
 CONCESSION = resolve_label("concession")
@@ -182,6 +197,116 @@ class TestProtocols:
         for protocol in EvalProtocol:
             report = score(records, protocol)
             assert report.macro_f1 == report.per_class[CAUSE].f1
+
+
+def _score_oracle(records, protocol=EvalProtocol.DISCARD_ALTERNATIVES):
+    """Oracle: the per-record counting loop that ``score``'s kernel replaced."""
+    tp, fp, fn = {}, {}, {}
+    occurring = set()
+    hits = 0
+
+    def bump(counter, label):
+        counter[label] = counter.get(label, 0) + 1
+
+    for record in records:
+        occurring.update(record.gold)
+        if record.predicted in record.gold:
+            hits += 1
+            bump(tp, record.predicted)
+            if protocol is EvalProtocol.ALTERNATIVES_AS_TP:
+                for alt in record.gold - {record.predicted}:
+                    bump(tp, alt)
+        else:
+            bump(fp, record.predicted)
+            if protocol is EvalProtocol.ALL_GOLD_FN:
+                for gold in record.gold:
+                    bump(fn, gold)
+            else:
+                bump(fn, record.majority)
+                if protocol is EvalProtocol.ALTERNATIVES_AS_TP:
+                    for alt in record.gold - {record.majority}:
+                        bump(tp, alt)
+
+    seen = occurring | set(tp) | set(fp) | set(fn)
+    per_class = {
+        label: ClassScores(tp.get(label, 0), fp.get(label, 0), fn.get(label, 0))
+        for label in sorted(seen, key=lambda l: l.level2)
+    }
+    macro = sum((per_class[label].f1 for label in occurring), start=Fraction(0)) / len(occurring)
+    return MetricReport(
+        accuracy=Fraction(hits, len(records)), per_class=per_class, macro_f1=macro,
+        n_items=len(records), protocol=protocol,
+    )
+
+
+LABELS = all_labels()
+_VOTES = st.dictionaries(st.sampled_from(LABELS), st.integers(0, 4), min_size=1, max_size=6).filter(
+    lambda votes: sum(votes.values()) > 0
+)
+# small counts make ties common; every label, no-relation and the labels
+# outside the training set included, can be voted for and predicted
+_ITEMS = st.lists(st.tuples(_VOTES, st.sampled_from(LABELS)), min_size=1, max_size=40)
+_THRESHOLDS = st.one_of(
+    st.integers(1, 10).map(lambda tenths: tenths / 10), st.floats(0.1, 1.0)
+)
+
+
+class TestKernelAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(items=_ITEMS, threshold=_THRESHOLDS)
+    def test_gold_masks_and_score_match_the_per_record_loop(self, items, threshold):
+        pair = ArgumentPair(arg1="a", arg2="b")
+        instances = [
+            CrowdAnnotatedInstance.from_votes(pair, votes, "EP", annotators=sum(votes.values()))
+            for votes, _ in items
+        ]
+        gold, majority = gold_label_masks(vote_matrix(instances), threshold)
+        for row, inst in enumerate(instances):
+            assert {LABELS[c] for c in np.flatnonzero(gold[row])} == _gold_label_set(inst, threshold)
+            assert LABELS[majority[row]] is majority_label(inst)
+        # ingest drops the items whose majority is no-relation; the rest are scored
+        kept = [row for row, inst in enumerate(instances) if majority_label(inst) is not NO_RELATION]
+        if not kept:
+            return
+        records = [
+            PredictionRecord(
+                str(row), items[row][1], frozenset(_gold_label_set(instances[row], threshold)),
+                majority_label(instances[row]),
+            )
+            for row in kept
+        ]
+        batch = ScoreBatch(
+            np.array([label_order(items[row][1]) for row in kept]), gold[kept], majority[kept]
+        )
+        assert len(batch) == len(records)
+        for protocol in EvalProtocol:
+            expected = report_payload(_score_oracle(records, protocol))
+            assert report_payload(score(batch, protocol)) == expected
+            assert report_payload(score(records, protocol)) == expected
+
+
+class TestScoreBatch:
+    def test_columns_must_agree(self):
+        gold = np.zeros((2, len(LABELS)), dtype=bool)
+        gold[:, 0] = True
+        with pytest.raises(EvaluationError):
+            ScoreBatch(np.array([0]), gold, np.array([0, 0]))
+        with pytest.raises(EvaluationError):
+            ScoreBatch(np.array([0, 0]), gold[:, :14], np.array([0, 0]))
+
+    def test_majority_outside_gold_rejected(self):
+        gold = np.zeros((1, len(LABELS)), dtype=bool)
+        gold[0, 0] = True
+        with pytest.raises(EvaluationError):
+            ScoreBatch(np.array([0]), gold, np.array([1]))
+
+    def test_counts_are_python_ints(self):
+        report = score(TWELVE_ITEMS)
+        assert all(
+            type(count) is int
+            for scores in report.per_class.values()
+            for count in (scores.tp, scores.fp, scores.fn)
+        )
 
 
 class TestAggregateRuns:

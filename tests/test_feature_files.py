@@ -1,17 +1,21 @@
 """Feature side files: what ``ingest`` keeps beside the train and eval rows.
 
-A re-run reads the train rows and the eval features from the side files,
-so it parses no train row; a side file that is missing, cut short, damaged
-or stale is rebuilt in memory and changes no output byte.
+A re-run reads the train rows and the eval arrays from the side files, so
+it parses no train or eval row; a side file that is missing, cut short,
+damaged, stale or written by another featurizer is rebuilt in memory and
+changes no output byte.
 """
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import drsynth.feature_files as feature_files
 import drsynth.pipeline as pipeline
 from drsynth.adaptation import (
     TrainingConfig,
@@ -22,14 +26,15 @@ from drsynth.adaptation import (
     training_set,
 )
 from drsynth.feature_files import (
+    EvalArrays,
     features_path,
-    read_eval_features,
+    read_eval_arrays,
     read_training_set,
-    write_eval_features,
+    write_eval_arrays,
     write_training_set,
 )
 from drsynth.pipeline import PipelineConfig, Store, digest_path, run_experiment
-from drsynth.records import Adjacency, ArgumentPair, LabeledInstance
+from drsynth.records import Adjacency, ArgumentPair, LabeledInstance, vote_matrix
 from drsynth.reference_backend import ReferenceBackend
 from drsynth.screening import SyntheticInstance
 from drsynth.taxonomy import resolve_label
@@ -101,6 +106,28 @@ def test_concat_trains_on_the_source_rows_then_the_pool():
     assert parts.manifest["n_instances"] == len(instances)
 
 
+def _int64_copy(data: TrainingSet) -> TrainingSet:
+    x = data.x
+    wide = sparse.csr_array(
+        (x.data, x.indices.astype(np.int64), x.indptr.astype(np.int64)), shape=x.shape
+    )
+    assert wide.indices.dtype == np.int64  # scipy keeps the wide index arrays given to it
+    return TrainingSet(wide, data.y, data.inter, data.fingerprint)
+
+
+def test_concat_model_bits_do_not_depend_on_the_index_width():
+    """Source rows from the file path and a pool from the memo, stacked: int32 trains as int64 did."""
+    instances, backend = _hand_built(), ReferenceBackend()
+    source = training_set(instances[:3], backend, memo=False)
+    pool = training_set(instances[3:], backend)
+    assert pool.x.indices.dtype == np.int32 and source.x.indices.dtype == np.int32
+    config = TrainingConfig(epochs=7, learning_rate=0.5, seed=5)
+    narrow = adapt_concat(source, pool, config, backend)
+    wide = adapt_concat(_int64_copy(source), _int64_copy(pool), config, backend)
+    assert narrow.artifact_id == wide.artifact_id
+    assert all(narrow.params[key].tobytes() == wide.params[key].tobytes() for key in narrow.params)
+
+
 def test_side_file_round_trip_and_stamps(tmp_path):
     train = training_set(_hand_built(), ReferenceBackend(), memo=False)
     path = tmp_path / "train-features.npz"
@@ -113,8 +140,21 @@ def test_side_file_round_trip_and_stamps(tmp_path):
     assert loaded.fingerprint == train.fingerprint
     assert read_training_set(path, "b" * 64, train.x.shape[1]) is None  # another source
     assert read_training_set(path, "a" * 64, 256) is None  # another feature dimension
-    assert read_eval_features(path, "a" * 64, train.x.shape[1]) is None  # not an eval file
+    assert read_eval_arrays(path, "a" * 64, train.x.shape[1]) is None  # not an eval file
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_eval_side_file_round_trip(tmp_path):
+    x = training_set(_hand_built(), ReferenceBackend(), memo=False).x
+    votes = np.arange(5 * 18, dtype=np.uint8).reshape(5, 18) % 11
+    domain = np.array(["EP", "WK", "NV", "EP", "SRC"], dtype=str)
+    path = tmp_path / "eval-features.npz"
+    write_eval_arrays(path, EvalArrays(x, x, votes, domain), "a" * 64)
+    loaded = read_eval_arrays(path, "a" * 64, x.shape[1])
+    assert (loaded.untagged != x).nnz == 0 and (loaded.tagged != x).nnz == 0
+    assert loaded.votes.dtype == np.uint8 and np.array_equal(loaded.votes, votes)
+    assert loaded.domain.tolist() == domain.tolist()
+    assert read_training_set(path, "a" * 64, x.shape[1]) is None  # not a train file
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +190,9 @@ def _stale(path):
     if path.name == "train-features.npz":
         write_training_set(path, other, source)
     else:
-        write_eval_features(path, other.x, other.x, source)
+        n = other.x.shape[0]
+        votes = np.full((n, 18), 1, dtype=np.uint8)
+        write_eval_arrays(path, EvalArrays(other.x, other.x, votes, np.array(["EP"] * n)), source)
 
 
 DAMAGE = {"deleted": Path.unlink, "truncated": _truncate, "bit-flipped": _flip_a_bit, "stale": _stale}
@@ -172,24 +214,69 @@ def test_damaged_side_file_changes_no_output(cold_run, tmp_path, damage, data_fi
     assert (path.read_bytes() if path.exists() else None) == before
 
 
-def test_rescreen_after_cold_parses_no_source_corpus(cold_run, tmp_path, monkeypatch):
-    cold, _ = cold_run
-    workdir = tmp_path / "run"
-    shutil.copytree(cold, workdir)
+def _count_calls(monkeypatch, name) -> list:
+    """The first argument of each call of ``pipeline.<name>`` from now on."""
     calls = []
-    parse = pipeline.ingest_source_corpus
+    parse = getattr(pipeline, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return parse(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ingest_source_corpus", counted)
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def _evaluations_run(workdir, before: dict) -> list[str]:
+    after = json.loads((workdir / "run-manifest.json").read_text("utf-8"))["stages"]
+    return [name for name in after if name.startswith("evaluate:") and after[name] != before.get(name)]
+
+
+def test_rescreen_after_cold_parses_no_source_corpus(cold_run, tmp_path, monkeypatch):
+    cold, _ = cold_run
+    workdir = tmp_path / "run"
+    shutil.copytree(cold, workdir)
+    calls = _count_calls(monkeypatch, "ingest_source_corpus")
     run_experiment(PipelineConfig.from_mapping({**COLD, "screening.kind": "combi"}), workdir)
     assert calls == []
     # a re-run that reads the train rows without their side file parses them once
     features_path(workdir / "data" / "train.jsonl").unlink()
     run_experiment(PipelineConfig.from_mapping({**COLD, "adaptation.lambda": 0.2}), workdir)
     assert [path.name for path in calls] == ["train.jsonl"]
+
+
+@pytest.mark.parametrize("damage", ["intact", "deleted", "truncated"])
+def test_rescreen_parses_the_eval_rows_only_without_their_side_file(
+    cold_run, tmp_path, monkeypatch, damage
+):
+    """A strict -> combi rescreen re-scores from the side file's votes, or parses once."""
+    cold, expected = cold_run
+    workdir = tmp_path / "run"
+    shutil.copytree(cold, workdir)
+    if damage != "intact":
+        DAMAGE[damage](features_path(workdir / "data" / "eval.jsonl"))
+    before = json.loads((workdir / "run-manifest.json").read_text("utf-8"))["stages"]
+    calls = _count_calls(monkeypatch, "ingest_target_corpus")
+    run_experiment(PipelineConfig.from_mapping(RERUN), workdir)
+    assert len(_evaluations_run(workdir, before)) == 7  # the baseline and all six variants
+    assert [path.name for path in calls] == ([] if damage == "intact" else ["eval.jsonl"])
+    assert _outputs(workdir) == expected
+
+
+def test_side_files_of_another_featurizer_are_ignored(cold_run, tmp_path, monkeypatch):
+    cold, expected = cold_run
+    workdir = tmp_path / "run"
+    shutil.copytree(cold, workdir)
+    monkeypatch.setattr(feature_files, "_featurizer_sha256", lambda: "0" * 64)
+    source_calls = _count_calls(monkeypatch, "ingest_source_corpus")
+    target_calls = _count_calls(monkeypatch, "ingest_target_corpus")
+    run_experiment(PipelineConfig.from_mapping(RERUN), workdir)
+    # dev.jsonl has no side file; the retrained base model reads it either way
+    assert [path.name for path in source_calls] == ["train.jsonl", "dev.jsonl"]
+    assert [path.name for path in target_calls] == ["eval.jsonl"]
+    outputs = _outputs(workdir)
+    assert outputs == expected
+    assert any(name.startswith("eval/") and name.endswith(".json") for name in outputs)
 
 
 def test_store_serves_the_rows_ingest_featurized(cold_run):
@@ -201,8 +288,11 @@ def test_store_serves_the_rows_ingest_featurized(cold_run):
     assert (stored.x != built.x).nnz == 0 and stored.fingerprint == built.fingerprint
     assert store.backend._rows == {}  # nothing was featurized
     rows = pipeline.ingest_target_corpus(eval_data)
-    for tagged in (False, True):
-        expected = pipeline._eval_matrix(rows, ReferenceBackend(), tagged)
-        served = store.eval_features(eval_data, tagged)
+    for name in ("untagged", "tagged"):
+        expected = pipeline._eval_field(rows, ReferenceBackend(), name)
+        served = store.eval_array(eval_data, name)
         assert served.shape == expected.shape and (served != expected).nnz == 0
+    assert np.array_equal(store.eval_array(eval_data, "votes"), vote_matrix(rows))
+    assert store.eval_array(eval_data, "domain").tolist() == [row.domain for row in rows]
+    assert store.backend._rows == {}
     assert digest_path(train) == store.digest(train)

@@ -185,9 +185,23 @@ class TestRunExperiment:
         assert {"ingest", "generate", "screen", "report"} <= stage_names
         screen_table = (workdir / "synthetic/screening-report.txt").read_text()
         assert screen_table.splitlines()[0].startswith("domain\t")
-        predictions = (workdir / "eval/baseline-seed1-predictions.jsonl").read_text()
-        first = json.loads(predictions.splitlines()[0])
-        assert {"arg1", "arg2", "votes", "predicted"} <= set(first)
+
+    def test_every_prediction_row_joins_back_to_the_eval_rows(self, finished_run):
+        """A predictions row is the label and the 0-based eval row: domain order, then file order."""
+        workdir, config, _ = finished_run
+        eval_rows = [json.loads(line) for line in (workdir / "data/eval.jsonl").read_text().splitlines()]
+        in_order = [
+            row for domain in config.get("domains")
+            for row, record in enumerate(eval_rows) if record["domain"] == domain
+        ]
+        trainable = {label.level2 for label in ReferenceBackend().labels}
+        files = sorted(workdir.glob("eval/*-predictions.jsonl"))
+        assert len(files) == len(list(workdir.glob("eval/*-seed*.json")))
+        for path in files:
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            assert all(set(row) == {"predicted", "row"} for row in rows), path.name
+            assert [row["row"] for row in rows] == in_order, path.name
+            assert {row["predicted"] for row in rows} <= trainable, path.name
 
     def test_screening_references_base_artifact(self, finished_run):
         workdir, _, _ = finished_run
@@ -1030,13 +1044,14 @@ def _messy_corpora(clean_dir, out_dir):
 
 
 class TestDeriveOnce:
-    """Each canonical file is parsed once per run and each gold set derived once."""
+    """Each canonical file is parsed at most once per run, and the eval rows not after ingest."""
 
     @pytest.mark.parametrize("corpora", ["fixtures", "messy"])
     def test_ingest_hands_over_what_parsing_the_written_files_returns(
         self, corpora, tmp_path, tiny_corpus_dir
     ):
-        from drsynth.pipeline import _dev_rows
+        from drsynth.feature_files import EvalArrays
+        from drsynth.pipeline import _dev_rows, _eval_field
         from drsynth.records import ingest_raw_corpus, ingest_target_corpus
 
         overrides = {} if corpora == "fixtures" else _messy_corpora(tiny_corpus_dir, tmp_path / "in")
@@ -1048,9 +1063,19 @@ class TestDeriveOnce:
         train = tmp_path / "run" / "data/train.jsonl"
         handed = store._train[digest_path(train)]
         _assert_same_training_set(handed, training_set(_train_rows(train), ReferenceBackend()))
+        # the eval rows are handed over as arrays, equal to those built from the written file
+        eval_data = tmp_path / "run" / "data/eval.jsonl"
+        kept = store._eval[digest_path(eval_data)]
+        parsed = ingest_target_corpus(eval_data)
+        assert parsed and set(kept) == set(EvalArrays._fields)
+        for name in EvalArrays._fields:
+            built = _eval_field(parsed, ReferenceBackend(), name)
+            if name in ("untagged", "tagged"):
+                assert (kept[name] != built).nnz == 0 and kept[name].shape == built.shape, name
+            else:
+                assert kept[name].dtype == built.dtype and np.array_equal(kept[name], built), name
         for relative, parse in (
             ("data/dev.jsonl", _dev_rows),
-            ("data/eval.jsonl", ingest_target_corpus),
             ("data/raw-canonical.jsonl", ingest_raw_corpus),
         ):
             path = tmp_path / "run" / relative
@@ -1082,12 +1107,11 @@ class TestDeriveOnce:
         ]
         calls.clear()
         # a second run that retrains the base models parses each canonical file once,
-        # except the train rows, which come from their side file
+        # except the train and eval rows, which come from their side files
         run_experiment(_config(workdir, **{"base.epochs": 20}))
         assert sorted(calls) == [
             ("_dev_rows", "dev.jsonl"),
             ("ingest_raw_corpus", "raw-canonical.jsonl"),
-            ("ingest_target_corpus", "eval.jsonl"),
         ]
 
     def test_one_runner_across_vote_thresholds_matches_fresh_runners(self, tmp_path):

@@ -5,6 +5,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from drsynth import fixtures, records
@@ -16,7 +17,7 @@ from drsynth.records import (
     DEFAULT_SPLIT,
     RawDocument,
     SplitSpec,
-    gold_label_set,
+    gold_label_masks,
     ingest_raw_corpus,
     ingest_source_corpus,
     ingest_target_corpus,
@@ -24,11 +25,12 @@ from drsynth.records import (
     make_adjacent_pairs,
     source_record,
     target_record,
+    vote_matrix,
     write_records,
 )
 from drsynth.adaptation import frequency_table, training_set
 from drsynth.reference_backend import ReferenceBackend
-from drsynth.taxonomy import LabelError, resolve_label
+from drsynth.taxonomy import NO_RELATION, LabelError, all_labels, first_in_order, resolve_label
 
 
 def _votes(**kwargs):
@@ -40,26 +42,50 @@ def _crowd(votes, domain="EP"):
     return CrowdAnnotatedInstance.from_votes(pair, votes, domain)
 
 
+def _gold_label_set(instance, threshold=0.4):
+    """Oracle: the per-instance gold rule that ``gold_label_masks`` replaced, in exact integers."""
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must be in (0, 1]")
+    cutoff = Fraction(str(threshold))
+    need = cutoff.numerator * instance.total_votes
+    gold = {
+        label
+        for label, count in instance.votes
+        if label is not NO_RELATION and count * cutoff.denominator >= need
+    }
+    top = max(count for _, count in instance.votes)
+    majority = first_in_order(label for label, count in instance.votes if count == top)
+    if majority is not NO_RELATION:
+        gold.add(majority)
+    return gold
+
+
+def _gold(instance, threshold=0.4):
+    """``gold_label_masks`` of one instance, as a label set."""
+    gold, _ = gold_label_masks(vote_matrix([instance]), threshold)
+    return {label for label, member in zip(all_labels(), gold[0]) if member}
+
+
 class TestGoldLabelSet:
     def test_two_labels_reach_threshold(self):
         inst = _crowd(_votes(cause=5, concession=4, conjunction=1))
-        assert gold_label_set(inst) == {resolve_label("cause"), resolve_label("concession")}
+        assert _gold(inst) == {resolve_label("cause"), resolve_label("concession")}
 
     def test_unanimous(self):
         inst = _crowd(_votes(cause=10))
-        assert gold_label_set(inst) == {resolve_label("cause")}
+        assert _gold(inst) == {resolve_label("cause")}
 
     def test_only_majority_reaches_threshold(self):
         inst = _crowd(_votes(cause=4, concession=3, conjunction=3))
-        assert gold_label_set(inst) == {resolve_label("cause")}
+        assert _gold(inst) == {resolve_label("cause")}
 
     def test_exact_forty_percent_included(self):
         inst = _crowd(_votes(cause=4, concession=6))
-        assert resolve_label("cause") in gold_label_set(inst)
+        assert resolve_label("cause") in _gold(inst)
 
     def test_no_relation_never_in_gold_set(self):
         inst = _crowd({**_votes(cause=6), resolve_label("no-relation"): 4})
-        assert gold_label_set(inst) == {resolve_label("cause")}
+        assert _gold(inst) == {resolve_label("cause")}
 
     def test_majority_always_included_at_half_threshold(self):
         rng = random.Random(5)
@@ -72,12 +98,12 @@ class TestGoldLabelSet:
             votes = {l: c for l, c in zip(labels, counts) if c}
             pair = ArgumentPair(arg1="a", arg2="b")
             inst = CrowdAnnotatedInstance.from_votes(pair, votes, "EP", annotators=total)
-            assert majority_label(inst) in gold_label_set(inst, threshold=0.5)
+            assert majority_label(inst) in _gold(inst, threshold=0.5)
 
     def test_threshold_validation(self):
         inst = _crowd(_votes(cause=10))
         with pytest.raises(ValueError):
-            gold_label_set(inst, threshold=0.0)
+            _gold(inst, threshold=0.0)
 
     def test_every_ten_vote_split_matches_the_fraction_rule(self):
         labels = [resolve_label(n) for n in ("cause", "concession", "conjunction")]
@@ -90,7 +116,39 @@ class TestGoldLabelSet:
                 expected = {
                     l for l, c in zip(labels, counts) if c and Fraction(c, 10) >= cutoff
                 } | {majority_label(inst)}
-                assert gold_label_set(inst, threshold=threshold) == expected, (counts, threshold)
+                assert _gold(inst, threshold=threshold) == expected, (counts, threshold)
+
+
+class TestVoteMatrix:
+    def test_columns_follow_the_global_label_order(self):
+        inst = _crowd({**_votes(cause=5, similarity=2), NO_RELATION: 3})
+        votes = vote_matrix([inst, _crowd(_votes(conjunction=10))])
+        assert votes.dtype == np.uint8 and votes.shape == (2, len(all_labels()))
+        names = [label.level2 for label in all_labels()]
+        assert dict(zip(names, votes[0].tolist())) == {
+            **dict.fromkeys(names, 0), "cause": 5, "similarity": 2, "no-relation": 3
+        }
+        assert votes[1, names.index("conjunction")] == 10
+
+    def test_majority_column_is_majority_label(self):
+        rng = random.Random(7)
+        labels = all_labels()
+        instances = []
+        for _ in range(300):
+            counts = {label: rng.randrange(0, 4) for label in rng.sample(labels, 4)}
+            if sum(counts.values()):
+                pair = ArgumentPair(arg1="a", arg2="b")
+                instances.append(CrowdAnnotatedInstance.from_votes(
+                    pair, counts, "EP", annotators=sum(counts.values())
+                ))
+        gold, majority = gold_label_masks(vote_matrix(instances), 0.3)
+        for row, inst in enumerate(instances):
+            assert labels[majority[row]] is majority_label(inst)
+            assert {labels[c] for c in np.flatnonzero(gold[row])} == _gold_label_set(inst, 0.3)
+
+    def test_empty(self):
+        gold, majority = gold_label_masks(vote_matrix([]), 0.4)
+        assert gold.shape == (0, len(all_labels())) and majority.shape == (0,)
 
 
 class TestMajority:

@@ -148,6 +148,21 @@ class TestFeatureStore:
         x = ReferenceBackend().featurize_pairs([])
         assert x.shape == (0, 512) and x.nnz == 0
 
+    def test_both_paths_keep_int32_index_arrays(self):
+        """The memo and the file path give the same int32 CSR arrays, with the old offsets."""
+        pairs = _chunk_plus_three()
+        tokens = [None, "⟨EP⟩"] * (len(pairs) // 2) + [None]
+        backend = ReferenceBackend()
+        memo = backend.featurize_pairs(pairs, tokens)
+        rows = ReferenceBackend().featurize_rows(pairs, tokens)
+        for x in (memo, rows, backend.featurize_pairs([])):
+            assert x.indptr.dtype == np.int32 and x.indices.dtype == np.int32
+        # the offsets as they were built before, in int64
+        sizes = [backend.featurize(p, t).indices.size for p, t in zip(pairs, tokens)]
+        assert memo.indptr.tolist() == np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(memo, name), getattr(rows, name)), name
+
 
 def _ce_oracle(params, x, y):
     """The original cross-entropy kernel, kept as the oracle for the in-place one."""

@@ -59,3 +59,14 @@ def test_traced_grid_tiny_run_records_every_expected_span(tmp_path):
     # candidates and pools are featurized through the backend's memo
     assert traced["calls"]["reference_backend.featurize"] > 0
     assert traced["calls"]["reference_backend.featurize_pairs"] > 0
+    # the tracer counts a scored item per ``len(args[0])`` of ``evaluation.score``;
+    # every evaluate stage scores each eval row once, one call per domain
+    eval_rows = (tmp_path / "work" / "run" / "data" / "eval.jsonl").read_text("utf-8").splitlines()
+    evaluations = sum(
+        name.startswith("evaluate:")
+        for op in traced["ops"] if op["iteration"] == 1
+        for name in op["stages_run_names"]
+    )
+    assert evaluations > 0
+    assert traced["layers"]["evaluation.items_scored"] == len(eval_rows) * evaluations
+    assert traced["layers"]["evaluation.score_calls"] == 3 * evaluations
