@@ -20,10 +20,10 @@ never over classes that only appear as predictions.
 
 ``score`` has one counting kernel. It takes a ``ScoreBatch``: the items as
 columns of label ids (a column of ``taxonomy.all_labels()``, the global
-order) and a gold mask over those columns. Under every protocol each item
-adds a fixed (tp, fp, fn) vector per class, so the kernel counts them all
-at once with ``bincount`` and mask sums. A list of ``PredictionRecord``s is
-turned into a batch first and counted by the same kernel.
+order, as in ``records.vote_matrix``) and a gold mask over those columns,
+which ``records.gold_label_masks`` derives from the vote rows. Under every
+protocol each item adds a fixed (tp, fp, fn) vector per class, so the
+kernel counts them all at once with ``bincount`` and mask sums.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .taxonomy import RelationLabel, all_labels, label_order, resolve_label
+from .taxonomy import RelationLabel, all_labels, resolve_label
 
 _LABELS = all_labels()
 # the label columns in the order of their names, the order of a report's per-class table
@@ -52,23 +52,6 @@ class EvalProtocol(str, Enum):
 
 class EvaluationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One scored item: prediction, gold set, and the majority gold label."""
-
-    item_id: str
-    predicted: RelationLabel
-    gold: frozenset[RelationLabel]
-    majority: RelationLabel
-    domain: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.gold:
-            raise EvaluationError(f"item {self.item_id}: empty gold set")
-        if self.majority not in self.gold:
-            raise EvaluationError(f"item {self.item_id}: majority label outside gold set")
 
 
 @dataclass(frozen=True)
@@ -165,19 +148,8 @@ class ScoreBatch:
         return len(self.predicted)
 
 
-def _batch(records: Sequence[PredictionRecord]) -> ScoreBatch:
-    gold = np.zeros((len(records), len(_LABELS)), dtype=bool)
-    for row, record in enumerate(records):
-        gold[row, [label_order(label) for label in record.gold]] = True
-    return ScoreBatch(
-        np.array([label_order(r.predicted) for r in records], dtype=np.intp),
-        gold,
-        np.array([label_order(r.majority) for r in records], dtype=np.intp),
-    )
-
-
 def score(
-    records: Sequence[PredictionRecord] | ScoreBatch,
+    batch: ScoreBatch,
     protocol: EvalProtocol = EvalProtocol.DISCARD_ALTERNATIVES,
     run_id: str = "",
 ) -> MetricReport:
@@ -189,11 +161,10 @@ def score(
     one already counted (the prediction on a hit, the majority on a miss)
     adds a TP too, so the TPs are the gold counts less the missed majorities.
     """
-    if not len(records):
-        raise EvaluationError("cannot score an empty record list")
+    if not len(batch):
+        raise EvaluationError("cannot score an empty batch")
     if not isinstance(protocol, EvalProtocol):
         raise EvaluationError(f"unknown protocol {protocol!r}")
-    batch = records if isinstance(records, ScoreBatch) else _batch(records)
     n, width = len(batch), len(_LABELS)
     hit = batch.gold[np.arange(n), batch.predicted]
     miss = ~hit

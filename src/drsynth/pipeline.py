@@ -51,16 +51,16 @@ its action runs. Every stage featurizes through the store's one
 ``ReferenceBackend`` and parses each canonical ``data/`` file and the
 screened and pseudo-labeled pools once per content digest (``ingest``
 hands over the rows it writes). The train rows come from the store as a
-``TrainingSet``, and the eval rows as arrays: their features, untagged and
-tagged, an n x 18 vote matrix and their domains. Both come from the side
-files ``ingest`` wrote when their stamps match, or else are parsed and
-built in memory, so a run that skips ``ingest`` parses no train or eval
-row and featurizes no row of either file. An ``evaluate`` stage derives
-the gold masks and majority labels from the vote matrix at its own vote
-threshold (about a millisecond for 6,203 rows, so nothing caches them),
-and scores label ids against them. A non-dry run holds an exclusive
-``flock`` on the workdir directory; a second writer fails with
-``PipelineError`` (CLI exit 2) before it touches the workdir.
+``TrainingSet``, and the eval rows as an ``EvalArrays``: their features,
+untagged and tagged, an n x 18 vote matrix and their domains. Both come
+from the side files ``ingest`` wrote when their stamps match, or else are
+parsed and built in memory as ``ingest`` builds them, so a run that skips
+``ingest`` parses no train or eval row and featurizes no row of either
+file. An ``evaluate`` stage derives the gold masks and majority labels from
+the vote matrix at its own vote threshold (about a millisecond for 6,203
+rows, so nothing caches them), and scores label ids against them. A non-dry
+run holds an exclusive ``flock`` on the workdir directory; a second writer
+fails with ``PipelineError`` (CLI exit 2) before it touches the workdir.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from pathlib import Path
 from typing import Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy import sparse
 
 from . import fixtures
 from .adaptation import (
@@ -494,6 +493,8 @@ class Store:
     """All state the stages of one run share; nothing in it outlives the run.
 
     ``digest`` memoizes ``digest_path`` by path, and its digests key every other cache.
+    The train and eval rows are served whole, as a ``TrainingSet`` and an
+    ``EvalArrays``, each cached by its file's digest.
     """
 
     def __init__(self) -> None:
@@ -503,8 +504,8 @@ class Store:
         self._parsed: dict[tuple[Path, Callable], tuple[str, object]] = {}
         # train file digest -> its rows as a TrainingSet
         self._train: dict[str, TrainingSet] = {}
-        # eval file digest -> the ``EvalArrays`` fields read or built so far, by name
-        self._eval: dict[str, dict[str, object]] = {}
+        # eval file digest -> its rows as EvalArrays
+        self._eval: dict[str, EvalArrays] = {}
 
     def digest(self, path: Path) -> str:
         """``digest_path`` of a declared path, memoized until ``forget`` drops it."""
@@ -551,28 +552,25 @@ class Store:
         self._train[self.digest(path)] = train
         write_training_set(features_path(path), train, self.digest(path))
 
-    def eval_array(self, path: Path, name: str) -> sparse.csr_array | np.ndarray:
-        """One field of the eval file's ``EvalArrays``, its rows in file order.
+    def eval_arrays(self, path: Path) -> EvalArrays:
+        """The rows of a canonical eval file as ``EvalArrays``, once per content digest.
 
-        Read, with the other fields, from the side file beside it when its
-        stamps match; otherwise built here from the parsed rows as ingest
-        builds it, and only the fields asked for.
+        Read from the side file beside it when its stamps match; otherwise
+        parsed and built here, as ingest builds them. Callers must not
+        mutate them.
         """
         digest = self.digest(path)
         if digest not in self._eval:
-            stored = read_eval_arrays(features_path(path), digest, self.backend.feature_dim)
-            self._eval[digest] = {} if stored is None else stored._asdict()
-        arrays = self._eval[digest]
-        if name not in arrays:
-            arrays[name] = _eval_field(self.read(path, ingest_target_corpus), self.backend, name)
-        return arrays[name]
+            arrays = read_eval_arrays(features_path(path), digest, self.backend.feature_dim)
+            if arrays is None:
+                arrays = _eval_arrays(ingest_target_corpus(path), self.backend)
+            self._eval[digest] = arrays
+        return self._eval[digest]
 
-    def keep_eval_arrays(self, path: Path, rows: Sequence[CrowdAnnotatedInstance]) -> None:
-        """Build the eval rows just written at ``path`` as arrays, write their side file and cache them."""
-        digest = self.digest(path)
-        arrays = EvalArrays(*(_eval_field(rows, self.backend, name) for name in EvalArrays._fields))
-        self._eval[digest] = arrays._asdict()
-        write_eval_arrays(features_path(path), arrays, digest)
+    def keep_eval_arrays(self, path: Path, arrays: EvalArrays) -> None:
+        """Write the side file of the eval file just written at ``path``, and cache ``arrays``."""
+        self._eval[self.digest(path)] = arrays
+        write_eval_arrays(features_path(path), arrays, self.digest(path))
 
 
 def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
@@ -782,7 +780,7 @@ def _ingest(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     store.keep_training_set(out["train"], training_set(ingest.train, store.backend, memo=False))
     target = ingest_target_corpus(corpora["target"])
     write_records((target_record(i) for i in target), out["eval"])
-    store.keep_eval_arrays(out["eval"], target)
+    store.keep_eval_arrays(out["eval"], _eval_arrays(target, store.backend))
     docs = ingest_raw_corpus(corpora["raw"])
     write_raw_corpus(docs, out["raw"])
     store.hand_over(out["raw"], ingest_raw_corpus, docs)
@@ -816,7 +814,6 @@ def _generate(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
             raise PipelineError(f"no raw sentences for domain {domain}")
         rng = random.Random(seed + hash_domain(domain))
         sentences_by_domain[domain] = rng.sample(pool, min(n_arg1, len(pool)))
-    choice = cfg["generation.connective_choice"]
     out = stage.outputs["candidates"]
     result = generate_batch(
         sentences_by_domain,
@@ -826,7 +823,7 @@ def _generate(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
         fixtures.example_pool(cfg["domains"]),
         seed=seed,
         cache=GenerationCache(out.with_name("cache.jsonl")),
-        connective_choice=None if choice in (None, "") else int(choice),
+        connective_choice=cfg["generation.connective_choice"],
     )
     write_synthetic_records(result.instances, out)
     write_text(
@@ -944,16 +941,13 @@ def _evaluate(
         for domain, model in models.items()
     }
     protocol = EvalProtocol(cfg["evaluation.protocol"])
-    eval_data = stage.inputs["eval"]
-    features = store.eval_array(eval_data, "tagged" if mode == "mixed" else "untagged")
-    gold, majority = gold_label_masks(
-        store.eval_array(eval_data, "votes"), float(cfg["evaluation.vote_threshold"])
-    )
-    row_domains = store.eval_array(eval_data, "domain")
+    arrays = store.eval_arrays(stage.inputs["eval"])
+    features = arrays.tagged if mode == "mixed" else arrays.untagged
+    gold, majority = gold_label_masks(arrays.votes, float(cfg["evaluation.vote_threshold"]))
     reports: dict[str, dict] = {}
     prediction_rows: list[dict] = []
     for domain in domains:
-        rows = np.flatnonzero(row_domains == domain)
+        rows = np.flatnonzero(arrays.domain == domain)
         if not rows.size:
             raise PipelineError(f"no evaluation items for domain {domain}")
         predicted, _ = predict_features(models[domain], features[rows])
@@ -1029,16 +1023,15 @@ def _dev_rows(path: Path) -> list:
     return ingest_source_corpus(path, _ALL_DEV).dev
 
 
-def _eval_field(
-    rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend, name: str
-) -> sparse.csr_array | np.ndarray:
-    """The ``EvalArrays`` field ``name`` of the eval rows."""
-    if name == "votes":
-        return vote_matrix(rows)
-    if name == "domain":
-        return np.array([row.domain for row in rows], dtype=str)
-    tokens = [domain_token_literal(row.domain) if name == "tagged" else None for row in rows]
-    return backend.featurize_rows([row.pair for row in rows], tokens)
+def _eval_arrays(rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend) -> EvalArrays:
+    """The eval rows as ``EvalArrays``; ingest and the side-file fallback both build them here."""
+    pairs = [row.pair for row in rows]
+    return EvalArrays(
+        untagged=backend.featurize_rows(pairs),
+        tagged=backend.featurize_rows(pairs, [domain_token_literal(row.domain) for row in rows]),
+        votes=vote_matrix(rows),
+        domain=np.array([row.domain for row in rows], dtype=str),
+    )
 
 
 def hash_domain(domain: str) -> int:

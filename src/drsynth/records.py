@@ -32,7 +32,6 @@ from .taxonomy import (
     NO_RELATION,
     RelationLabel,
     all_labels,
-    first_in_order,
     label_order,
     resolve_label,
     training_label_set,
@@ -113,21 +112,6 @@ class CrowdAnnotatedInstance:
         ordered = tuple(sorted(votes.items(), key=lambda kv: kv[0].level2))
         return cls(pair=pair, votes=ordered, domain=domain)
 
-    @property
-    def vote_map(self) -> dict[RelationLabel, int]:
-        return dict(self.votes)
-
-    @property
-    def total_votes(self) -> int:
-        return sum(count for _, count in self.votes)
-
-
-def majority_label(instance: CrowdAnnotatedInstance) -> RelationLabel:
-    """Argmax of the votes; ties break by the global label order."""
-    votes = instance.vote_map
-    top = max(votes.values())
-    return first_in_order(label for label, count in votes.items() if count == top)
-
 
 def vote_matrix(instances: Sequence[CrowdAnnotatedInstance]) -> np.ndarray:
     """The instances' votes as an n x 18 ``uint8`` matrix, one column per label of
@@ -139,6 +123,12 @@ def vote_matrix(instances: Sequence[CrowdAnnotatedInstance]) -> np.ndarray:
     return votes
 
 
+def majority_columns(votes: np.ndarray) -> np.ndarray:
+    """Each ``vote_matrix`` row's majority label, as its column: the first column
+    holding the row's most votes, so ties break by the global label order."""
+    return votes.argmax(axis=1)
+
+
 def gold_label_masks(votes: np.ndarray, threshold: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
     """Each row's gold label set, as a boolean mask over ``vote_matrix`` columns,
     and its majority label's column.
@@ -148,9 +138,8 @@ def gold_label_masks(votes: np.ndarray, threshold: float = 0.4) -> tuple[np.ndar
     the plurality label below the threshold; including the majority
     unconditionally keeps the gold set non-empty for every retained
     instance. no-relation never enters a gold set: it marks the absence of
-    an implicit relation and is not a predictable class. The majority is the
-    first column holding the row's most votes, so ties break by the global
-    label order, as ``majority_label`` breaks them.
+    an implicit relation and is not a predictable class. The majority comes
+    from ``majority_columns``, the rule ingest's no-relation exclusion uses.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
@@ -163,7 +152,7 @@ def gold_label_masks(votes: np.ndarray, threshold: float = 0.4) -> tuple[np.ndar
     gold = counts >= need[row_total][:, None]
     no_relation = label_order(NO_RELATION)
     gold[:, no_relation] = False
-    majority = counts.argmax(axis=1)
+    majority = majority_columns(votes)
     gold[np.arange(len(majority)), majority] |= majority != no_relation
     return gold, majority
 
@@ -330,9 +319,9 @@ def ingest_source_corpus(
 
 
 def ingest_target_corpus(path: str | Path) -> list[CrowdAnnotatedInstance]:
-    """Load crowd-annotated records, excluding no-relation-majority items."""
-    instances: list[CrowdAnnotatedInstance] = []
-    excluded = 0
+    """Load crowd-annotated records, excluding the items whose ``majority_columns``
+    label is no-relation."""
+    parsed: list[CrowdAnnotatedInstance] = []
     for lineno, record in _iter_json_lines(path):
         where = f"{path}:{lineno}"
         _require(record, ("arg1", "arg2", "doc_id", "domain", "votes"), where)
@@ -349,15 +338,14 @@ def ingest_target_corpus(path: str | Path) -> list[CrowdAnnotatedInstance]:
                 doc_id=str(record["doc_id"]),
                 adjacency=Adjacency(record.get("adjacency", "inter")),
             )
-            instance = CrowdAnnotatedInstance.from_votes(pair, votes, str(record["domain"]))
+            parsed.append(CrowdAnnotatedInstance.from_votes(pair, votes, str(record["domain"])))
         except ValueError as exc:
             raise CorpusFormatError(f"{where}: {exc}") from exc
-        if majority_label(instance) is NO_RELATION:
-            excluded += 1
-            continue
-        instances.append(instance)
+    kept = majority_columns(vote_matrix(parsed)) != label_order(NO_RELATION)
+    instances = [instance for instance, keep in zip(parsed, kept.tolist()) if keep]
     logger.info(
-        "target ingest: %d instances kept, %d excluded as no-relation", len(instances), excluded
+        "target ingest: %d instances kept, %d excluded as no-relation",
+        len(instances), len(parsed) - len(instances),
     )
     return instances
 

@@ -32,7 +32,6 @@ from drsynth.adaptation import (
 from drsynth.evaluation import (
     EvalProtocol,
     MetricSummary,
-    PredictionRecord,
     RunSummary,
     VariantMeta,
     render_results_table,
@@ -59,6 +58,7 @@ from drsynth.taxonomy import (
     resolve_label,
     training_label_set,
 )
+from test_evaluation import _batch, _item
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,16 +77,6 @@ def _report(name: str, watch: Stopwatch) -> None:
     print(f"PASS: {name} ({watch.elapsed:.2f}s)")
 
 
-def _record(item_id, predicted, gold, majority=None):
-    gold = frozenset(gold)
-    return PredictionRecord(
-        item_id=item_id,
-        predicted=predicted,
-        gold=gold,
-        majority=majority if majority is not None else next(iter(gold)),
-    )
-
-
 def test_metric_oracle():
     """score() under discard-alternatives matches a hand-tallied table exactly."""
     c = resolve_label("cause")
@@ -96,18 +86,18 @@ def test_metric_oracle():
     s = resolve_label("synchronous")
     a = resolve_label("asynchronous")
     records = [
-        _record("i01", c, {c}),
-        _record("i02", c, {c, n}, majority=n),
-        _record("i03", n, {c, n}, majority=c),
-        _record("i04", j, {c}, majority=c),
-        _record("i05", c, {j}, majority=j),
-        _record("i06", t, {n, t}, majority=n),
-        _record("i07", c, {n}, majority=n),
-        _record("i08", j, {j, c}, majority=j),
-        _record("i09", s, {a}, majority=a),
-        _record("i10", c, {c, j}, majority=c),
-        _record("i11", n, {t}, majority=t),
-        _record("i12", j, {j}),
+        _item(c, {c}),
+        _item(c, {c, n}, majority=n),
+        _item(n, {c, n}, majority=c),
+        _item(j, {c}, majority=c),
+        _item(c, {j}, majority=j),
+        _item(t, {n, t}, majority=n),
+        _item(c, {n}, majority=n),
+        _item(j, {j, c}, majority=j),
+        _item(s, {a}, majority=a),
+        _item(c, {c, j}, majority=c),
+        _item(n, {t}, majority=t),
+        _item(j, {j}),
     ]
     hand_tally = {
         c: (3, 2, 1, Fraction(3, 5), Fraction(3, 4), Fraction(2, 3)),
@@ -118,7 +108,7 @@ def test_metric_oracle():
         s: (0, 1, 0, Fraction(0), Fraction(0), Fraction(0)),
     }
     with Stopwatch() as watch:
-        report = score(records, EvalProtocol.DISCARD_ALTERNATIVES)
+        report = score(_batch(records), EvalProtocol.DISCARD_ALTERNATIVES)
         assert report.accuracy == Fraction(7, 12)
         assert report.macro_f1 == Fraction(1, 2)
         for label, (tp, fp, fn, precision, recall, f1) in hand_tally.items():
@@ -127,7 +117,7 @@ def test_metric_oracle():
             assert (cs.precision, cs.recall, cs.f1) == (precision, recall, f1)
 
         single_gold = [r for r in records if len(r.gold) == 1]
-        per_protocol = [score(single_gold, protocol) for protocol in EvalProtocol]
+        per_protocol = [score(_batch(single_gold), protocol) for protocol in EvalProtocol]
         for other in per_protocol[1:]:
             assert other.accuracy == per_protocol[0].accuracy
             assert other.macro_f1 == per_protocol[0].macro_f1

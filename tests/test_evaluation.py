@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from drsynth.evaluation import (
     EvaluationError,
     MetricReport,
     MetricSummary,
-    PredictionRecord,
     RunSummary,
     ScoreBatch,
     SignificanceResult,
@@ -31,15 +31,9 @@ from drsynth.evaluation import (
     score,
     t_test,
 )
-from drsynth.records import (
-    ArgumentPair,
-    CrowdAnnotatedInstance,
-    gold_label_masks,
-    majority_label,
-    vote_matrix,
-)
-from drsynth.taxonomy import NO_RELATION, all_labels, label_order, resolve_label
-from test_records import _gold_label_set
+from drsynth.records import ArgumentPair, CrowdAnnotatedInstance, gold_label_masks, vote_matrix
+from drsynth.taxonomy import NO_RELATION, RelationLabel, all_labels, label_order, resolve_label
+from test_records import _gold_label_set, majority_label
 
 CAUSE = resolve_label("cause")
 CONCESSION = resolve_label("concession")
@@ -49,11 +43,28 @@ SYNCHRONOUS = resolve_label("synchronous")
 ASYNCHRONOUS = resolve_label("asynchronous")
 
 
-def _record(item_id, predicted, gold, majority=None):
+class Item(NamedTuple):
+    """One scored item, as the per-item oracle reads it."""
+
+    predicted: RelationLabel
+    gold: frozenset[RelationLabel]
+    majority: RelationLabel
+
+
+def _item(predicted, gold, majority=None):
     gold = frozenset(gold)
-    majority = majority if majority is not None else next(iter(gold))
-    return PredictionRecord(
-        item_id=item_id, predicted=predicted, gold=gold, majority=majority
+    return Item(predicted, gold, majority if majority is not None else next(iter(gold)))
+
+
+def _batch(items):
+    """The items as a ``ScoreBatch``: label ids and a gold mask over ``all_labels()``."""
+    gold = np.zeros((len(items), len(all_labels())), dtype=bool)
+    for row, item in enumerate(items):
+        gold[row, [label_order(label) for label in item.gold]] = True
+    return ScoreBatch(
+        np.array([label_order(item.predicted) for item in items], dtype=np.intp),
+        gold,
+        np.array([label_order(item.majority) for item in items], dtype=np.intp),
     )
 
 
@@ -67,18 +78,18 @@ def _record(item_id, predicted, gold, majority=None):
 # accuracy 7/12; macro over {cause, conjunction, concession, contrast,
 # asynchronous} = (2/3 + 2/3 + 1/2 + 2/3 + 0) / 5 = 1/2
 TWELVE_ITEMS = [
-    _record("i01", CAUSE, {CAUSE}),
-    _record("i02", CAUSE, {CAUSE, CONCESSION}, majority=CONCESSION),
-    _record("i03", CONCESSION, {CAUSE, CONCESSION}, majority=CAUSE),
-    _record("i04", CONJUNCTION, {CAUSE}, majority=CAUSE),
-    _record("i05", CAUSE, {CONJUNCTION}, majority=CONJUNCTION),
-    _record("i06", CONTRAST, {CONCESSION, CONTRAST}, majority=CONCESSION),
-    _record("i07", CAUSE, {CONCESSION}, majority=CONCESSION),
-    _record("i08", CONJUNCTION, {CONJUNCTION, CAUSE}, majority=CONJUNCTION),
-    _record("i09", SYNCHRONOUS, {ASYNCHRONOUS}, majority=ASYNCHRONOUS),
-    _record("i10", CAUSE, {CAUSE, CONJUNCTION}, majority=CAUSE),
-    _record("i11", CONCESSION, {CONTRAST}, majority=CONTRAST),
-    _record("i12", CONJUNCTION, {CONJUNCTION}),
+    _item(CAUSE, {CAUSE}),
+    _item(CAUSE, {CAUSE, CONCESSION}, majority=CONCESSION),
+    _item(CONCESSION, {CAUSE, CONCESSION}, majority=CAUSE),
+    _item(CONJUNCTION, {CAUSE}, majority=CAUSE),
+    _item(CAUSE, {CONJUNCTION}, majority=CONJUNCTION),
+    _item(CONTRAST, {CONCESSION, CONTRAST}, majority=CONCESSION),
+    _item(CAUSE, {CONCESSION}, majority=CONCESSION),
+    _item(CONJUNCTION, {CONJUNCTION, CAUSE}, majority=CONJUNCTION),
+    _item(SYNCHRONOUS, {ASYNCHRONOUS}, majority=ASYNCHRONOUS),
+    _item(CAUSE, {CAUSE, CONJUNCTION}, majority=CAUSE),
+    _item(CONCESSION, {CONTRAST}, majority=CONTRAST),
+    _item(CONJUNCTION, {CONJUNCTION}),
 ]
 
 TWELVE_EXPECTED = {
@@ -93,7 +104,7 @@ TWELVE_EXPECTED = {
 
 class TestScoreDiscardAlternatives:
     def test_twelve_item_hand_tally(self):
-        report = score(TWELVE_ITEMS)
+        report = score(_batch(TWELVE_ITEMS))
         assert report.accuracy == Fraction(7, 12)
         assert report.macro_f1 == Fraction(1, 2)
         for label, (tp, fp, fn, p, r, f1) in TWELVE_EXPECTED.items():
@@ -104,17 +115,17 @@ class TestScoreDiscardAlternatives:
             assert scores.f1 == f1
 
     def test_perfect_singleton(self):
-        report = score([_record("a", CAUSE, {CAUSE})])
+        report = score(_batch([_item(CAUSE, {CAUSE})]))
         assert report.accuracy == Fraction(1)
         assert report.per_class[CAUSE].f1 == Fraction(1)
         assert report.macro_f1 == Fraction(1)
 
     def test_two_record_spec_case(self):
         records = [
-            _record("a", CAUSE, {CAUSE, CONCESSION}, majority=CAUSE),
-            _record("b", CONJUNCTION, {CONCESSION}, majority=CONCESSION),
+            _item(CAUSE, {CAUSE, CONCESSION}, majority=CAUSE),
+            _item(CONJUNCTION, {CONCESSION}, majority=CONCESSION),
         ]
-        report = score(records)
+        report = score(_batch(records))
         assert report.accuracy == Fraction(1, 2)
         assert (report.per_class[CAUSE].tp, report.per_class[CAUSE].fp) == (1, 0)
         assert report.per_class[CONJUNCTION].fp == 1
@@ -124,21 +135,21 @@ class TestScoreDiscardAlternatives:
 
     def test_six_item_fixture_fixed_tally(self):
         records = [
-            _record("1", CAUSE, {CAUSE}),
-            _record("2", CAUSE, {CONCESSION}),
-            _record("3", CONCESSION, {CONCESSION, CAUSE}, majority=CAUSE),
-            _record("4", CONJUNCTION, {CONJUNCTION}),
-            _record("5", CAUSE, {CAUSE, CONJUNCTION}, majority=CAUSE),
-            _record("6", CONJUNCTION, {CAUSE}),
+            _item(CAUSE, {CAUSE}),
+            _item(CAUSE, {CONCESSION}),
+            _item(CONCESSION, {CONCESSION, CAUSE}, majority=CAUSE),
+            _item(CONJUNCTION, {CONJUNCTION}),
+            _item(CAUSE, {CAUSE, CONJUNCTION}, majority=CAUSE),
+            _item(CONJUNCTION, {CAUSE}),
         ]
-        report = score(records)
+        report = score(_batch(records))
         assert report.accuracy == Fraction(2, 3)
         assert report.macro_f1 == Fraction(2, 3)
         for label in (CAUSE, CONCESSION, CONJUNCTION):
             assert report.per_class[label].f1 == Fraction(2, 3)
 
     def test_per_item_contribution_is_exactly_one_count(self):
-        report = score(TWELVE_ITEMS)
+        report = score(_batch(TWELVE_ITEMS))
         total_tp = sum(c.tp for c in report.per_class.values())
         total_fp = sum(c.fp for c in report.per_class.values())
         total_fn = sum(c.fn for c in report.per_class.values())
@@ -147,31 +158,31 @@ class TestScoreDiscardAlternatives:
 
     def test_permutation_invariance(self):
         shuffled = list(reversed(TWELVE_ITEMS))
-        assert score(shuffled) == score(TWELVE_ITEMS)
+        assert score(_batch(shuffled)) == score(_batch(TWELVE_ITEMS))
 
     def test_empty_records_rejected(self):
         with pytest.raises(EvaluationError):
-            score([])
+            score(_batch([]))
 
     def test_empty_gold_rejected(self):
         with pytest.raises(EvaluationError):
-            PredictionRecord("x", CAUSE, frozenset(), CAUSE)
+            _batch([_item(CAUSE, set(), CAUSE)])
 
     def test_majority_outside_gold_rejected(self):
         with pytest.raises(EvaluationError):
-            PredictionRecord("x", CAUSE, frozenset({CAUSE}), CONCESSION)
+            _batch([_item(CAUSE, {CAUSE}, CONCESSION)])
 
 
 class TestProtocols:
     def test_accuracy_is_protocol_independent(self):
         accuracies = {
-            protocol: score(TWELVE_ITEMS, protocol).accuracy for protocol in EvalProtocol
+            protocol: score(_batch(TWELVE_ITEMS), protocol).accuracy for protocol in EvalProtocol
         }
         assert len(set(accuracies.values())) == 1
 
     def test_protocols_agree_on_single_gold_subset(self):
         single_gold = [r for r in TWELVE_ITEMS if len(r.gold) == 1]
-        reports = [score(single_gold, protocol) for protocol in EvalProtocol]
+        reports = [score(_batch(single_gold), protocol) for protocol in EvalProtocol]
         first = reports[0]
         for other in reports[1:]:
             assert other.accuracy == first.accuracy
@@ -181,26 +192,26 @@ class TestProtocols:
             } == {l: (c.tp, c.fp, c.fn) for l, c in first.per_class.items()}
 
     def test_all_gold_fn_charges_every_gold_label(self):
-        records = [_record("a", SYNCHRONOUS, {CAUSE, CONCESSION}, majority=CAUSE)]
-        report = score(records, EvalProtocol.ALL_GOLD_FN)
+        records = [_item(SYNCHRONOUS, {CAUSE, CONCESSION}, majority=CAUSE)]
+        report = score(_batch(records), EvalProtocol.ALL_GOLD_FN)
         assert report.per_class[CAUSE].fn == 1
         assert report.per_class[CONCESSION].fn == 1
 
     def test_alternatives_as_tp_credits_alternatives(self):
-        records = [_record("a", CAUSE, {CAUSE, CONCESSION}, majority=CONCESSION)]
-        report = score(records, EvalProtocol.ALTERNATIVES_AS_TP)
+        records = [_item(CAUSE, {CAUSE, CONCESSION}, majority=CONCESSION)]
+        report = score(_batch(records), EvalProtocol.ALTERNATIVES_AS_TP)
         assert report.per_class[CAUSE].tp == 1
         assert report.per_class[CONCESSION].tp == 1
 
     def test_macro_never_includes_prediction_only_classes(self):
-        records = [_record("a", SYNCHRONOUS, {CAUSE}, majority=CAUSE)]
+        records = [_item(SYNCHRONOUS, {CAUSE}, majority=CAUSE)]
         for protocol in EvalProtocol:
-            report = score(records, protocol)
+            report = score(_batch(records), protocol)
             assert report.macro_f1 == report.per_class[CAUSE].f1
 
 
 def _score_oracle(records, protocol=EvalProtocol.DISCARD_ALTERNATIVES):
-    """Oracle: the per-record counting loop that ``score``'s kernel replaced."""
+    """Oracle: the per-record counting loop that ``score``'s kernel replaced, over ``Item``s."""
     tp, fp, fn = {}, {}, {}
     occurring = set()
     hits = 0
@@ -269,10 +280,8 @@ class TestKernelAgainstOracles:
         if not kept:
             return
         records = [
-            PredictionRecord(
-                str(row), items[row][1], frozenset(_gold_label_set(instances[row], threshold)),
-                majority_label(instances[row]),
-            )
+            Item(items[row][1], frozenset(_gold_label_set(instances[row], threshold)),
+                 majority_label(instances[row]))
             for row in kept
         ]
         batch = ScoreBatch(
@@ -282,7 +291,7 @@ class TestKernelAgainstOracles:
         for protocol in EvalProtocol:
             expected = report_payload(_score_oracle(records, protocol))
             assert report_payload(score(batch, protocol)) == expected
-            assert report_payload(score(records, protocol)) == expected
+            assert report_payload(score(_batch(records), protocol)) == expected
 
 
 class TestScoreBatch:
@@ -301,7 +310,7 @@ class TestScoreBatch:
             ScoreBatch(np.array([0]), gold, np.array([1]))
 
     def test_counts_are_python_ints(self):
-        report = score(TWELVE_ITEMS)
+        report = score(_batch(TWELVE_ITEMS))
         assert all(
             type(count) is int
             for scores in report.per_class.values()
@@ -311,8 +320,7 @@ class TestScoreBatch:
 
 class TestAggregateRuns:
     def _report(self, macro, accuracy):
-        records = [_record("a", CAUSE, {CAUSE})]
-        base = score(records)
+        base = score(_batch([_item(CAUSE, {CAUSE})]))
         # synthesize runs with controlled values
         return type(base)(
             accuracy=Fraction(accuracy).limit_denominator(10**6),
@@ -342,8 +350,8 @@ class TestAggregateRuns:
         assert summary.runs("macro_f1") == pytest.approx(list(values))
 
     def test_mismatched_protocols_rejected(self):
-        a = score([_record("a", CAUSE, {CAUSE})])
-        b = score([_record("a", CAUSE, {CAUSE})], EvalProtocol.ALL_GOLD_FN)
+        a = score(_batch([_item(CAUSE, {CAUSE})]))
+        b = score(_batch([_item(CAUSE, {CAUSE})]), EvalProtocol.ALL_GOLD_FN)
         with pytest.raises(EvaluationError):
             aggregate_runs([a, b])
 

@@ -288,11 +288,11 @@ def test_store_serves_the_rows_ingest_featurized(cold_run):
     assert (stored.x != built.x).nnz == 0 and stored.fingerprint == built.fingerprint
     assert store.backend._rows == {}  # nothing was featurized
     rows = pipeline.ingest_target_corpus(eval_data)
-    for name in ("untagged", "tagged"):
-        expected = pipeline._eval_field(rows, ReferenceBackend(), name)
-        served = store.eval_array(eval_data, name)
-        assert served.shape == expected.shape and (served != expected).nnz == 0
-    assert np.array_equal(store.eval_array(eval_data, "votes"), vote_matrix(rows))
-    assert store.eval_array(eval_data, "domain").tolist() == [row.domain for row in rows]
+    served = store.eval_arrays(eval_data)
+    expected = pipeline._eval_arrays(rows, ReferenceBackend())
+    for got, want in ((served.untagged, expected.untagged), (served.tagged, expected.tagged)):
+        assert got.shape == want.shape and (got != want).nnz == 0
+    assert np.array_equal(served.votes, vote_matrix(rows))
+    assert served.domain.tolist() == [row.domain for row in rows]
     assert store.backend._rows == {}
     assert digest_path(train) == store.digest(train)

@@ -1051,7 +1051,7 @@ class TestDeriveOnce:
         self, corpora, tmp_path, tiny_corpus_dir
     ):
         from drsynth.feature_files import EvalArrays
-        from drsynth.pipeline import _dev_rows, _eval_field
+        from drsynth.pipeline import _dev_rows, _eval_arrays
         from drsynth.records import ingest_raw_corpus, ingest_target_corpus
 
         overrides = {} if corpora == "fixtures" else _messy_corpora(tiny_corpus_dir, tmp_path / "in")
@@ -1067,13 +1067,13 @@ class TestDeriveOnce:
         eval_data = tmp_path / "run" / "data/eval.jsonl"
         kept = store._eval[digest_path(eval_data)]
         parsed = ingest_target_corpus(eval_data)
-        assert parsed and set(kept) == set(EvalArrays._fields)
-        for name in EvalArrays._fields:
-            built = _eval_field(parsed, ReferenceBackend(), name)
+        assert parsed and isinstance(kept, EvalArrays)
+        built = _eval_arrays(parsed, ReferenceBackend())
+        for name, got, want in zip(EvalArrays._fields, kept, built):
             if name in ("untagged", "tagged"):
-                assert (kept[name] != built).nnz == 0 and kept[name].shape == built.shape, name
+                assert (got != want).nnz == 0 and got.shape == want.shape, name
             else:
-                assert kept[name].dtype == built.dtype and np.array_equal(kept[name], built), name
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
         for relative, parse in (
             ("data/dev.jsonl", _dev_rows),
             ("data/raw-canonical.jsonl", ingest_raw_corpus),

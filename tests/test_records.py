@@ -3,10 +3,15 @@ import itertools
 import json
 import os
 import random
+import tempfile
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drsynth import fixtures, records
 from drsynth.records import (
@@ -21,7 +26,7 @@ from drsynth.records import (
     ingest_raw_corpus,
     ingest_source_corpus,
     ingest_target_corpus,
-    majority_label,
+    majority_columns,
     make_adjacent_pairs,
     source_record,
     target_record,
@@ -42,12 +47,20 @@ def _crowd(votes, domain="EP"):
     return CrowdAnnotatedInstance.from_votes(pair, votes, domain)
 
 
+def majority_label(instance):
+    """Oracle: the per-instance majority rule that ``majority_columns`` replaced, over a
+    dict of the votes; ties break by the global label order."""
+    votes = dict(instance.votes)
+    top = max(votes.values())
+    return first_in_order(label for label, count in votes.items() if count == top)
+
+
 def _gold_label_set(instance, threshold=0.4):
     """Oracle: the per-instance gold rule that ``gold_label_masks`` replaced, in exact integers."""
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     cutoff = Fraction(str(threshold))
-    need = cutoff.numerator * instance.total_votes
+    need = cutoff.numerator * sum(count for _, count in instance.votes)
     gold = {
         label
         for label, count in instance.votes
@@ -154,6 +167,7 @@ class TestVoteMatrix:
 class TestMajority:
     def test_tie_breaks_by_global_label_order(self):
         inst = _crowd(_votes(cause=5, conjunction=5))
+        assert all_labels()[majority_columns(vote_matrix([inst]))[0]] == resolve_label("conjunction")
         assert majority_label(inst) == resolve_label("conjunction")
 
     def test_vote_sum_enforced(self):
@@ -264,6 +278,9 @@ class TestSourceIngestion:
             ingest_source_corpus(path)
 
 
+_TIE_LABELS = ("cause", "conjunction", "exception", "no-relation", "similarity")
+
+
 class TestTargetIngestion:
     def test_full_fixture_domain_totals(self, tmp_path):
         path = tmp_path / "target.jsonl"
@@ -289,6 +306,39 @@ class TestTargetIngestion:
         path = tmp_path / "norel.jsonl"
         write_records([target_record(inst)], path)
         assert ingest_target_corpus(path) == []
+
+    # every annotator picks one of few labels, so ties are common; no-relation
+    # (column 16) sorts after every label but similarity (column 17)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(_TIE_LABELS), min_size=10, max_size=10).map(Counter),
+        min_size=1, max_size=12,
+    ))
+    @example([Counter({"cause": 5, "no-relation": 5})])  # kept
+    @example([Counter({"no-relation": 5, "similarity": 5})])  # excluded
+    @example([  # three-way ties: all kept
+        Counter({"cause": 3, "no-relation": 3, "similarity": 3, "exception": 1}),
+        Counter({"no-relation": 3, "similarity": 3, "exception": 3, "cause": 1}),
+        Counter({"conjunction": 3, "cause": 3, "exception": 3, "no-relation": 1}),
+    ])
+    def test_exclusion_matches_the_majority_oracle(self, rows):
+        records = [
+            {"arg1": f"a {n}", "arg2": "b", "doc_id": f"d{n}", "domain": "EP", "votes": dict(votes)}
+            for n, votes in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "target.jsonl"
+            write_records(records, path)
+            loaded = ingest_target_corpus(path)
+        parsed = [
+            CrowdAnnotatedInstance.from_votes(
+                ArgumentPair(r["arg1"], r["arg2"], r["doc_id"]),
+                {resolve_label(name): count for name, count in r["votes"].items()},
+                "EP",
+            )
+            for r in records
+        ]
+        assert loaded == [inst for inst in parsed if majority_label(inst) is not NO_RELATION]
 
     def test_vote_sum_error(self, tmp_path):
         record = {
