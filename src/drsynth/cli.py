@@ -7,13 +7,22 @@ artifacts must already exist: ``adapt`` trains the variants' models and
 ``evaluate`` scores the baseline and every variant.
 Exit codes: 0 success, 2 configuration error (or a file that cannot be
 read or written), 3 backend/transport error.
+
+``main`` first asks glibc to keep freed memory in the heap (``mallopt``:
+mmap threshold 32 MiB, trim threshold 256 MiB). Each full-batch training
+step frees megabytes of dense temporaries, and glibc's default dynamic
+thresholds hand them back to the kernel, so the next step faults them in
+again. The call touches only this process's allocator and no output byte;
+on any other libc it does nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
+import os
 import sys
 
 from .adaptation import ConfigurationError
@@ -32,6 +41,38 @@ from .taxonomy import LabelError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
+
+# glibc's <malloc.h> parameter numbers, and the values ``main`` sets. 32 MiB is
+# the largest mmap threshold every 64-bit glibc accepts (DEFAULT_MMAP_THRESHOLD_MAX)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 256 << 20))
+
+
+def _glibc() -> ctypes.CDLL | None:
+    """The C library this process runs on, if it is glibc."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or a libc without the name
+        return None
+    return ctypes.CDLL(None) if version.startswith("glibc") else None
+
+
+def keep_freed_memory() -> None:
+    """Raise glibc's mmap and trim thresholds, so freed blocks stay in the heap.
+
+    Process-local, idempotent and changes no output; a no-op off glibc or
+    where ``mallopt`` is missing. Each value is set on its own: a rejected
+    one (``mallopt`` returns 0) leaves the other in force, and setting
+    either turns off glibc's dynamic thresholds.
+    """
+    mallopt = getattr(_glibc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in HEAP_THRESHOLDS:
+        mallopt(param, value)
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -168,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    keep_freed_memory()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

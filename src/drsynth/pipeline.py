@@ -34,7 +34,8 @@ evaluation setting re-runs only the ``evaluate`` stages and the report, and
 Concat and pseudo train from scratch at the ``base.*`` settings; prefix and
 invariance continue the base model at the ``adaptation.*`` settings.
 
-``run-manifest.json`` records each stage's digests and wall clock. Side
+``run-manifest.json`` records each stage's digests, its wall clock, and the
+minor page faults and system CPU seconds its action took. Side
 files, named beside a declared output and outside every digest:
 ``data/train-features.npz`` and ``data/eval-features.npz`` beside the train
 and eval rows (see ``feature_files``), ``synthetic/cache.jsonl``,
@@ -71,6 +72,7 @@ import json
 import logging
 import os
 import random
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -165,6 +167,7 @@ from .screening import (
 )
 from .taxonomy import (
     ConfusionMap,
+    LabelError,
     derive_confusion_map,
     generation_label_set,
     label_order,
@@ -321,6 +324,9 @@ class PipelineConfig:
             raise ConfigurationError("generation.include_similarity needs generation.template DR")
         if self.get("screening.kind") not in ("strict", "confusion", "combi"):
             raise ConfigurationError("screening.kind must be strict, confusion, or combi")
+        cmap = self.get("screening.cmap")
+        if self.get("screening.kind") != "strict" and cmap not in ("bundled", "derived"):
+            _confusion_map_file(cmap)  # a malformed file fails here, before any stage
         if self.get("generation.include_similarity") and self.get("screening.kind") != "strict":
             # only the strict screen drops every similarity candidate (the classifier never
             # predicts similarity); adaptation trains on the training labels alone
@@ -402,7 +408,7 @@ def _sole_writer(workdir: Path) -> Iterator[None]:
 
 
 class RunManifest:
-    """Per-stage digests and outputs; wall-clock excluded from identity.
+    """Per-stage digests and outputs; wall clock, faults and sys time excluded from identity.
 
     Stage records survive config changes: every stage digest embeds its own
     config slice, so only the stages whose slice (or inputs) actually moved
@@ -422,12 +428,15 @@ class RunManifest:
         write_json(self.path, self.data)
 
     def record_stage(
-        self, name: str, digest: str, outputs: dict[str, str], wall_clock: float
+        self, name: str, digest: str, outputs: dict[str, str], wall_clock: float,
+        minflt: int, sys_s: float,
     ) -> None:
         self.data["stages"][name] = {
             "digest": digest,
             "outputs": outputs,
             "wall_clock": round(wall_clock, 6),
+            "minflt": minflt,
+            "sys_s": round(sys_s, 6),
         }
         self.save()
 
@@ -694,10 +703,14 @@ def _execute(config: PipelineConfig, manifest: RunManifest, store: Store, stage:
         logger.warning("stage %s outputs %s stale or corrupted; re-running", stage.name, stale)
     logger.info("stage %s: running", stage.name)
     store.forget(stage.outputs.values())
-    started = time.perf_counter()
+    started, usage = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     stage.action(config_slice, stage, store)
+    used = resource.getrusage(resource.RUSAGE_SELF)
     outputs = {key: store.digest(path) for key, path in stage.outputs.items()}
-    manifest.record_stage(stage.name, digest, outputs, time.perf_counter() - started)
+    manifest.record_stage(
+        stage.name, digest, outputs, time.perf_counter() - started,
+        minflt=used.ru_minflt - usage.ru_minflt, sys_s=used.ru_stime - usage.ru_stime,
+    )
 
 
 def run_experiment(
@@ -1049,7 +1062,15 @@ def _confusion_map(choice: str, inputs: Mapping[str, Path]) -> ConfusionMap:
             for true, row in payload.items()
         }
         return derive_confusion_map(matrix)
-    return load_confusion_map(str(inputs["cmap"]))
+    return _confusion_map_file(str(inputs["cmap"]))
+
+
+def _confusion_map_file(path: str) -> ConfusionMap:
+    """A ``screening.cmap`` file; a malformed one is a config error that names it."""
+    try:
+        return load_confusion_map(path)
+    except (OSError, ValueError, LabelError) as exc:
+        raise ConfigurationError(f"screening.cmap file {path}: {exc}") from None
 
 
 def _variants(cfg: Mapping[str, object]) -> list[tuple[str, str]]:

@@ -230,6 +230,53 @@ class TestRunExperiment:
         workdir, _, _ = finished_run
         _assert_golden_digests(workdir, "pipeline_smoke.sha256")
 
+    def test_fresh_cli_process_gives_the_golden_bytes(self, finished_run, tmp_path):
+        """``main`` tunes glibc's heap before the first stage of a fresh process;
+        no output byte depends on the allocator."""
+        import drsynth
+
+        reference, _, manifest = finished_run
+        workdir = tmp_path / "run"
+        config_file = tmp_path / "run.cfg"
+        _write_config(config_file, _config(workdir))
+        src = str(Path(drsynth.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "drsynth.cli", "run", "--config", str(config_file)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"manifest identity: {manifest.identity_digest()}" in done.stdout
+        _assert_golden_digests(workdir, "pipeline_smoke.sha256")
+        models = sorted(path.relative_to(reference) for path in reference.glob("models/**/*.npy"))
+        assert models == sorted(path.relative_to(workdir) for path in workdir.glob("models/**/*.npy"))
+        assert models
+        for name in models:
+            assert (workdir / name).read_bytes() == (reference / name).read_bytes(), name
+
+    @pytest.mark.parametrize("edit", ["dropped", "changed"])
+    def test_stage_usage_is_recorded_outside_identity_and_skipping(
+        self, finished_run, tmp_path, caplog, edit
+    ):
+        reference, _, manifest = finished_run
+        workdir = tmp_path / "run"
+        shutil.copytree(reference, workdir)
+        path = workdir / "run-manifest.json"
+        stored = json.loads(path.read_text())
+        for record in stored["stages"].values():
+            assert type(record["minflt"]) is int and record["minflt"] >= 0
+            assert record["sys_s"] >= 0
+            if edit == "dropped":  # a manifest written before these fields existed
+                del record["minflt"], record["sys_s"]
+            else:
+                record["minflt"] += 1000
+                record["sys_s"] += 1.0
+        path.write_text(json.dumps(stored))
+        caplog.set_level(logging.INFO, logger="drsynth.pipeline")
+        resumed = resume(workdir)
+        assert _stages_run(caplog) == []
+        assert resumed.identity_digest() == manifest.identity_digest()
+
     def test_grid_outputs_match_golden_digests(self, grid_run):
         """Every method in both domain modes (domain tokens included) is pinned too."""
         _assert_golden_digests(grid_run[0], "grid_smoke.sha256")
@@ -520,6 +567,25 @@ class TestCli:
             f'screening.cmap = "{cmap}"', "generation.n_arg1 = 2",
         )
         assert "unknown relation label: 'no-such-label'" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("cause cause", "expected 'label -> label': 'cause cause'"),
+        ("cause -> cause", "confusion map maps cause to itself"),
+        ("cause -> no-such-label", "unknown relation label: 'no-such-label'"),
+        (None, "[Errno 2] No such file or directory: '{cmap}'"),
+    ])
+    def test_malformed_confusion_map_file_exits_2_before_any_stage(
+        self, tmp_path, capsys, line, message
+    ):
+        cmap = tmp_path / "confusion.txt"
+        if line is not None:  # None: the file does not exist
+            cmap.write_text(f"{line}\n")
+        message = message.format(cmap=cmap)
+        err = self._config_error(
+            tmp_path, capsys, ["run"], 'screening.kind = "confusion"', f'screening.cmap = "{cmap}"',
+        )
+        assert err == f"config error: screening.cmap file {cmap}: {message}\n"
+        assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize("threshold", ["1.5", "0", "high"])
     def test_vote_threshold_outside_unit_interval_rejected_before_any_stage(
