@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -136,15 +136,16 @@ class TrainingSet:
 
     ``x`` holds one CSR row per instance, ``y`` the index of its label in the
     backend's label order, ``inter`` whether its pair is inter-sentential, and
-    ``fingerprint`` the UTF-8 of ``arg1 US arg2 US label US domain RS`` per row
-    (US and RS the ASCII unit and record separators), whose sha256 is the
-    manifest's ``data_fingerprint``.
+    ``fingerprint`` the UTF-8 bytes (``uint8``) of ``arg1 US arg2 US label US
+    domain RS`` per row (US and RS the ASCII unit and record separators), whose
+    sha256 is the manifest's ``data_fingerprint``. Every field is an array, so
+    ``feature_files`` stores a set field by field.
     """
 
     x: sparse.csr_array
     y: np.ndarray
     inter: np.ndarray
-    fingerprint: bytes
+    fingerprint: np.ndarray
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -168,7 +169,7 @@ def training_set(instances: Sequence, backend: ReferenceBackend, memo: bool = Tr
         f"{inst.pair.arg1}\x1f{inst.pair.arg2}\x1f{label.level2}\x1f{inst.domain}\x1e"
         for inst, label in zip(instances, labels)
     )
-    return TrainingSet(x, y, inter, fingerprint.encode("utf-8"))
+    return TrainingSet(x, y, inter, np.frombuffer(fingerprint.encode("utf-8"), dtype=np.uint8))
 
 
 def frequency_table(
@@ -324,11 +325,9 @@ def train_base(
 
 
 def batch_predict(
-    model: Model,
-    pairs: Sequence[ArgumentPair],
-    domain_tokens: Sequence[str | None] | None = None,
+    model: Model, pairs: Sequence[ArgumentPair]
 ) -> tuple[list[RelationLabel], np.ndarray]:
-    return predict_features(model, model.backend.featurize_pairs(pairs, domain_tokens))
+    return predict_features(model, model.backend.featurize_pairs(pairs))
 
 
 def predict_features(model: Model, x: Features) -> tuple[list[RelationLabel], np.ndarray]:
@@ -431,16 +430,19 @@ def domain_token_literal(domain: str) -> str:
 
 
 def tag_text(text: str, domain: str) -> str:
-    """Prepend the domain token unless some domain token is already there."""
+    """Prepend the domain token unless some domain token is already there.
+
+    The one rule that puts a domain token on a text: the pool rows a ``mixed``
+    model trains on and the eval rows it is scored on are both tagged here.
+    """
     if _DOMAIN_TOKEN.match(text):
         return text
     return f"{domain_token_literal(domain)} {text}"
 
 
-def prepend_domain_token(inst, domain: str | None = None):
-    """Instance with its arg1 prefixed by a domain token; idempotent."""
-    domain = domain if domain is not None else inst.domain
-    tagged = tag_text(inst.pair.arg1, domain)
+def prepend_domain_token(inst):
+    """Instance with its arg1 prefixed by its domain's token; idempotent."""
+    tagged = tag_text(inst.pair.arg1, inst.domain)
     if tagged == inst.pair.arg1:
         return inst
     return replace(inst, pair=replace(inst.pair, arg1=tagged))
@@ -449,17 +451,8 @@ def prepend_domain_token(inst, domain: str | None = None):
 # --- stratified downsampling --------------------------------------------
 
 
-def _default_stratum(inst) -> tuple[str, str]:
-    return (inst.domain, _instance_label(inst).level2)
-
-
-def stratified_downsample(
-    data: Sequence,
-    target_size: int,
-    seed: int = 0,
-    stratum: Callable = _default_stratum,
-) -> list:
-    """Downsample to ``target_size`` preserving per-stratum shares.
+def stratified_downsample(data: Sequence, target_size: int, seed: int = 0) -> list:
+    """Downsample to ``target_size`` preserving the share of each (domain, label) stratum.
 
     Largest-remainder apportionment: each stratum receives the floor of its
     exact proportional share, and the leftover seats go to the largest
@@ -473,7 +466,7 @@ def stratified_downsample(
         )
     groups: dict[tuple, list[int]] = {}
     for index, inst in enumerate(data):
-        groups.setdefault(stratum(inst), []).append(index)
+        groups.setdefault((inst.domain, _instance_label(inst).level2), []).append(index)
     total = len(data)
     quotas = {key: Fraction(target_size * len(members), total) for key, members in groups.items()}
     allocation = {key: int(quota) for key, quota in quotas.items()}

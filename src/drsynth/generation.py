@@ -241,6 +241,7 @@ class GenerationCache:
 
 
 API_KEY_ENV = "DRSYNTH_LLM_API_KEY"
+HTTP_TIMEOUT_S = 60.0
 
 
 class HTTPBackend:
@@ -250,7 +251,7 @@ class HTTPBackend:
     and ride along as a bearer token.
     """
 
-    def __init__(self, descriptor: BackendDescriptor, timeout: float = 60.0):
+    def __init__(self, descriptor: BackendDescriptor):
         import os
 
         import requests
@@ -258,7 +259,6 @@ class HTTPBackend:
         if not descriptor.endpoint:
             raise ValueError("HTTP backend needs an endpoint")
         self.descriptor = descriptor
-        self._timeout = timeout
         self._session = requests.Session()
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -270,7 +270,7 @@ class HTTPBackend:
         payload = {"prompt": prompt, **self.descriptor.decoding.as_dict()}
         try:
             response = self._session.post(
-                self.descriptor.endpoint, json=payload, timeout=self._timeout
+                self.descriptor.endpoint, json=payload, timeout=HTTP_TIMEOUT_S
             )
             response.raise_for_status()
         except (requests.RequestException, ValueError) as exc:
@@ -294,6 +294,8 @@ class HTTPBackend:
 
 
 _DR_TASK = re.compile(r"relation ([A-Z+\-]+) to the first argument")
+# the share of mock replies that span two sentences, to exercise truncation
+_MOCK_TWO_SENTENCE_RATE = 0.1
 _MOCK_FILLERS = (
     "the delegates accepted the outcome",
     "a second reading settled the matter",
@@ -319,11 +321,9 @@ class MockBackend:
         name: str = "mock",
         decoding: DecodingParams | None = None,
         fidelity: float = 0.85,
-        two_sentence_rate: float = 0.1,
     ):
         self.descriptor = BackendDescriptor(name=name, decoding=decoding or DecodingParams())
         self._fidelity = fidelity
-        self._two_sentence_rate = two_sentence_rate
         cmap = default_connective_map()
         self._by_connective = {
             conn: label for label, options in cmap.entries.items() for conn in options
@@ -356,21 +356,24 @@ class MockBackend:
         filler = _MOCK_FILLERS[digest[5] % len(_MOCK_FILLERS)]
         tail = _MOCK_FILLERS[digest[6] % len(_MOCK_FILLERS)]
         text = f"{filler} {marker_token(label)} before long."
-        if rolls[1] < self._two_sentence_rate:
+        if rolls[1] < _MOCK_TWO_SENTENCE_RATE:
             text += f" Then {tail}."
         return text
+
+
+# transport faults are retried this many times, the n-th retry after n times this wait
+MAX_RETRIES = 2
+RETRY_WAIT_S = 0.1
 
 
 def generate_arg2(
     request: GenerationRequest,
     backend: Backend,
     cache: GenerationCache | None = None,
-    max_retries: int = 2,
-    retry_wait: float = 0.1,
 ) -> GenerationResult:
     """One candidate Arg2 for a rendered prompt, via cache or backend.
 
-    A transport fault is retried ``max_retries`` times; an ``UnretriableReply``
+    A transport fault is retried ``MAX_RETRIES`` times; an ``UnretriableReply``
     is raised at once.
     """
     key = cache_key(
@@ -388,7 +391,7 @@ def generate_arg2(
         cache_hit = True
     else:
         last_error: TransportError | None = None
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 raw = backend.complete(request.prompt.text)
                 break
@@ -396,11 +399,11 @@ def generate_arg2(
                 raise  # the same request gets the same reply back
             except TransportError as exc:
                 last_error = exc
-                if attempt < max_retries:
-                    time.sleep(retry_wait * (attempt + 1))
+                if attempt < MAX_RETRIES:
+                    time.sleep(RETRY_WAIT_S * (attempt + 1))
         else:
             raise TransportError(
-                f"backend {backend.descriptor.name} failed after {max_retries + 1} attempts"
+                f"backend {backend.descriptor.name} failed after {MAX_RETRIES + 1} attempts"
             ) from last_error
         if cache is not None:
             cache.put(key, raw)

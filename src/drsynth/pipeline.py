@@ -46,22 +46,23 @@ Everything the stages of one run share lives in one ``Store``, made by a
 non-dry run and dropped with it, so a workdir edited between runs is
 hashed and parsed in full again. Its memo of content digests serves the
 input digests, the skip checks, the digests recorded after an action and
-the keys of its parse cache, so a run reads each declared file's bytes at
+the keys of its one cache, so a run reads each declared file's bytes at
 most once; the entries that overlap a stage's outputs are dropped before
 its action runs. Every stage featurizes through the store's one
-``ReferenceBackend`` and parses each canonical ``data/`` file and the
-screened and pseudo-labeled pools once per content digest (``ingest``
-hands over the rows it writes). The train rows come from the store as a
-``TrainingSet``, and the eval rows as an ``EvalArrays``: their features,
-untagged and tagged, an n x 18 vote matrix and their domains. Both come
-from the side files ``ingest`` wrote when their stamps match, or else are
-parsed and built in memory as ``ingest`` builds them, so a run that skips
-``ingest`` parses no train or eval row and featurizes no row of either
-file. An ``evaluate`` stage derives the gold masks and majority labels from
-the vote matrix at its own vote threshold (about a millisecond for 6,203
-rows, so nothing caches them), and scores label ids against them. A non-dry
-run holds an exclusive ``flock`` on the workdir directory; a second writer
-fails with ``PipelineError`` (CLI exit 2) before it touches the workdir.
+``ReferenceBackend`` and builds what it needs from a file through
+``Store.read``, once per (content digest, builder): the rows of a file, the
+train rows as a ``TrainingSet``, or the eval rows as an ``EvalArrays``
+(features untagged and tagged by ``adaptation.tag_text``, the rule that
+tags the ``mixed`` pools, an n x 18 vote matrix and the domains). The two
+array builders first read the side file ``ingest`` wrote and take it when
+its stamps match, so a run that skips ``ingest`` parses no train or eval
+row and featurizes no row of either file. ``ingest`` alone writes side
+files, and hands what it builds over to the cache. An ``evaluate`` stage
+derives the gold masks and majority labels from the vote matrix at its own
+vote threshold (about a millisecond for 6,203 rows, so nothing caches
+them), and scores label ids against them. A non-dry run holds an exclusive
+``flock`` on the workdir directory; a second writer fails with
+``PipelineError`` (CLI exit 2) before it touches the workdir.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from .adaptation import (
     adapt_invariance,
     adapt_prefix,
     batch_predict,
-    domain_token_literal,
     frequency_table,
     load_model,
     predict_features,
@@ -118,14 +118,7 @@ from .evaluation import (
     score,
     t_test,
 )
-from .feature_files import (
-    EvalArrays,
-    features_path,
-    read_eval_arrays,
-    read_training_set,
-    write_eval_arrays,
-    write_training_set,
-)
+from .feature_files import EvalArrays, read_side_file, write_side_file
 from .generation import (
     Backend,
     BackendDescriptor,
@@ -302,6 +295,23 @@ class PipelineConfig:
             raise ConfigurationError("seeds must be a non-empty list")
         if len(set(seeds)) != len(seeds):
             raise ConfigurationError(f"seeds must be distinct, got {json.dumps(seeds)}")
+        if min(seeds) < 0:  # numpy's generators take no negative seed
+            raise ConfigurationError(f"seeds must be non-negative, got {json.dumps(seeds)}")
+        domains = self.get("domains")
+        if not domains or len(set(domains)) != len(domains):
+            raise ConfigurationError(
+                f"domains must be a non-empty list of distinct names, got {json.dumps(domains)}"
+            )
+        # each of these would otherwise fail only after training, or, for alpha, mislead
+        alpha = self.get("evaluation.alpha")
+        if not 0 < alpha < 1:
+            raise ConfigurationError(f"evaluation.alpha must be in (0, 1), got {json.dumps(alpha)}")
+        for key in ("base.epochs", "adaptation.epochs", "adaptation.lambda"):
+            if not self.get(key) >= 0:
+                raise ConfigurationError(f"{key} must be >= 0, got {json.dumps(self.get(key))}")
+        for key in ("base.learning_rate", "adaptation.learning_rate", "adaptation.mixed_target_size"):
+            if not self.get(key) > 0:
+                raise ConfigurationError(f"{key} must be > 0, got {json.dumps(self.get(key))}")
         fixture_specs = {
             spec for spec in (self.get(f"data.{kind}") for kind in _CORPORA)
             if spec.startswith("fixtures:")
@@ -324,6 +334,8 @@ class PipelineConfig:
             raise ConfigurationError("generation.include_similarity needs generation.template DR")
         if self.get("screening.kind") not in ("strict", "confusion", "combi"):
             raise ConfigurationError("screening.kind must be strict, confusion, or combi")
+        if self.get("screening.freq_scope") not in ("inter-sentential-only", "all"):
+            raise ConfigurationError("screening.freq_scope must be inter-sentential-only or all")
         cmap = self.get("screening.cmap")
         if self.get("screening.kind") != "strict" and cmap not in ("bundled", "derived"):
             _confusion_map_file(cmap)  # a malformed file fails here, before any stage
@@ -331,8 +343,13 @@ class PipelineConfig:
             # only the strict screen drops every similarity candidate (the classifier never
             # predicts similarity); adaptation trains on the training labels alone
             raise ConfigurationError("generation.include_similarity needs screening.kind strict")
-        EvalProtocol(self.get("evaluation.protocol"))
-        SplitSpec.parse(str(self.get("data.split")))
+        protocols = [protocol.value for protocol in EvalProtocol]
+        if self.get("evaluation.protocol") not in protocols:
+            raise ConfigurationError(f"evaluation.protocol must be one of {protocols}")
+        try:
+            SplitSpec.parse(str(self.get("data.split")))
+        except ValueError as exc:
+            raise ConfigurationError(f"data.split: {exc}") from None
 
     def snapshot(self) -> dict[str, object]:
         return dict(sorted(self.values.items()))
@@ -501,20 +518,17 @@ _MODEL_NAMES = {"concat": "base+syn", "prefix": "base>syn", "invariance": "base>
 class Store:
     """All state the stages of one run share; nothing in it outlives the run.
 
-    ``digest`` memoizes ``digest_path`` by path, and its digests key every other cache.
-    The train and eval rows are served whole, as a ``TrainingSet`` and an
-    ``EvalArrays``, each cached by its file's digest.
+    ``digest`` memoizes ``digest_path`` by path. ``read(path, build)`` returns
+    ``build(path, store)`` once per (content digest, builder), so every reader
+    of a file shares one parse of each content: the rows of a data file, or
+    its arrays (``_train_set``, ``_eval_set``).
     """
 
     def __init__(self) -> None:
         # the per-run feature store: every model trained or loaded here featurizes through it
         self.backend = ReferenceBackend()
         self._digests: dict[Path, str] = {}
-        self._parsed: dict[tuple[Path, Callable], tuple[str, object]] = {}
-        # train file digest -> its rows as a TrainingSet
-        self._train: dict[str, TrainingSet] = {}
-        # eval file digest -> its rows as EvalArrays
-        self._eval: dict[str, EvalArrays] = {}
+        self._built: dict[tuple[str, Callable], object] = {}
 
     def digest(self, path: Path) -> str:
         """``digest_path`` of a declared path, memoized until ``forget`` drops it."""
@@ -527,59 +541,16 @@ class Store:
         for path in [p for p in self._digests if any(_overlaps(p, o) for o in outputs)]:
             del self._digests[path]
 
-    def read(self, path: Path, parse: Callable[[Path], T]) -> T:
-        """``parse`` of a file, parsed once per content digest; callers must not mutate it."""
-        digest = self.digest(path)
-        cached = self._parsed.get((path, parse))
-        if cached is None or cached[0] != digest:
-            cached = self._parsed[(path, parse)] = (digest, parse(path))
-        return cached[1]
+    def read(self, path: Path, build: Callable[[Path, Store], T]) -> T:
+        """``build(path, self)``, built once per content digest; callers must not mutate it."""
+        key = (self.digest(path), build)
+        if key not in self._built:
+            self._built[key] = build(path, self)
+        return self._built[key]
 
-    def hand_over(self, path: Path, parse: Callable[[Path], T], rows: T) -> None:
-        """Cache ``rows`` (``parse`` of the file just written) under the file's memoized digest."""
-        self._parsed[(path, parse)] = (self.digest(path), rows)
-
-    # The side files: only ``ingest`` writes them, through the two ``keep_`` methods.
-
-    def training_set(self, path: Path) -> TrainingSet:
-        """The rows of a canonical train file as a ``TrainingSet``, once per content digest.
-
-        Read from the side file beside it when its stamps match; otherwise
-        parsed and featurized here, as ingest builds it. Callers must not
-        mutate it.
-        """
-        digest = self.digest(path)
-        if digest not in self._train:
-            train = read_training_set(features_path(path), digest, self.backend.feature_dim)
-            if train is None:
-                train = training_set(_train_rows(path), self.backend, memo=False)
-            self._train[digest] = train
-        return self._train[digest]
-
-    def keep_training_set(self, path: Path, train: TrainingSet) -> None:
-        """Write the side file of the train file just written at ``path``, and cache ``train``."""
-        self._train[self.digest(path)] = train
-        write_training_set(features_path(path), train, self.digest(path))
-
-    def eval_arrays(self, path: Path) -> EvalArrays:
-        """The rows of a canonical eval file as ``EvalArrays``, once per content digest.
-
-        Read from the side file beside it when its stamps match; otherwise
-        parsed and built here, as ingest builds them. Callers must not
-        mutate them.
-        """
-        digest = self.digest(path)
-        if digest not in self._eval:
-            arrays = read_eval_arrays(features_path(path), digest, self.backend.feature_dim)
-            if arrays is None:
-                arrays = _eval_arrays(ingest_target_corpus(path), self.backend)
-            self._eval[digest] = arrays
-        return self._eval[digest]
-
-    def keep_eval_arrays(self, path: Path, arrays: EvalArrays) -> None:
-        """Write the side file of the eval file just written at ``path``, and cache ``arrays``."""
-        self._eval[self.digest(path)] = arrays
-        write_eval_arrays(features_path(path), arrays, self.digest(path))
+    def hand_over(self, path: Path, build: Callable[[Path, Store], T], value: T) -> None:
+        """Cache ``value`` (what ``build`` makes of the file just written) under its digest."""
+        self._built[(self.digest(path), build)] = value
 
 
 def stages(config: PipelineConfig, workdir: Path) -> list[Stage]:
@@ -790,17 +761,24 @@ def _ingest(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
         write_records((source_record(inst, section=section) for inst in instances), out[name])
     store.hand_over(out["dev"], _dev_rows, ingest.dev)
     # file rows stay out of the backend's feature memo
-    store.keep_training_set(out["train"], training_set(ingest.train, store.backend, memo=False))
+    train = training_set(ingest.train, store.backend, memo=False)
+    # the train rows live on as arrays: free the parsed ones before the eval rows
+    # and their tagged copies are built, which lowers the run's peak memory
+    del ingest
+    write_side_file(out["train"], train, store.digest(out["train"]))
+    store.hand_over(out["train"], _train_set, train)
     target = ingest_target_corpus(corpora["target"])
     write_records((target_record(i) for i in target), out["eval"])
-    store.keep_eval_arrays(out["eval"], _eval_arrays(target, store.backend))
+    arrays = _eval_arrays(target, store.backend)
+    write_side_file(out["eval"], arrays, store.digest(out["eval"]))
+    store.hand_over(out["eval"], _eval_set, arrays)
     docs = ingest_raw_corpus(corpora["raw"])
     write_raw_corpus(docs, out["raw"])
-    store.hand_over(out["raw"], ingest_raw_corpus, docs)
+    store.hand_over(out["raw"], _raw_docs, docs)
 
 
 def _train_base(cfg: Mapping[str, object], stage: Stage, store: Store, seed: int) -> None:
-    train = store.training_set(stage.inputs["train"])
+    train = store.read(stage.inputs["train"], _train_set)
     dev_set = store.read(stage.inputs["dev"], _dev_rows)
     config = TrainingConfig(
         epochs=int(cfg["base.epochs"]),
@@ -817,7 +795,7 @@ def _train_base(cfg: Mapping[str, object], stage: Stage, store: Store, seed: int
 
 
 def _generate(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
-    docs = store.read(stage.inputs["raw"], ingest_raw_corpus)
+    docs = store.read(stage.inputs["raw"], _raw_docs)
     seed = int(cfg["generation.seed"])
     n_arg1 = int(cfg["generation.n_arg1"])
     sentences_by_domain: dict[str, list[str]] = {}
@@ -861,7 +839,7 @@ def _screen(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     if kind in (ScreenKind.CONFUSION, ScreenKind.COMBI):
         cmap = _confusion_map(str(cfg["screening.cmap"]), stage.inputs)
     if kind is ScreenKind.COMBI:
-        train = store.training_set(stage.inputs["train"])
+        train = store.read(stage.inputs["train"], _train_set)
         freq = frequency_table(train, store.backend.labels, scope=str(cfg["screening.freq_scope"]))
     kept, report = screen_batch(candidates, predicted, kind, cmap, freq)
     write_synthetic_records(kept, stage.outputs["screened"])
@@ -879,7 +857,7 @@ def _screen(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
 
 def _pseudo_label(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
     instances = pseudo_label_corpus(
-        store.read(stage.inputs["raw"], ingest_raw_corpus),
+        store.read(stage.inputs["raw"], _raw_docs),
         load_model(stage.inputs["base"], store.backend),
         per_domain_n=int(cfg["pseudo.per_domain_n"]),
         seed=int(cfg["generation.seed"]),
@@ -894,8 +872,7 @@ def _adapt(
     """Train the variant's models: one per domain (``specific``) or one tagged ``mixed``."""
     model_dir = stage.outputs["model"]
     remove_artifact(model_dir)
-    parse = read_pseudo_records if method == "pseudo" else read_synthetic_records
-    pool = store.read(stage.inputs["data"], parse)
+    pool = store.read(stage.inputs["data"], _pseudo_rows if method == "pseudo" else _screened_rows)
     by_domain = {domain: [i for i in pool if i.domain == domain] for domain in cfg["domains"]}
     scale = "base" if method in ("concat", "pseudo") else "adaptation"
     loss = LossSpec()  # plain CE records the default lambda, as base training does
@@ -909,7 +886,7 @@ def _adapt(
         trainable_groups=("prefix",) if method == "prefix" else ("encoder", "head"),
     )
     base = load_model(stage.inputs["base"], store.backend) if "base" in stage.inputs else None
-    train = store.training_set(stage.inputs["train"]) if "train" in stage.inputs else None
+    train = store.read(stage.inputs["train"], _train_set) if "train" in stage.inputs else None
 
     def adapt(instances: list, out: str) -> None:
         target_data = training_set(instances, store.backend)
@@ -954,7 +931,7 @@ def _evaluate(
         for domain, model in models.items()
     }
     protocol = EvalProtocol(cfg["evaluation.protocol"])
-    arrays = store.eval_arrays(stage.inputs["eval"])
+    arrays = store.read(stage.inputs["eval"], _eval_set)
     features = arrays.tagged if mode == "mixed" else arrays.untagged
     gold, majority = gold_label_masks(arrays.votes, float(cfg["evaluation.vote_threshold"]))
     reports: dict[str, dict] = {}
@@ -1032,16 +1009,45 @@ def _train_rows(path: Path) -> list:
     return ingest_source_corpus(path, _ALL_TRAIN).train
 
 
-def _dev_rows(path: Path) -> list:
+# The builders ``Store.read`` calls, as ``build(path, store)``.
+
+
+def _dev_rows(path: Path, store: Store) -> list:
     return ingest_source_corpus(path, _ALL_DEV).dev
 
 
+def _raw_docs(path: Path, store: Store) -> list:
+    return ingest_raw_corpus(path)
+
+
+def _screened_rows(path: Path, store: Store) -> list:
+    return read_synthetic_records(path)
+
+
+def _pseudo_rows(path: Path, store: Store) -> list:
+    return read_pseudo_records(path)
+
+
+def _train_set(path: Path, store: Store) -> TrainingSet:
+    """The rows of a canonical train file: its side file's, if that is current, else
+    parsed and featurized here as ``ingest`` featurizes them."""
+    train = read_side_file(path, TrainingSet, store.digest(path), store.backend.feature_dim)
+    return train if train is not None else training_set(_train_rows(path), store.backend, memo=False)
+
+
+def _eval_set(path: Path, store: Store) -> EvalArrays:
+    """The rows of a canonical eval file: its side file's, if that is current, else
+    parsed and built here as ``ingest`` builds them."""
+    arrays = read_side_file(path, EvalArrays, store.digest(path), store.backend.feature_dim)
+    return arrays if arrays is not None else _eval_arrays(ingest_target_corpus(path), store.backend)
+
+
 def _eval_arrays(rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend) -> EvalArrays:
-    """The eval rows as ``EvalArrays``; ingest and the side-file fallback both build them here."""
-    pairs = [row.pair for row in rows]
+    """The eval rows as ``EvalArrays``. The tagged matrix featurizes each pair with its
+    Arg1 tagged by ``prepend_domain_token``, the rule the ``mixed`` pools are tagged by."""
     return EvalArrays(
-        untagged=backend.featurize_rows(pairs),
-        tagged=backend.featurize_rows(pairs, [domain_token_literal(row.domain) for row in rows]),
+        untagged=backend.featurize_rows([row.pair for row in rows]),
+        tagged=backend.featurize_rows([prepend_domain_token(row).pair for row in rows]),
         votes=vote_matrix(rows),
         domain=np.array([row.domain for row in rows], dtype=str),
     )

@@ -102,11 +102,10 @@ class CrowdAnnotatedInstance:
         pair: ArgumentPair,
         votes: dict[RelationLabel, int],
         domain: str,
-        annotators: int = ANNOTATORS_PER_ITEM,
     ) -> "CrowdAnnotatedInstance":
         total = sum(votes.values())
-        if total != annotators:
-            raise ValueError(f"votes sum to {total}, expected {annotators}")
+        if total != ANNOTATORS_PER_ITEM:
+            raise ValueError(f"votes sum to {total}, expected {ANNOTATORS_PER_ITEM}")
         if any(count < 0 for count in votes.values()):
             raise ValueError("vote counts must be non-negative")
         ordered = tuple(sorted(votes.items(), key=lambda kv: kv[0].level2))

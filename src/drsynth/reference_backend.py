@@ -16,8 +16,10 @@ check this method, so the checked direction is the trained one.
 Hashed features are about 3% non-zero, so ``featurize_pairs`` returns a
 ``scipy.sparse.csr_array`` and the encoder's products take it as it is; the
 head, prefix and discriminator work on the dense 32-wide encoding. Each
-backend memoizes its featurized rows by (arg1, arg2, domain token), which
-makes one backend instance a feature store for every model that shares it.
+backend memoizes its featurized rows by (arg1, arg2), which makes one
+backend instance a feature store for every model that shares it. A domain
+token is part of the Arg1 text (``adaptation.tag_text`` puts it there), so
+no featurize method takes a domain.
 ``featurize_pairs`` featurizes a batch's new rows together, in one numpy pass
 per ``FEATURIZE_CHUNK_ROWS`` rows: each token maps to an id in the backend's
 vocabulary, one sort counts each (row, slot), and a row is divided by its L2
@@ -144,7 +146,7 @@ class ReferenceBackend:
         self._vocab = _Vocabulary()
         # row i: the slots of vocabulary token i under the "a1:" and "a2:" prefixes
         self._vocab_slots = np.empty((0, 2), dtype=np.intp)
-        self._rows: dict[tuple[str, str, str | None], SparseRow] = {}
+        self._rows: dict[tuple[str, str], SparseRow] = {}
 
     # --- featurization -------------------------------------------------
 
@@ -156,7 +158,7 @@ class ReferenceBackend:
         return _TOKEN.findall(text.lower())
 
     def _featurize_keys(
-        self, keys: Sequence[tuple[str, str, str | None]]
+        self, keys: Sequence[tuple[str, str]]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The CSR ``(indptr, indices, values)`` of the keys' rows, in one numpy pass.
 
@@ -169,9 +171,7 @@ class ReferenceBackend:
         lookup = vocab.__getitem__
         ids = array("q")  # vocabulary id of every token, row by row, Arg1 then Arg2
         lengths = array("q")  # token counts of Arg1 and Arg2, row by row
-        for arg1, arg2, domain_token in keys:
-            if domain_token is not None:
-                arg1 = f"{domain_token} {arg1}"
+        for arg1, arg2 in keys:
             tokens1, tokens2 = tokenize(arg1), tokenize(arg2)
             ids.extend(map(lookup, tokens1))
             ids.extend(map(lookup, tokens2))
@@ -201,7 +201,7 @@ class ReferenceBackend:
         indices = (cells - row_of * dim).astype(np.int32)
         return np.searchsorted(row_of, np.arange(n + 1)), indices, values
 
-    def _featurize_new(self, keys: Sequence[tuple[str, str, str | None]]) -> None:
+    def _featurize_new(self, keys: Sequence[tuple[str, str]]) -> None:
         """Featurize distinct keys the memo lacks in one pass, and memoize them."""
         indptr, indices, values = self._featurize_keys(keys)
         values.flags.writeable = indices.flags.writeable = False
@@ -209,31 +209,23 @@ class ReferenceBackend:
         for key, start, end in zip(keys, bounds, bounds[1:]):
             self._rows[key] = SparseRow(indices[start:end], values[start:end])
 
-    def featurize(self, pair: ArgumentPair, domain_token: str | None = None) -> SparseRow:
+    def featurize(self, pair: ArgumentPair) -> SparseRow:
         """The memoized row of one pair; a miss featurizes it alone."""
-        key = (pair.arg1, pair.arg2, domain_token)
+        key = (pair.arg1, pair.arg2)
         row = self._rows.get(key)
         if row is None:
             self._featurize_new([key])
             row = self._rows[key]
         return row
 
-    def featurize_pairs(
-        self, pairs: Sequence[ArgumentPair], domain_tokens: Sequence[str | None] | None = None
-    ) -> sparse.csr_array:
+    def featurize_pairs(self, pairs: Sequence[ArgumentPair]) -> sparse.csr_array:
         """Featurize the batch's new rows in chunks, then read every row from the memo."""
-        if domain_tokens is None:
-            domain_tokens = [None] * len(pairs)
         memo = self._rows
-        misses = [
-            key
-            for p, t in zip(pairs, domain_tokens, strict=True)
-            if (key := (p.arg1, p.arg2, t)) not in memo
-        ]
+        misses = [key for p in pairs if (key := (p.arg1, p.arg2)) not in memo]
         new = list(dict.fromkeys(misses))  # distinct, in first-seen order
         for start in range(0, len(new), FEATURIZE_CHUNK_ROWS):
             self._featurize_new(new[start : start + FEATURIZE_CHUNK_ROWS])
-        rows = [self.featurize(p, t) for p, t in zip(pairs, domain_tokens)]
+        rows = [self.featurize(p) for p in pairs]
         # int32 offsets, as ``featurize_rows`` builds them: an int64 ``indptr``
         # makes scipy widen the matrix's indices to 8 bytes a value too
         indptr = np.zeros(len(rows) + 1, dtype=np.int32)
@@ -242,17 +234,13 @@ class ReferenceBackend:
         values = np.concatenate([row.values for row in rows] + [np.empty(0)])
         return sparse.csr_array((values, indices, indptr), shape=(len(rows), self.feature_dim))
 
-    def featurize_rows(
-        self, pairs: Sequence[ArgumentPair], domain_tokens: Sequence[str | None] | None = None
-    ) -> sparse.csr_array:
+    def featurize_rows(self, pairs: Sequence[ArgumentPair]) -> sparse.csr_array:
         """``featurize_pairs`` of every row afresh, in chunks, neither reading nor filling the memo.
 
         For the rows of a data file, which a store keeps as one matrix: in the
         memo they would cost a row object each for as long as the backend lives.
         """
-        if domain_tokens is None:
-            domain_tokens = [None] * len(pairs)
-        keys = [(p.arg1, p.arg2, t) for p, t in zip(pairs, domain_tokens, strict=True)]
+        keys = [(p.arg1, p.arg2) for p in pairs]
         # int32 offsets, so that scipy keeps the matrix's index arrays at 4 bytes a value
         indptr, indices, values = [np.zeros(1, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
         for start in range(0, len(keys), FEATURIZE_CHUNK_ROWS):

@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -453,7 +454,7 @@ class TestDomainTokens:
             label=resolve_label("cause"),
             domain="EP",
         )
-        tagged = prepend_domain_token(inst, "EP")
+        tagged = prepend_domain_token(inst)
         assert tagged.pair.arg1 == "⟨EP⟩ The vote passed."
         assert tagged.pair.arg2 == "It was close."
 
@@ -463,8 +464,8 @@ class TestDomainTokens:
             label=resolve_label("cause"),
             domain="EP",
         )
-        once = prepend_domain_token(inst, "EP")
-        twice = prepend_domain_token(once, "EP")
+        once = prepend_domain_token(inst)
+        twice = prepend_domain_token(once)
         assert twice.pair.arg1 == "⟨EP⟩ The vote passed."
         assert twice is once
 
@@ -486,8 +487,10 @@ class TestStratifiedDownsample:
         return out
 
     def test_uniform_domains_split_ten_thousand(self):
-        pool = self._pool(per_domain=10000)
-        sample = stratified_downsample(pool, 10000, seed=3, stratum=lambda i: i.domain)
+        # one label, so that the (domain, label) strata are the domains
+        cause = resolve_label("cause")
+        pool = [replace(inst, intended=cause) for inst in self._pool(per_domain=10000)]
+        sample = stratified_downsample(pool, 10000, seed=3)
         counts = {}
         for inst in sample:
             counts[inst.domain] = counts.get(inst.domain, 0) + 1
@@ -500,8 +503,11 @@ class TestStratifiedDownsample:
 
     def test_single_instance_stratum_largest_remainder(self):
         # 1-instance stratum with proportional share 0.4 resolves to 0 or 1
-        pool = _synthetic(4, seed=1, domain="EP") + _synthetic(1, seed=2, domain="WK")
-        sample = stratified_downsample(pool, 2, seed=5, stratum=lambda i: i.domain)
+        pool = [
+            replace(inst, intended=resolve_label("cause"))
+            for inst in _synthetic(4, seed=1, domain="EP") + _synthetic(1, seed=2, domain="WK")
+        ]
+        sample = stratified_downsample(pool, 2, seed=5)
         wk = [i for i in sample if i.domain == "WK"]
         assert len(sample) == 2
         assert len(wk) in (0, 1)

@@ -268,7 +268,7 @@ class TestKernelAgainstOracles:
     def test_gold_masks_and_score_match_the_per_record_loop(self, items, threshold):
         pair = ArgumentPair(arg1="a", arg2="b")
         instances = [
-            CrowdAnnotatedInstance.from_votes(pair, votes, "EP", annotators=sum(votes.values()))
+            CrowdAnnotatedInstance(pair, tuple(votes.items()), "EP")
             for votes, _ in items
         ]
         gold, majority = gold_label_masks(vote_matrix(instances), threshold)

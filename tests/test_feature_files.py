@@ -25,16 +25,15 @@ from drsynth.adaptation import (
     prepend_domain_token,
     training_set,
 )
-from drsynth.feature_files import (
-    EvalArrays,
-    features_path,
-    read_eval_arrays,
-    read_training_set,
-    write_eval_arrays,
-    write_training_set,
-)
+from drsynth.feature_files import EvalArrays, features_path, read_side_file, write_side_file
 from drsynth.pipeline import PipelineConfig, Store, digest_path, run_experiment
-from drsynth.records import Adjacency, ArgumentPair, LabeledInstance, vote_matrix
+from drsynth.records import (
+    Adjacency,
+    ArgumentPair,
+    CrowdAnnotatedInstance,
+    LabeledInstance,
+    vote_matrix,
+)
 from drsynth.reference_backend import ReferenceBackend
 from drsynth.screening import SyntheticInstance
 from drsynth.taxonomy import resolve_label
@@ -130,17 +129,23 @@ def test_concat_model_bits_do_not_depend_on_the_index_width():
 
 def test_side_file_round_trip_and_stamps(tmp_path):
     train = training_set(_hand_built(), ReferenceBackend(), memo=False)
-    path = tmp_path / "train-features.npz"
-    write_training_set(path, train, "a" * 64)
-    loaded = read_training_set(path, "a" * 64, train.x.shape[1])
+    data_file = tmp_path / "train.jsonl"
+    write_side_file(data_file, train, "a" * 64)
+    with np.load(tmp_path / "train-features.npz") as stored:  # the names the side file had
+        assert sorted(stored.files) == sorted([
+            "x_indptr", "x_indices", "x_data", "y", "inter", "fingerprint",
+            "source_sha256", "feature_dim", "featurizer_sha256", "arrays_sha256",
+        ])
+    loaded = read_side_file(data_file, TrainingSet, "a" * 64, train.x.shape[1])
     assert isinstance(loaded, TrainingSet)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(loaded.x, name), getattr(train.x, name))
     assert np.array_equal(loaded.y, train.y) and np.array_equal(loaded.inter, train.inter)
-    assert loaded.fingerprint == train.fingerprint
-    assert read_training_set(path, "b" * 64, train.x.shape[1]) is None  # another source
-    assert read_training_set(path, "a" * 64, 256) is None  # another feature dimension
-    assert read_eval_arrays(path, "a" * 64, train.x.shape[1]) is None  # not an eval file
+    assert loaded.fingerprint.dtype == np.uint8
+    assert loaded.fingerprint.tobytes() == train.fingerprint.tobytes()
+    assert read_side_file(data_file, TrainingSet, "b" * 64, train.x.shape[1]) is None  # another source
+    assert read_side_file(data_file, TrainingSet, "a" * 64, 256) is None  # another feature dimension
+    assert read_side_file(data_file, EvalArrays, "a" * 64, train.x.shape[1]) is None  # not an eval file
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -148,13 +153,15 @@ def test_eval_side_file_round_trip(tmp_path):
     x = training_set(_hand_built(), ReferenceBackend(), memo=False).x
     votes = np.arange(5 * 18, dtype=np.uint8).reshape(5, 18) % 11
     domain = np.array(["EP", "WK", "NV", "EP", "SRC"], dtype=str)
-    path = tmp_path / "eval-features.npz"
-    write_eval_arrays(path, EvalArrays(x, x, votes, domain), "a" * 64)
-    loaded = read_eval_arrays(path, "a" * 64, x.shape[1])
+    data_file = tmp_path / "eval.jsonl"
+    write_side_file(data_file, EvalArrays(x, x, votes, domain), "a" * 64)
+    with np.load(tmp_path / "eval-features.npz") as stored:
+        assert {"untagged_indptr", "tagged_data", "votes", "domain"} <= set(stored.files)
+    loaded = read_side_file(data_file, EvalArrays, "a" * 64, x.shape[1])
     assert (loaded.untagged != x).nnz == 0 and (loaded.tagged != x).nnz == 0
     assert loaded.votes.dtype == np.uint8 and np.array_equal(loaded.votes, votes)
     assert loaded.domain.tolist() == domain.tolist()
-    assert read_training_set(path, "a" * 64, x.shape[1]) is None  # not a train file
+    assert read_side_file(data_file, TrainingSet, "a" * 64, x.shape[1]) is None  # not a train file
 
 
 @pytest.fixture(scope="module")
@@ -187,12 +194,13 @@ def _stale(path):
     """Rewrite the side file, well formed, from other rows and for another source file."""
     other = training_set(_hand_built(), ReferenceBackend(), memo=False)
     source = hashlib.sha256(b"another file").hexdigest()
-    if path.name == "train-features.npz":
-        write_training_set(path, other, source)
+    data_file = path.with_name(path.name.removesuffix("-features.npz") + ".jsonl")
+    if data_file.name == "train.jsonl":
+        write_side_file(data_file, other, source)
     else:
         n = other.x.shape[0]
         votes = np.full((n, 18), 1, dtype=np.uint8)
-        write_eval_arrays(path, EvalArrays(other.x, other.x, votes, np.array(["EP"] * n)), source)
+        write_side_file(data_file, EvalArrays(other.x, other.x, votes, np.array(["EP"] * n)), source)
 
 
 DAMAGE = {"deleted": Path.unlink, "truncated": _truncate, "bit-flipped": _flip_a_bit, "stale": _stale}
@@ -283,12 +291,13 @@ def test_store_serves_the_rows_ingest_featurized(cold_run):
     cold, _ = cold_run
     train, eval_data = cold / "data" / "train.jsonl", cold / "data" / "eval.jsonl"
     store = Store()
-    stored = store.training_set(train)
+    stored = store.read(train, pipeline._train_set)
     built = training_set(pipeline._train_rows(train), ReferenceBackend(), memo=False)
-    assert (stored.x != built.x).nnz == 0 and stored.fingerprint == built.fingerprint
+    assert (stored.x != built.x).nnz == 0
+    assert np.array_equal(stored.fingerprint, built.fingerprint)
     assert store.backend._rows == {}  # nothing was featurized
     rows = pipeline.ingest_target_corpus(eval_data)
-    served = store.eval_arrays(eval_data)
+    served = store.read(eval_data, pipeline._eval_set)
     expected = pipeline._eval_arrays(rows, ReferenceBackend())
     for got, want in ((served.untagged, expected.untagged), (served.tagged, expected.tagged)):
         assert got.shape == want.shape and (got != want).nnz == 0
@@ -296,3 +305,47 @@ def test_store_serves_the_rows_ingest_featurized(cold_run):
     assert served.domain.tolist() == [row.domain for row in rows]
     assert store.backend._rows == {}
     assert digest_path(train) == store.digest(train)
+
+
+# One tagging rule: ``adaptation.tag_text`` tags the pools and the eval rows alike.
+
+
+def _crowd(arg1: str, arg2: str, domain: str) -> CrowdAnnotatedInstance:
+    return CrowdAnnotatedInstance.from_votes(
+        ArgumentPair(arg1, arg2), {resolve_label("cause"): 10}, domain
+    )
+
+
+def test_tagged_eval_matrix_is_featurize_rows_of_the_tagged_rows(cold_run):
+    cold, _ = cold_run
+    eval_data = cold / "data" / "eval.jsonl"
+    rows = pipeline.ingest_target_corpus(eval_data)
+    served = Store().read(eval_data, pipeline._eval_set)
+    expected = ReferenceBackend().featurize_rows([prepend_domain_token(row).pair for row in rows])
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(served.tagged, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_pool_row_and_eval_row_of_one_text_and_domain_get_one_row():
+    contrast = resolve_label("contrast")
+    backend = ReferenceBackend()
+    pool = [prepend_domain_token(SyntheticInstance(
+        ArgumentPair("Prices rose.", "Demand fell sharply."), contrast, "mock", "DC", domain
+    )) for domain in ("WK", "NV")]
+    pool_x = training_set(pool, backend).x
+    eval_x = pipeline._eval_arrays(
+        [_crowd("Prices rose.", "Demand fell sharply.", domain) for domain in ("WK", "NV")], backend
+    ).tagged
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(pool_x, name), getattr(eval_x, name)), name
+    assert (pool_x[[0]] != pool_x[[1]]).nnz  # the two domains' tokens differ
+
+
+def test_an_eval_arg1_that_carries_a_domain_token_is_tagged_once():
+    backend = ReferenceBackend()
+    row = _crowd("⟨EP⟩ The vote passed.", "It was close.", "WK")
+    arrays = pipeline._eval_arrays([row], backend)
+    assert (arrays.tagged != arrays.untagged).nnz == 0
+    retagged = ArgumentPair("⟨WK⟩ ⟨EP⟩ The vote passed.", "It was close.")
+    assert (arrays.tagged != backend.featurize_rows([retagged])).nnz

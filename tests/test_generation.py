@@ -4,6 +4,7 @@ import time
 import pytest
 import requests
 
+from drsynth import generation
 from drsynth.fixtures import example_pool, marker_token
 from drsynth.generation import (
     BackendDescriptor,
@@ -115,16 +116,18 @@ class TestGenerateArg2:
         reloaded = GenerationCache(tmp_path / "cache.jsonl")
         assert len(reloaded) == 1
 
-    def test_retries_then_succeeds(self):
+    def test_retries_then_succeeds(self, monkeypatch):
+        monkeypatch.setattr(generation, "RETRY_WAIT_S", 0.0)
         backend = StubBackend(["Recovered answer."], failures=2)
-        result = generate_arg2(_request(), backend, max_retries=2, retry_wait=0.0)
+        result = generate_arg2(_request(), backend)
         assert result.arg2 == "Recovered answer."
         assert backend.calls == 3
 
-    def test_retries_exhausted(self):
+    def test_retries_exhausted(self, monkeypatch):
+        monkeypatch.setattr(generation, "RETRY_WAIT_S", 0.0)
         backend = StubBackend(["never seen"], failures=10)
         with pytest.raises(TransportError, match="after 3 attempts"):
-            generate_arg2(_request(), backend, max_retries=2, retry_wait=0.0)
+            generate_arg2(_request(), backend)
 
     @pytest.mark.parametrize("fault, posts_made", [
         ("timeout", 3), ("connection", 3), ("429", 3), ("503", 3), ("404", 1), ("400", 1),
@@ -231,14 +234,14 @@ class TestMockBackend:
         assert backend.complete(prompt) == backend.complete(prompt)
 
     def test_faithful_reply_carries_marker(self):
-        backend = MockBackend(name="mock", fidelity=1.0, two_sentence_rate=0.0)
+        backend = MockBackend(name="mock", fidelity=1.0)
         prompt = render_dc_prompt("The lead sentence.", CAUSE, EXAMPLE, choice=1).text
         assert marker_token(CAUSE) in backend.complete(prompt)
 
     def test_dr_prompt_label_recovered(self):
         from drsynth.prompts import load_definitions, render_dr_prompt
 
-        backend = MockBackend(name="mock", fidelity=1.0, two_sentence_rate=0.0)
+        backend = MockBackend(name="mock", fidelity=1.0)
         label = resolve_label("concession")
         prompt = render_dr_prompt(
             "The lead sentence.", label, load_definitions()[label], EXAMPLE

@@ -68,7 +68,8 @@ def _assert_same_training_set(a, b) -> None:
         assert np.array_equal(getattr(a.x, name), getattr(b.x, name)), name
     assert a.x.shape == b.x.shape
     assert np.array_equal(a.y, b.y) and np.array_equal(a.inter, b.inter)
-    assert a.fingerprint == b.fingerprint
+    assert a.fingerprint.dtype == b.fingerprint.dtype == np.uint8
+    assert np.array_equal(a.fingerprint, b.fingerprint)
 
 
 def _file_corpora(corpus_dir) -> dict[str, str]:
@@ -502,6 +503,19 @@ class TestCli:
         b"generation.connective_choice = true",
         b'data.target = "fixtures:bogus"',
         b'data.target = "fixtures:full"',  # beside the default fixtures:tiny source
+        b'data.split = "x"',
+        b'evaluation.protocol = "bogus"',
+        b"domains = []",
+        b'domains = ["EP", "EP"]',
+        b"seeds = [-1]",
+        b'screening.kind = "combi"\nscreening.freq_scope = "bogus"',
+        b"evaluation.alpha = 5",
+        b"adaptation.lambda = -0.5",
+        b"adaptation.mixed_target_size = 0",
+        b"base.epochs = -1",
+        b"adaptation.epochs = -1",
+        b"base.learning_rate = 0",
+        b"adaptation.learning_rate = -0.0001",
     ])
     def test_bad_config_exit_code(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -1059,7 +1073,7 @@ def test_runner_parses_a_file_once_per_content(tmp_path):
     store = Store()
     calls = []
 
-    def parse(path):
+    def parse(path, store):
         calls.append(path)
         return _train_rows(path)
 
@@ -1116,9 +1130,11 @@ class TestDeriveOnce:
     def test_ingest_hands_over_what_parsing_the_written_files_returns(
         self, corpora, tmp_path, tiny_corpus_dir
     ):
+        from dataclasses import fields
+
         from drsynth.feature_files import EvalArrays
-        from drsynth.pipeline import _dev_rows, _eval_arrays
-        from drsynth.records import ingest_raw_corpus, ingest_target_corpus
+        from drsynth.pipeline import _dev_rows, _eval_arrays, _eval_set, _raw_docs, _train_set
+        from drsynth.records import ingest_target_corpus
 
         overrides = {} if corpora == "fixtures" else _messy_corpora(tiny_corpus_dir, tmp_path / "in")
         config = _config(tmp_path / "run", seeds=[1], **overrides)
@@ -1127,27 +1143,27 @@ class TestDeriveOnce:
         store = Store()
         _run_action(store, config, "ingest")
         train = tmp_path / "run" / "data/train.jsonl"
-        handed = store._train[digest_path(train)]
+        handed = store._built[(digest_path(train), _train_set)]
         _assert_same_training_set(handed, training_set(_train_rows(train), ReferenceBackend()))
         # the eval rows are handed over as arrays, equal to those built from the written file
         eval_data = tmp_path / "run" / "data/eval.jsonl"
-        kept = store._eval[digest_path(eval_data)]
+        kept = store._built[(digest_path(eval_data), _eval_set)]
         parsed = ingest_target_corpus(eval_data)
         assert parsed and isinstance(kept, EvalArrays)
         built = _eval_arrays(parsed, ReferenceBackend())
-        for name, got, want in zip(EvalArrays._fields, kept, built):
+        for name in (field.name for field in fields(EvalArrays)):
+            got, want = getattr(kept, name), getattr(built, name)
             if name in ("untagged", "tagged"):
                 assert (got != want).nnz == 0 and got.shape == want.shape, name
             else:
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
         for relative, parse in (
             ("data/dev.jsonl", _dev_rows),
-            ("data/raw-canonical.jsonl", ingest_raw_corpus),
+            ("data/raw-canonical.jsonl", _raw_docs),
         ):
             path = tmp_path / "run" / relative
-            digest, rows = store._parsed[(path, parse)]
-            assert digest == digest_path(path), relative
-            assert rows and parse(path) == rows, relative
+            rows = store._built[(digest_path(path), parse)]
+            assert rows and parse(path, store) == rows, relative
 
     def test_cold_run_parses_no_canonical_file_after_ingest(self, tmp_path, monkeypatch):
         import drsynth.pipeline as pipeline

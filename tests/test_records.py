@@ -105,12 +105,11 @@ class TestGoldLabelSet:
         labels = [resolve_label(n) for n in ("cause", "concession", "conjunction", "contrast")]
         for _ in range(200):
             counts = [rng.randrange(0, 11) for _ in labels]
-            total = sum(counts)
-            if total == 0:
+            if sum(counts) == 0:
                 continue
             votes = {l: c for l, c in zip(labels, counts) if c}
             pair = ArgumentPair(arg1="a", arg2="b")
-            inst = CrowdAnnotatedInstance.from_votes(pair, votes, "EP", annotators=total)
+            inst = CrowdAnnotatedInstance(pair, tuple(votes.items()), "EP")
             assert majority_label(inst) in _gold(inst, threshold=0.5)
 
     def test_threshold_validation(self):
@@ -151,9 +150,7 @@ class TestVoteMatrix:
             counts = {label: rng.randrange(0, 4) for label in rng.sample(labels, 4)}
             if sum(counts.values()):
                 pair = ArgumentPair(arg1="a", arg2="b")
-                instances.append(CrowdAnnotatedInstance.from_votes(
-                    pair, counts, "EP", annotators=sum(counts.values())
-                ))
+                instances.append(CrowdAnnotatedInstance(pair, tuple(counts.items()), "EP"))
         gold, majority = gold_label_masks(vote_matrix(instances), 0.3)
         for row, inst in enumerate(instances):
             assert labels[majority[row]] is majority_label(inst)

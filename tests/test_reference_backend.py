@@ -2,11 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from drsynth.adaptation import tag_text
 from drsynth.records import ArgumentPair
 from drsynth.reference_backend import (
     FEATURIZE_CHUNK_ROWS,
@@ -22,11 +24,10 @@ def _char_loop_tokens(text: str) -> list[str]:
     return [t for t in "".join(c if c.isalnum() else " " for c in text.lower()).split() if t]
 
 
-def _dense_featurize(backend: ReferenceBackend, pair: ArgumentPair, domain_token=None) -> np.ndarray:
+def _dense_featurize(backend: ReferenceBackend, pair: ArgumentPair) -> np.ndarray:
     """The original dense featurizer: hashed counts, L2-capped over the full vector."""
     x = np.zeros(backend.feature_dim)
-    arg1 = pair.arg1 if domain_token is None else f"{domain_token} {pair.arg1}"
-    for prefix, text in (("a1:", arg1), ("a2:", pair.arg2)):
+    for prefix, text in (("a1:", pair.arg1), ("a2:", pair.arg2)):
         for token in _char_loop_tokens(text):
             x[backend._slot(prefix + token)] += 1.0
     norm = np.linalg.norm(x)
@@ -69,6 +70,10 @@ def _chunk_plus_three() -> list[ArgumentPair]:
     ]
 
 
+def _tagged(pair: ArgumentPair, domain: str) -> ArgumentPair:
+    return ArgumentPair(arg1=tag_text(pair.arg1, domain), arg2=pair.arg2)
+
+
 def _row_bytes(row) -> tuple:
     return row.indices.dtype, row.indices.tobytes(), row.values.dtype, row.values.tobytes()
 
@@ -83,24 +88,25 @@ class TestFeatureStore:
         large = _chunk_plus_three()
         batches = [
             # tagged and untagged rows, and a pair without tokens
-            (pairs + [empty], [None, "⟨EP⟩"] * (len(pairs) // 2) + [None] * (len(pairs) % 2 + 1)),
+            [_tagged(p, "EP") if i % 2 else p for i, p in enumerate(pairs)] + [empty],
             # every sample tagged, mostly memo misses
-            (pairs, ["⟨EP⟩"] * len(pairs)),
+            [_tagged(p, "EP") for p in pairs],
             # duplicate keys, memo hits mixed with misses, and tokens first seen now
-            ([pairs[0], unseen, pairs[0], unseen, empty, pairs[1], unseen], [None, None, "⟨WK⟩", None, None, "⟨EP⟩", "⟨EP⟩"]),
+            [pairs[0], unseen, _tagged(pairs[0], "WK"), unseen, empty, _tagged(pairs[1], "EP"),
+             _tagged(unseen, "EP")],
             # a row on each side of a chunk boundary
-            (large, [None] * len(large)),
+            large,
         ]
         stored = {}
-        for batch, tokens in batches:
-            x = backend.featurize_pairs(batch, tokens)
+        for batch in batches:
+            x = backend.featurize_pairs(batch)
             assert isinstance(x, sparse.csr_array)
             assert x.dtype == np.float64 and x.shape == (len(batch), backend.feature_dim)
-            dense = np.stack([_dense_featurize(backend, p, t) for p, t in zip(batch, tokens)])
+            dense = np.stack([_dense_featurize(backend, p) for p in batch])
             assert np.array_equal(x.toarray(), dense)
-            for i, (pair, token) in enumerate(zip(batch, tokens)):
-                row = stored.setdefault((pair, token), backend.featurize(pair, token))
-                assert backend.featurize(pair, token) is row
+            for i, pair in enumerate(batch):
+                row = stored.setdefault(pair, backend.featurize(pair))
+                assert backend.featurize(pair) is row
                 span = slice(x.indptr[i], x.indptr[i + 1])
                 assert np.array_equal(x.indices[span], row.indices)
                 assert np.array_equal(x.data[span], row.values)
@@ -111,33 +117,24 @@ class TestFeatureStore:
         probes = [large[3], large[-2], ArgumentPair(arg1=UNICODE_SAMPLE[4], arg2=UNICODE_SAMPLE[5])]
         shuffled = large[:50] + probes
         random.Random(3).shuffle(shuffled)
-        for probe in probes:
-            alone = _row_bytes(ReferenceBackend().featurize(probe, "⟨EP⟩"))
+        for probe in map(partial(_tagged, domain="EP"), probes):
+            alone = _row_bytes(ReferenceBackend().featurize(probe))
             for batch in (shuffled, large + probes):
                 backend = ReferenceBackend()
-                backend.featurize_pairs(batch, ["⟨EP⟩"] * len(batch))
-                assert _row_bytes(backend.featurize(probe, "⟨EP⟩")) == alone
-
-    def test_domain_tokens_must_match_pairs(self):
-        backend = ReferenceBackend()
-        pairs = [ArgumentPair(arg1="one two", arg2="three"), ArgumentPair(arg1="four", arg2="five")]
-        for tokens in ([None], [None, None, "⟨EP⟩"]):
-            with pytest.raises(ValueError):
-                backend.featurize_pairs(pairs, tokens)
+                backend.featurize_pairs([_tagged(p, "EP") for p in batch])
+                assert _row_bytes(backend.featurize(probe)) == alone
 
     def test_memo_keeps_domain_tokens_apart(self):
+        """A tagged Arg1 is another text, so another memo key and another row."""
         backend = ReferenceBackend()
         pair = ArgumentPair(arg1="The vote passed.", arg2="It was close.")
-        plain = backend.featurize(pair)
-        tagged = backend.featurize(pair, "⟨EP⟩")
-        other = backend.featurize(pair, "⟨WK⟩")
-        assert backend.featurize(pair) is plain
-        assert backend.featurize(pair, "⟨EP⟩") is tagged
-        rows = [row.indices.tolist() for row in (plain, tagged, other)]
-        assert len({tuple(r) for r in rows}) == 3
-        x = backend.featurize_pairs([pair] * 3, [None, "⟨EP⟩", "⟨WK⟩"])
-        for i, domain_token in enumerate([None, "⟨EP⟩", "⟨WK⟩"]):
-            assert np.array_equal(x[[i]].toarray()[0], _dense_featurize(backend, pair, domain_token))
+        variants = [pair, _tagged(pair, "EP"), _tagged(pair, "WK")]
+        rows = [backend.featurize(p) for p in variants]
+        assert all(backend.featurize(p) is row for p, row in zip(variants, rows))
+        assert len({tuple(row.indices.tolist()) for row in rows}) == 3
+        x = backend.featurize_pairs(variants)
+        for i, p in enumerate(variants):
+            assert np.array_equal(x[[i]].toarray()[0], _dense_featurize(backend, p))
 
     def test_memoized_rows_are_read_only(self):
         backend = ReferenceBackend()
@@ -150,15 +147,14 @@ class TestFeatureStore:
 
     def test_both_paths_keep_int32_index_arrays(self):
         """The memo and the file path give the same int32 CSR arrays, with the old offsets."""
-        pairs = _chunk_plus_three()
-        tokens = [None, "⟨EP⟩"] * (len(pairs) // 2) + [None]
+        pairs = [_tagged(p, "EP") if i % 2 else p for i, p in enumerate(_chunk_plus_three())]
         backend = ReferenceBackend()
-        memo = backend.featurize_pairs(pairs, tokens)
-        rows = ReferenceBackend().featurize_rows(pairs, tokens)
+        memo = backend.featurize_pairs(pairs)
+        rows = ReferenceBackend().featurize_rows(pairs)
         for x in (memo, rows, backend.featurize_pairs([])):
             assert x.indptr.dtype == np.int32 and x.indices.dtype == np.int32
         # the offsets as they were built before, in int64
-        sizes = [backend.featurize(p, t).indices.size for p, t in zip(pairs, tokens)]
+        sizes = [backend.featurize(p).indices.size for p in pairs]
         assert memo.indptr.tolist() == np.concatenate([[0], np.cumsum(sizes)]).tolist()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(memo, name), getattr(rows, name)), name
