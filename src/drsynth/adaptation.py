@@ -45,7 +45,7 @@ from scipy import sparse
 
 from .records import Adjacency, ArgumentPair, LabeledInstance, write_json
 from .reference_backend import PARAMETER_GROUPS, Features, Params, ReferenceBackend, group_keys
-from .taxonomy import FrequencyTable, RelationLabel, resolve_label
+from .taxonomy import FrequencyTable, RelationLabel
 
 logger = logging.getLogger(__name__)
 
@@ -190,9 +190,7 @@ def frequency_table(
         raise ValueError("no instances in scope for frequency table")
     counts = np.bincount(ids, minlength=len(labels))
     return FrequencyTable(
-        counts={labels[i]: int(n) for i, n in enumerate(counts) if n},
-        total=int(ids.size),
-        scope=scope,
+        counts={labels[i]: int(n) for i, n in enumerate(counts) if n}, total=int(ids.size)
     )
 
 
@@ -531,15 +529,12 @@ def remove_artifact(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def load_model(directory: str | Path, backend: ReferenceBackend | None = None) -> Model:
+def load_model(directory: str | Path, backend: ReferenceBackend) -> Model:
     path = Path(directory)
     if not path.is_dir():
         raise ConfigurationError(f"model artifact {path} is not a directory")
     with open(path / "manifest.json", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if backend is None:
-        labels = [resolve_label(name) for name in manifest["labels"]]
-        backend = ReferenceBackend(labels=labels)
     params = {
         file.name.removesuffix(".npy"): np.load(file)
         for file in sorted((path / "params").glob("*.npy"))

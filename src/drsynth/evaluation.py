@@ -1,4 +1,4 @@
-"""Multi-gold evaluation, cross-run aggregation, and significance testing.
+"""Multi-gold evaluation, significance testing, and the results table.
 
 Test items carry every label that reached the vote threshold. A prediction
 matching any gold label counts as correct, so accuracy is protocol
@@ -24,6 +24,11 @@ order, as in ``records.vote_matrix``) and a gold mask over those columns,
 which ``records.gold_label_masks`` derives from the vote rows. Under every
 protocol each item adds a fixed (tp, fp, fn) vector per class, so the
 kernel counts them all at once with ``bincount`` and mask sums.
+
+A run's report rests on one path: ``report_payload`` stores each scored
+domain's fractions as [numerator, denominator] pairs, the report stage turns
+each pair into a per-seed percent, ``t_test`` compares a variant's percents
+with the baseline's, and the two renderers print each cell's mean.
 """
 
 from __future__ import annotations
@@ -37,11 +42,13 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from .taxonomy import RelationLabel, all_labels, resolve_label
+from .taxonomy import RelationLabel, all_labels
 
 _LABELS = all_labels()
 # the label columns in the order of their names, the order of a report's per-class table
 _BY_NAME = sorted(range(len(_LABELS)), key=lambda column: _LABELS[column].level2)
+# the two metrics of a payload, and their order in each domain's columns of the report
+METRICS = ("macro_f1", "accuracy")
 
 
 class EvalProtocol(str, Enum):
@@ -85,14 +92,6 @@ class MetricReport:
     protocol: EvalProtocol
     run_id: str = ""
 
-    @property
-    def accuracy_pct(self) -> float:
-        return float(self.accuracy) * 100.0
-
-    @property
-    def macro_f1_pct(self) -> float:
-        return float(self.macro_f1) * 100.0
-
 
 def report_payload(report: MetricReport) -> dict:
     """JSON form of a report: fractions as [numerator, denominator] pairs."""
@@ -106,22 +105,6 @@ def report_payload(report: MetricReport) -> dict:
             label.level2: [cs.tp, cs.fp, cs.fn] for label, cs in report.per_class.items()
         },
     }
-
-
-def report_from_payload(payload: dict) -> MetricReport:
-    """Inverse of ``report_payload``."""
-    per_class = {
-        resolve_label(name): ClassScores(*counts)
-        for name, counts in payload["per_class"].items()
-    }
-    return MetricReport(
-        accuracy=Fraction(*payload["accuracy"]),
-        per_class=per_class,
-        macro_f1=Fraction(*payload["macro_f1"]),
-        n_items=int(payload["n_items"]),
-        protocol=EvalProtocol(payload["protocol"]),
-        run_id=payload.get("run_id", ""),
-    )
 
 
 @dataclass(frozen=True)
@@ -148,11 +131,7 @@ class ScoreBatch:
         return len(self.predicted)
 
 
-def score(
-    batch: ScoreBatch,
-    protocol: EvalProtocol = EvalProtocol.DISCARD_ALTERNATIVES,
-    run_id: str = "",
-) -> MetricReport:
+def score(batch: ScoreBatch, protocol: EvalProtocol, run_id: str = "") -> MetricReport:
     """Score predictions against multi-gold sets under one protocol.
 
     A hit adds a TP for the predicted label; a miss adds an FP for it and an
@@ -197,63 +176,13 @@ def score(
 
 
 @dataclass(frozen=True)
-class MetricSummary:
-    mean: float
-    min: float
-    max: float
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Cross-seed aggregate; per-run values retained for significance tests."""
-
-    protocol: EvalProtocol
-    n_items: int
-    n_runs: int
-    metrics: Mapping[str, MetricSummary]
-
-    def runs(self, metric: str) -> list[float]:
-        return list(self.metrics[metric].values)
-
-
-def aggregate_runs(reports: Sequence[MetricReport]) -> RunSummary:
-    """Mean/min/max of macro-F1 and accuracy (in percent) across runs."""
-    if not reports:
-        raise EvaluationError("no reports to aggregate")
-    first = reports[0]
-    for report in reports[1:]:
-        if report.protocol is not first.protocol:
-            raise EvaluationError("reports mix evaluation protocols")
-        if report.n_items != first.n_items:
-            raise EvaluationError("reports cover different test sets")
-    metrics = {}
-    for name, getter in (("macro_f1", lambda r: r.macro_f1_pct), ("accuracy", lambda r: r.accuracy_pct)):
-        values = tuple(getter(r) for r in reports)
-        metrics[name] = MetricSummary(
-            mean=sum(values) / len(values), min=min(values), max=max(values), values=values
-        )
-    return RunSummary(
-        protocol=first.protocol, n_items=first.n_items, n_runs=len(reports), metrics=metrics
-    )
-
-
-@dataclass(frozen=True)
 class SignificanceResult:
-    metric: str
-    model_mean: float
-    baseline_mean: float
-    t_statistic: float
     p_value: float
-    alpha: float
     significant: bool
 
 
 def t_test(
-    model_runs: Sequence[float],
-    baseline_runs: Sequence[float],
-    alpha: float = 0.05,
-    metric: str = "",
+    model_runs: Sequence[float], baseline_runs: Sequence[float], alpha: float
 ) -> SignificanceResult:
     """Two-tailed Welch t-test of model vs baseline runs.
 
@@ -264,12 +193,12 @@ def t_test(
     if len(model_runs) < 2 or len(baseline_runs) < 2:
         raise EvaluationError("t-test needs at least two runs per side")
     n_m, n_b = len(model_runs), len(baseline_runs)
-    mean_m = sum(model_runs) / n_m
-    mean_b = sum(baseline_runs) / n_b
+    mean_m = _mean(model_runs)
+    mean_b = _mean(baseline_runs)
     var_m = sum((x - mean_m) ** 2 for x in model_runs) / (n_m - 1)
     var_b = sum((x - mean_b) ** 2 for x in baseline_runs) / (n_b - 1)
     if var_m == 0.0 and var_b == 0.0:
-        t_stat, p_value = _degenerate(mean_m - mean_b)
+        p_value = 1.0 if mean_m == mean_b else 0.0
     else:
         se_sq = var_m / n_m + var_b / n_b
         t_stat = (mean_m - mean_b) / math.sqrt(se_sq)
@@ -277,31 +206,17 @@ def t_test(
             (var_m / n_m) ** 2 / (n_m - 1) + (var_b / n_b) ** 2 / (n_b - 1)
         )
         p_value = _two_tailed_p(t_stat, df)
-
-    return SignificanceResult(
-        metric=metric,
-        model_mean=mean_m,
-        baseline_mean=mean_b,
-        t_statistic=t_stat,
-        p_value=p_value,
-        alpha=alpha,
-        significant=p_value < alpha,
-    )
+    return SignificanceResult(p_value=p_value, significant=p_value < alpha)
 
 
-def _degenerate(mean_difference: float) -> tuple[float, float]:
-    if mean_difference == 0.0:
-        return 0.0, 1.0
-    return math.copysign(math.inf, mean_difference), 0.0
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
 
 
 def _two_tailed_p(t_stat: float, df: float) -> float:
     # scipy.stats.t.sf(x, df) evaluates stdtr(df, -x); calling scipy.special
     # directly keeps scipy.stats, about 0.6 s of import, out of every start-up
     return 2.0 * float(special.stdtr(df, -abs(t_stat)))
-
-
-DEFAULT_DOMAIN_ORDER = ("EP", "WK", "NV")
 
 
 @dataclass(frozen=True)
@@ -319,59 +234,40 @@ class VariantMeta:
 
 def render_results_table(
     variants: Sequence[VariantMeta],
-    summaries: Mapping[tuple[str, str], RunSummary],
-    significance: Mapping[tuple[str, str, str], SignificanceResult] | None = None,
-    sizes: Mapping[tuple[str, str], int] | None = None,
-    domains: Sequence[str] = DEFAULT_DOMAIN_ORDER,
+    runs: Mapping[tuple[str, str, str], Sequence[float]],
+    significance: Mapping[tuple[str, str, str], SignificanceResult],
+    sizes: Mapping[tuple[str, str], int],
+    domains: Sequence[str],
 ) -> str:
     """Fixed-width report: one row per variant, F1/Acc per domain.
 
-    The size column of a domain-specific variant is the rounded mean of its
-    per-domain training sizes. The best value per column is wrapped in
-    ``**``; values significantly different from the baseline get a ``*``.
+    ``runs`` holds each (variant, domain, metric) cell's per-seed percents, and
+    a cell shows their mean. The size column of a domain-specific variant is
+    the rounded mean of its per-domain training sizes. The best value per
+    column is wrapped in ``**``; values significantly different from the
+    baseline get a ``*``.
     """
-    significance = significance or {}
-    sizes = sizes or {}
     if not any(v.baseline for v in variants):
         raise EvaluationError("results table needs a baseline variant")
-
-    metric_keys = [(domain, metric) for domain in domains for metric in ("macro_f1", "accuracy")]
-    best: dict[tuple[str, str], float] = {}
-    for variant in variants:
-        for domain, metric in metric_keys:
-            summary = summaries.get((variant.variant_id, domain))
-            if summary is None:
-                continue
-            value = summary.metrics[metric].mean
-            key = (domain, metric)
-            if key not in best or value > best[key]:
-                best[key] = value
-
-    def size_cell(variant: VariantMeta) -> str:
-        per_domain = [
-            sizes[(variant.variant_id, domain)]
-            for domain in domains
-            if (variant.variant_id, domain) in sizes
-        ]
-        if not per_domain:
-            return "0"
-        return str(round(sum(per_domain) / len(per_domain)))
+    means = {cell: _mean(values) for cell, values in runs.items()}
+    columns = [(domain, metric) for domain in domains for metric in METRICS]
+    best = {
+        (domain, metric): max(means[(v.variant_id, domain, metric)] for v in variants)
+        for domain, metric in columns
+    }
 
     header = ["model", "LLM", "tpl.", "screen", "config.", "size"]
     for domain in domains:
         header += [f"{domain} F1", f"{domain} Acc"]
     rows = [header]
     for variant in variants:
+        size = _mean([sizes[(variant.variant_id, domain)] for domain in domains])
         row = [variant.model, variant.llm, variant.template, variant.screen, variant.config,
-               size_cell(variant)]
-        for domain, metric in metric_keys:
-            summary = summaries.get((variant.variant_id, domain))
-            if summary is None:
-                row.append("-")
-                continue
-            value = summary.metrics[metric].mean
+               str(round(size))]
+        for domain, metric in columns:
+            value = means[(variant.variant_id, domain, metric)]
             cell = f"{value:.2f}"
-            if best.get((domain, metric)) == value:
+            if best[(domain, metric)] == value:
                 cell = f"**{cell}**"
             result = significance.get((variant.variant_id, domain, metric))
             if result is not None and result.significant and not variant.baseline:
@@ -390,33 +286,22 @@ def render_results_table(
 
 def results_tsv(
     variants: Sequence[VariantMeta],
-    summaries: Mapping[tuple[str, str], RunSummary],
-    significance: Mapping[tuple[str, str, str], SignificanceResult] | None = None,
-    sizes: Mapping[tuple[str, str], int] | None = None,
-    domains: Sequence[str] = DEFAULT_DOMAIN_ORDER,
+    runs: Mapping[tuple[str, str, str], Sequence[float]],
+    significance: Mapping[tuple[str, str, str], SignificanceResult],
+    sizes: Mapping[tuple[str, str], int],
+    domains: Sequence[str],
 ) -> str:
     """Machine-readable companion to the formatted table."""
-    significance = significance or {}
-    sizes = sizes or {}
     lines = ["variant\tdomain\tsize\tmacro_f1\taccuracy\tp_f1\tp_acc"]
     for variant in variants:
         for domain in domains:
-            summary = summaries.get((variant.variant_id, domain))
-            if summary is None:
-                continue
-            sig_f1 = significance.get((variant.variant_id, domain, "macro_f1"))
-            sig_acc = significance.get((variant.variant_id, domain, "accuracy"))
-            lines.append(
-                "\t".join(
-                    [
-                        variant.variant_id,
-                        domain,
-                        str(sizes.get((variant.variant_id, domain), 0)),
-                        f"{summary.metrics['macro_f1'].mean:.6f}",
-                        f"{summary.metrics['accuracy'].mean:.6f}",
-                        f"{sig_f1.p_value:.6g}" if sig_f1 else "",
-                        f"{sig_acc.p_value:.6g}" if sig_acc else "",
-                    ]
-                )
-            )
+            cells = [(variant.variant_id, domain, metric) for metric in METRICS]
+            results = [significance.get(cell) for cell in cells]
+            lines.append("\t".join([
+                variant.variant_id,
+                domain,
+                str(sizes[(variant.variant_id, domain)]),
+                *(f"{_mean(runs[cell]):.6f}" for cell in cells),
+                *("" if result is None else f"{result.p_value:.6g}" for result in results),
+            ]))
     return "\n".join(lines) + "\n"

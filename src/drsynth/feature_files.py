@@ -16,8 +16,9 @@ and ``arrays_sha256``, a sha256 over every other array's name, dtype, shape
 and bytes. A reader loads it with ``allow_pickle=False`` and takes it only
 when it holds exactly the arrays of the kind asked for and every stamp
 matches; a side file that is missing, cut short, damaged, stale or of the
-other kind reads as absent, so it costs a rebuild, never a different result.
-Side files are outside every digest and safe to delete.
+other kind reads as absent, so it costs a rebuild, never a different result,
+and the reader that rebuilt the arrays writes the side file anew for the
+next run. Side files are outside every digest and safe to delete.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .records import (
     Adjacency,
     ArgumentPair,
     CrowdAnnotatedInstance,
-    DEFAULT_DOMAINS,
     LabeledInstance,
     Provenance,
     RawDocument,
@@ -175,7 +174,8 @@ def _vote_pattern(
 def build_target_corpus(
     path: str | Path,
     counts: Mapping[str, tuple[int, int, int]] = TARGET_LABEL_COUNTS,
-    domains: Sequence[str] = DEFAULT_DOMAINS,
+    *,
+    domains: Sequence[str],
     seed: int = 1,
     no_relation_extra: int = 25,
 ) -> None:
@@ -218,7 +218,7 @@ def build_target_corpus(
 
 def build_raw_corpus(
     path: str | Path,
-    domains: Sequence[str] = DEFAULT_DOMAINS,
+    domains: Sequence[str],
     docs_per_domain: int = 4,
     sentences_per_doc: int = 30,
     seed: int = 2,
@@ -230,7 +230,7 @@ def build_raw_corpus(
 
 
 def make_raw_documents(
-    domains: Sequence[str] = DEFAULT_DOMAINS,
+    domains: Sequence[str],
     docs_per_domain: int = 4,
     sentences_per_doc: int = 30,
     seed: int = 2,
@@ -261,7 +261,7 @@ def tiny_target_counts(per_domain: int = 1) -> dict[str, tuple[int, int, int]]:
     return {name: (per_domain, per_domain, per_domain) for name in labels}
 
 
-def example_pool(domains: Sequence[str] = DEFAULT_DOMAINS) -> list[InContextExample]:
+def example_pool(domains: Sequence[str]) -> list[InContextExample]:
     """One in-context example per (domain, generation label, similarity included)."""
     rng = random.Random(3)
     pool = []

@@ -10,6 +10,11 @@ Raw continuations are post-processed into a single candidate Arg2: cue
 echoes and connective repetitions are stripped, listing replies reduce to
 their first item, and the text is truncated at the first sentence boundary
 (terminal punctuation followed by space or end; abbreviation-blind).
+
+Every request goes through the run's ``GenerationCache``: ``generate_arg2``
+keys a rendered prompt and its Arg1 by the backend's descriptor and returns
+the candidate Arg2 and whether the cache served it; ``generate_batch`` takes
+each instance's backend name and decoding from that descriptor too.
 """
 
 from __future__ import annotations
@@ -95,24 +100,8 @@ class Backend(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
-    prompt: RenderedPrompt
-    arg1: str
-    intended: RelationLabel
-    domain: str
-
-    def __post_init__(self) -> None:
-        if self.prompt.label != self.intended:
-            raise ValueError("prompt metadata label does not match the intended label")
-
-
-@dataclass(frozen=True)
-class GenerationResult:
-    raw_text: str
+class GenerationResult(NamedTuple):
     arg2: str
-    request: GenerationRequest
-    backend: BackendDescriptor
     cache_hit: bool
 
 
@@ -197,11 +186,11 @@ class GenerationCache:
     malformed line anywhere else is a ``CorpusFormatError``.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self._path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self._path = Path(path)
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
-        if self._path is not None and self._path.exists():
+        if self._path.exists():
             self._load(self._path)
 
     def _load(self, path: Path) -> None:
@@ -231,13 +220,11 @@ class GenerationCache:
             if key in self._entries:
                 return
             self._entries[key] = raw
-            if self._path is not None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self._path, "a", encoding="utf-8", newline="\n") as handle:
-                    handle.write(
-                        json.dumps({"key": key, "raw": raw}, ensure_ascii=False, sort_keys=True)
-                        + "\n"
-                    )
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self._path, "a", encoding="utf-8", newline="\n") as handle:
+                handle.write(
+                    json.dumps({"key": key, "raw": raw}, ensure_ascii=False, sort_keys=True) + "\n"
+                )
 
 
 API_KEY_ENV = "DRSYNTH_LLM_API_KEY"
@@ -294,6 +281,8 @@ class HTTPBackend:
 
 
 _DR_TASK = re.compile(r"relation ([A-Z+\-]+) to the first argument")
+# the share of mock replies that carry the requested relation's marker token
+_MOCK_FIDELITY = 0.85
 # the share of mock replies that span two sentences, to exercise truncation
 _MOCK_TWO_SENTENCE_RATE = 0.1
 _MOCK_FILLERS = (
@@ -311,19 +300,13 @@ class MockBackend:
 
     It recovers the requested relation from the prompt (the DR task names
     it; the DC task line ends with a known connective) and answers with a
-    fixture sentence carrying that relation's marker token ``fidelity`` of
-    the time, otherwise some other label's marker. A slice of replies spans
+    fixture sentence carrying that relation's marker token ``_MOCK_FIDELITY``
+    of the time, otherwise some other label's marker. A slice of replies spans
     two sentences to exercise truncation.
     """
 
-    def __init__(
-        self,
-        name: str = "mock",
-        decoding: DecodingParams | None = None,
-        fidelity: float = 0.85,
-    ):
-        self.descriptor = BackendDescriptor(name=name, decoding=decoding or DecodingParams())
-        self._fidelity = fidelity
+    def __init__(self, name: str, decoding: DecodingParams):
+        self.descriptor = BackendDescriptor(name=name, decoding=decoding)
         cmap = default_connective_map()
         self._by_connective = {
             conn: label for label, options in cmap.entries.items() for conn in options
@@ -351,7 +334,7 @@ class MockBackend:
         ).digest()
         rolls = [b / 255.0 for b in digest[:4]]
         label = self._infer_label(prompt)
-        if label is None or rolls[0] > self._fidelity:
+        if label is None or rolls[0] > _MOCK_FIDELITY:
             label = self._labels[digest[4] % len(self._labels)]
         filler = _MOCK_FILLERS[digest[5] % len(_MOCK_FILLERS)]
         tail = _MOCK_FILLERS[digest[6] % len(_MOCK_FILLERS)]
@@ -367,9 +350,7 @@ RETRY_WAIT_S = 0.1
 
 
 def generate_arg2(
-    request: GenerationRequest,
-    backend: Backend,
-    cache: GenerationCache | None = None,
+    prompt: RenderedPrompt, arg1: str, backend: Backend, cache: GenerationCache
 ) -> GenerationResult:
     """One candidate Arg2 for a rendered prompt, via cache or backend.
 
@@ -379,21 +360,19 @@ def generate_arg2(
     key = cache_key(
         backend.descriptor.name,
         backend.descriptor.decoding,
-        request.prompt.kind,
-        request.arg1,
-        request.intended,
-        request.prompt.connective,
-        request.prompt.example_id,
+        prompt.kind,
+        arg1,
+        prompt.label,
+        prompt.connective,
+        prompt.example_id,
     )
-    cache_hit = False
-    raw = cache.get(key) if cache is not None else None
-    if raw is not None:
-        cache_hit = True
-    else:
+    raw = cache.get(key)
+    cache_hit = raw is not None
+    if not cache_hit:
         last_error: TransportError | None = None
         for attempt in range(MAX_RETRIES + 1):
             try:
-                raw = backend.complete(request.prompt.text)
+                raw = backend.complete(prompt.text)
                 break
             except UnretriableReply:
                 raise  # the same request gets the same reply back
@@ -405,16 +384,11 @@ def generate_arg2(
             raise TransportError(
                 f"backend {backend.descriptor.name} failed after {MAX_RETRIES + 1} attempts"
             ) from last_error
-        if cache is not None:
-            cache.put(key, raw)
-    arg2 = postprocess(raw, request.prompt.kind, request.prompt.connective)
-    if request.prompt.connective and arg2.lower().startswith(
-        request.prompt.connective.strip().lower()
-    ):
+        cache.put(key, raw)
+    arg2 = postprocess(raw, prompt.kind, prompt.connective)
+    if prompt.connective and arg2.lower().startswith(prompt.connective.strip().lower()):
         raise GenerationRejected("post-processing left a leading connective")
-    return GenerationResult(
-        raw_text=raw, arg2=arg2, request=request, backend=backend.descriptor, cache_hit=cache_hit
-    )
+    return GenerationResult(arg2=arg2, cache_hit=cache_hit)
 
 
 class BatchFailure(NamedTuple):
@@ -437,8 +411,9 @@ def generate_batch(
     backends: Sequence[Backend],
     template: PromptTemplateKind,
     example_pool: Sequence[InContextExample],
+    *,
+    cache: GenerationCache,
     seed: int = 0,
-    cache: GenerationCache | None = None,
     connective_choice: int | None = None,
 ) -> BatchResult:
     """One candidate per (sentence, label) per backend per domain.
@@ -449,7 +424,7 @@ def generate_batch(
     are recorded and excluded; the batch never aborts on a rejected generation.
     """
     definitions = load_definitions() if template is PromptTemplateKind.DR else {}
-    jobs: list[tuple[GenerationRequest, Backend]] = []
+    jobs: list[tuple[str, RenderedPrompt, str, Backend]] = []
     for domain in sorted(sentences_by_domain):
         sentences = sentences_by_domain[domain]
         examples = {
@@ -467,42 +442,37 @@ def generate_batch(
                         prompt = render_dr_prompt(
                             sentence, label, definitions[label], examples[label]
                         )
-                    request = GenerationRequest(
-                        prompt=prompt, arg1=sentence.strip(), intended=label, domain=domain
-                    )
-                    jobs.append((request, backend))
+                    jobs.append((domain, prompt, sentence.strip(), backend))
 
     instances: list[SyntheticInstance] = []
     failures: list[BatchFailure] = []
     cache_hits = 0
-    for request, backend in jobs:
+    for domain, prompt, arg1, backend in jobs:
         try:
-            result = generate_arg2(request, backend, cache=cache)
+            result = generate_arg2(prompt, arg1, backend, cache)
         except GenerationRejected as exc:
             failures.append(
                 BatchFailure(
-                    domain=request.domain,
-                    arg1=request.arg1,
-                    label=request.intended.level2,
+                    domain=domain,
+                    arg1=arg1,
+                    label=prompt.label.level2,
                     backend=backend.descriptor.name,
                     error=str(exc) or "rejected",
                 )
             )
-            logger.warning(
-                "generation rejected (%s, %s): %s", request.domain, request.intended.level2, exc
-            )
+            logger.warning("generation rejected (%s, %s): %s", domain, prompt.label.level2, exc)
             continue
         cache_hits += result.cache_hit
         instances.append(
             SyntheticInstance(
-                pair=ArgumentPair(arg1=request.arg1, arg2=result.arg2),
-                intended=request.intended,
-                backend=result.backend.name,
-                template=request.prompt.kind.value,
-                domain=request.domain,
-                connective=request.prompt.connective,
-                example_id=request.prompt.example_id,
-                decoding=result.backend.decoding.as_dict(),
+                pair=ArgumentPair(arg1=arg1, arg2=result.arg2),
+                intended=prompt.label,
+                backend=backend.descriptor.name,
+                template=prompt.kind.value,
+                domain=domain,
+                connective=prompt.connective,
+                example_id=prompt.example_id,
+                decoding=backend.descriptor.decoding.as_dict(),
             )
         )
     return BatchResult(instances=instances, failures=failures, cache_hits=cache_hits)

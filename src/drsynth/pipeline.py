@@ -56,8 +56,10 @@ train rows as a ``TrainingSet``, or the eval rows as an ``EvalArrays``
 tags the ``mixed`` pools, an n x 18 vote matrix and the domains). The two
 array builders first read the side file ``ingest`` wrote and take it when
 its stamps match, so a run that skips ``ingest`` parses no train or eval
-row and featurizes no row of either file. ``ingest`` alone writes side
-files, and hands what it builds over to the cache. An ``evaluate`` stage
+row and featurizes no row of either file. ``ingest`` writes both side
+files and hands what it builds over to the cache; a read that finds a side
+file stale rebuilds the arrays and rewrites it (atomically, under the
+workdir lock), so the rebuild happens once. An ``evaluate`` stage
 derives the gold masks and majority labels from the vote matrix at its own
 vote threshold (about a millisecond for 6,203 rows, so nothing caches
 them), and scores label ids against them. A non-dry run holds an exclusive
@@ -77,6 +79,7 @@ import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Mapping, Sequence, TypeVar
@@ -105,14 +108,12 @@ from .adaptation import (
     training_set,
 )
 from .evaluation import (
+    METRICS,
     EvalProtocol,
-    MetricReport,
     ScoreBatch,
     SignificanceResult,
     VariantMeta,
-    aggregate_runs,
     render_results_table,
-    report_from_payload,
     report_payload,
     results_tsv,
     score,
@@ -186,7 +187,6 @@ DEFAULTS: dict[str, object] = {
     "generation.n_arg1": 12,
     "generation.seed": 0,
     "generation.connective_choice": None,
-    "generation.mock_fidelity": 0.85,
     "base.epochs": 300,
     "base.learning_rate": 2.0,
     "screening.kind": "strict",
@@ -306,10 +306,13 @@ class PipelineConfig:
         alpha = self.get("evaluation.alpha")
         if not 0 < alpha < 1:
             raise ConfigurationError(f"evaluation.alpha must be in (0, 1), got {json.dumps(alpha)}")
-        for key in ("base.epochs", "adaptation.epochs", "adaptation.lambda"):
+        for key in ("base.epochs", "adaptation.epochs", "adaptation.lambda", "generation.seed"):
             if not self.get(key) >= 0:
                 raise ConfigurationError(f"{key} must be >= 0, got {json.dumps(self.get(key))}")
-        for key in ("base.learning_rate", "adaptation.learning_rate", "adaptation.mixed_target_size"):
+        for key in (
+            "base.learning_rate", "adaptation.learning_rate", "adaptation.mixed_target_size",
+            "generation.n_arg1", "pseudo.per_domain_n",
+        ):
             if not self.get(key) > 0:
                 raise ConfigurationError(f"{key} must be > 0, got {json.dumps(self.get(key))}")
         fixture_specs = {
@@ -505,7 +508,6 @@ _CORPORA = ("source", "target", "raw")
 _GENERATE_KEYS = (
     "domains", "generation.backends", "generation.template", "generation.include_similarity",
     "generation.n_arg1", "generation.seed", "generation.connective_choice",
-    "generation.mock_fidelity",
 )
 _EVAL_KEYS = ("domains", "evaluation.protocol", "evaluation.vote_threshold")
 _REPORT_KEYS = (
@@ -972,32 +974,33 @@ def _report(cfg: Mapping[str, object], stage: Stage, store: Store) -> None:
                 template=str(cfg["generation.template"]), screen=screen, config=mode,
             ))
 
-    # the metric reports come in table order, so each variant's runs in seed order
-    runs: dict[tuple[str, str], list[MetricReport]] = {}
+    # the eval files come in table order, so each cell's per-seed percents in seed order
+    runs: dict[tuple[str, str, str], list[float]] = {}
     sizes: dict[tuple[str, str], int] = {}
     for path in stage.inputs.values():
         payload = json.loads(path.read_text("utf-8"))
         for domain in domains:
-            key = (payload["variant"], domain)
-            runs.setdefault(key, []).append(report_from_payload(payload["reports"][domain]))
-            sizes[key] = payload["sizes"][domain]
-    summaries = {key: aggregate_runs(reports) for key, reports in runs.items()}
+            report = payload["reports"][domain]
+            for metric in METRICS:
+                runs.setdefault((payload["variant"], domain, metric), []).append(
+                    float(Fraction(*report[metric])) * 100.0
+                )
+            sizes[(payload["variant"], domain)] = payload["sizes"][domain]
     significance: dict[tuple[str, str, str], SignificanceResult] = {}
     if len(cfg["seeds"]) >= 2:
         alpha = float(cfg["evaluation.alpha"])
         for meta in variants[1:]:  # every variant against the baseline
             for domain in domains:
-                for metric in ("macro_f1", "accuracy"):
+                for metric in METRICS:
                     significance[(meta.variant_id, domain, metric)] = t_test(
-                        summaries[(meta.variant_id, domain)].runs(metric),
-                        summaries[("baseline", domain)].runs(metric),
-                        alpha=alpha,
-                        metric=metric,
+                        runs[(meta.variant_id, domain, metric)],
+                        runs[("baseline", domain, metric)],
+                        alpha,
                     )
 
-    table = render_results_table(variants, summaries, significance, sizes, domains)
+    table = render_results_table(variants, runs, significance, sizes, domains)
     write_text(stage.outputs["table"], table)
-    write_text(stage.outputs["tsv"], results_tsv(variants, summaries, significance, sizes, domains))
+    write_text(stage.outputs["tsv"], results_tsv(variants, runs, significance, sizes, domains))
 
 
 # split specs that route every section to one bucket, for canonical re-reads
@@ -1030,16 +1033,22 @@ def _pseudo_rows(path: Path, store: Store) -> list:
 
 def _train_set(path: Path, store: Store) -> TrainingSet:
     """The rows of a canonical train file: its side file's, if that is current, else
-    parsed and featurized here as ``ingest`` featurizes them."""
+    parsed and featurized here as ``ingest`` featurizes them, and written to its side file."""
     train = read_side_file(path, TrainingSet, store.digest(path), store.backend.feature_dim)
-    return train if train is not None else training_set(_train_rows(path), store.backend, memo=False)
+    if train is None:
+        train = training_set(_train_rows(path), store.backend, memo=False)
+        write_side_file(path, train, store.digest(path))
+    return train
 
 
 def _eval_set(path: Path, store: Store) -> EvalArrays:
     """The rows of a canonical eval file: its side file's, if that is current, else
-    parsed and built here as ``ingest`` builds them."""
+    parsed and built here as ``ingest`` builds them, and written to its side file."""
     arrays = read_side_file(path, EvalArrays, store.digest(path), store.backend.feature_dim)
-    return arrays if arrays is not None else _eval_arrays(ingest_target_corpus(path), store.backend)
+    if arrays is None:
+        arrays = _eval_arrays(ingest_target_corpus(path), store.backend)
+        write_side_file(path, arrays, store.digest(path))
+    return arrays
 
 
 def _eval_arrays(rows: Sequence[CrowdAnnotatedInstance], backend: ReferenceBackend) -> EvalArrays:
@@ -1095,10 +1104,9 @@ def _variant_id(method: str, mode: str) -> str:
 def _generation_backends(cfg: Mapping[str, object]) -> list[Backend]:
     backends: list[Backend] = []
     decoding = DecodingParams(seed=int(cfg["generation.seed"]))
-    fidelity = float(cfg["generation.mock_fidelity"])
     for name in map(str, cfg["generation.backends"]):
         if name.startswith("mock"):
-            backends.append(MockBackend(name=name, decoding=decoding, fidelity=fidelity))
+            backends.append(MockBackend(name=name, decoding=decoding))
             continue
         endpoint = os.environ.get(ENDPOINT_ENV, "")
         if not endpoint:

@@ -27,8 +27,6 @@ from .taxonomy import RelationLabel, resolve_label
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_PER_DOMAIN = 12000
-
 
 class PseudoLabelError(ValueError):
     pass
@@ -71,17 +69,18 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def pseudo_label_corpus(
     docs: Sequence[RawDocument],
     model: Model,
-    per_domain_n: int = DEFAULT_PER_DOMAIN,
+    *,
+    per_domain_n: int,
     seed: int = 0,
-    domains: Sequence[str] | None = None,
+    domains: Sequence[str],
 ) -> list[PseudoLabeledInstance]:
-    """Label all adjacent pairs, then sample ``per_domain_n`` per domain.
+    """Label all adjacent pairs of each of ``domains``, then sample ``per_domain_n`` per domain.
 
     Domains are processed in sorted order; sampling is uniform without
     replacement under the seed. A domain with fewer pairs keeps all of them
     with a warning; a requested domain with no pairs at all is an error.
     """
-    requested = sorted(domains) if domains is not None else sorted({d.domain for d in docs})
+    requested = sorted(domains)
     by_domain: dict[str, list[ArgumentPair]] = {domain: [] for domain in requested}
     for doc in docs:
         if doc.domain in by_domain:

@@ -39,7 +39,6 @@ from .taxonomy import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_DOMAINS = ("EP", "WK", "NV")
 ANNOTATORS_PER_ITEM = 10
 
 
@@ -128,7 +127,7 @@ def majority_columns(votes: np.ndarray) -> np.ndarray:
     return votes.argmax(axis=1)
 
 
-def gold_label_masks(votes: np.ndarray, threshold: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
+def gold_label_masks(votes: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row's gold label set, as a boolean mask over ``vote_matrix`` columns,
     and its majority label's column.
 

@@ -49,7 +49,7 @@ import numpy as np
 from scipy import sparse
 
 from .records import ArgumentPair
-from .taxonomy import RelationLabel, training_label_set
+from .taxonomy import training_label_set
 
 Params = dict[str, np.ndarray]
 # dense rows or a CSR matrix; every product below is written for both
@@ -133,13 +133,8 @@ class ReferenceBackend:
 
     name = "reference"
 
-    def __init__(
-        self,
-        labels: Sequence[RelationLabel] | None = None,
-        feature_dim: int = 512,
-        hidden_dim: int = 32,
-    ):
-        self.labels = list(labels if labels is not None else training_label_set())
+    def __init__(self, feature_dim: int = 512, hidden_dim: int = 32):
+        self.labels = training_label_set()
         self.label_index = {label: i for i, label in enumerate(self.labels)}
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
@@ -320,11 +315,11 @@ class ReferenceBackend:
     # --- losses and gradients --------------------------------------------
 
     def ce_loss_and_grads(
-        self, params: Params, x: Features, y: np.ndarray, x_t: Features | None = None
+        self, params: Params, x: Features, y: np.ndarray, x_t: Features
     ) -> tuple[float, Params]:
         """Mean cross-entropy and its gradient for the encoder, prefix and head groups.
 
-        ``x_t`` is ``x.T``, built here unless the caller passes it in.
+        ``x_t`` is ``x.T``, which the caller builds once for every step on ``x``.
         """
         n = x.shape[0]
         hidden = self._hidden(params, x)
@@ -351,7 +346,7 @@ class ReferenceBackend:
         return loss, {
             "head.W": _blocked_gram(d_scores, encoded),
             "head.b": d_scores.sum(axis=0),
-            **self._encoder_grads(x.T if x_t is None else x_t, hidden, d_encoded),
+            **self._encoder_grads(x_t, hidden, d_encoded),
         }
 
     def iv_loss_and_grads(
@@ -384,7 +379,7 @@ class ReferenceBackend:
         lam: float,
         x_domain: Features | None,
         domain: np.ndarray | None,
-        x_t: Features | None = None,
+        x_t: Features,
     ) -> tuple[float, Params]:
         """CE minus lam times IV, and the direction one training step descends.
 

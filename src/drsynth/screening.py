@@ -109,14 +109,6 @@ class ScreeningReport:
             name = inst.intended.level2
             stats.kept_per_label[name] = stats.kept_per_label.get(name, 0) + 1
 
-    @property
-    def candidates(self) -> int:
-        return sum(s.candidates for s in self.strata.values())
-
-    @property
-    def kept(self) -> int:
-        return sum(s.kept for s in self.strata.values())
-
     def validate(self) -> None:
         for key, stats in self.strata.items():
             if stats.kept > stats.candidates:

@@ -1,4 +1,4 @@
-"""Relation label hierarchy, connective and confusion maps, frequency tables.
+"""Relation labels, connective and confusion maps, frequency tables.
 
 The classifier is trained on 14 level-2 labels. A few further labels occur
 only in crowd-annotated target data (similarity, disjunction, exception) or
@@ -33,10 +33,9 @@ class LabelError(KeyError):
 
 @dataclass(frozen=True)
 class RelationLabel:
-    """A level-2 relation label with its level-1 group."""
+    """A level-2 relation label."""
 
     level2: str
-    level1: str
 
     def __str__(self) -> str:
         return self.level2
@@ -52,34 +51,28 @@ class RelationLabel:
 
 
 # Canonical order: the 14 training labels first, extras after.
-_TRAINING_SPECS = (
-    ("conjunction", "Expansion"),
-    ("level-of-detail", "Expansion"),
-    ("instantiation", "Expansion"),
-    ("manner", "Expansion"),
-    ("substitution", "Expansion"),
-    ("equivalence", "Expansion"),
-    ("cause", "Contingency"),
-    ("purpose", "Contingency"),
-    ("cause+belief", "Contingency"),
-    ("condition", "Contingency"),
-    ("concession", "Contrast"),
-    ("contrast", "Contrast"),
-    ("asynchronous", "Temporal"),
-    ("synchronous", "Temporal"),
+_TRAINING_NAMES = (
+    "conjunction",
+    "level-of-detail",
+    "instantiation",
+    "manner",
+    "substitution",
+    "equivalence",
+    "cause",
+    "purpose",
+    "cause+belief",
+    "condition",
+    "concession",
+    "contrast",
+    "asynchronous",
+    "synchronous",
 )
 # Labels seen only in crowd-annotated data, alphabetical. no-relation is the
-# marker crowdworkers use when they see no implicit relation at all; it sits
-# outside the level-1 hierarchy.
-_EXTRA_SPECS = (
-    ("disjunction", "Expansion"),
-    ("exception", "Expansion"),
-    ("no-relation", "NoRel"),
-    ("similarity", "Contrast"),
-)
+# marker crowdworkers use when they see no implicit relation at all.
+_EXTRA_NAMES = ("disjunction", "exception", "no-relation", "similarity")
 
 _REGISTRY: dict[str, RelationLabel] = {
-    name: RelationLabel(name, group) for name, group in _TRAINING_SPECS + _EXTRA_SPECS
+    name: RelationLabel(name) for name in _TRAINING_NAMES + _EXTRA_NAMES
 }
 _GLOBAL_ORDER: dict[str, int] = {name: i for i, name in enumerate(_REGISTRY)}
 
@@ -114,7 +107,7 @@ def all_labels() -> list[RelationLabel]:
 
 def training_label_set() -> list[RelationLabel]:
     """The 14 level-2 labels the classifier is trained on, canonical order."""
-    return [_REGISTRY[name] for name, _ in _TRAINING_SPECS]
+    return [_REGISTRY[name] for name in _TRAINING_NAMES]
 
 
 def generation_label_set(include_similarity: bool = False) -> list[RelationLabel]:
@@ -268,15 +261,10 @@ def derive_confusion_map(
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Relative label frequencies over a corpus slice.
-
-    ``scope`` records whether intra-sentential instances were counted; the
-    rarity reference defaults to inter-sentential-only.
-    """
+    """Relative label frequencies over a corpus slice."""
 
     counts: Mapping[RelationLabel, int]
     total: int
-    scope: str = "inter-sentential-only"
 
     def __post_init__(self) -> None:
         if self.total != sum(self.counts.values()):

@@ -6,6 +6,7 @@ from drsynth.records import ingest_source_corpus, ingest_target_corpus
 from drsynth.reference_backend import ReferenceBackend
 
 GOLDEN_DIR = "tests/golden"
+DOMAINS = ["EP", "WK", "NV"]
 
 
 @pytest.fixture(scope="session")
@@ -18,11 +19,12 @@ def tiny_corpus_dir(tmp_path_factory):
     fixtures.build_target_corpus(
         root / "target.jsonl",
         counts=fixtures.tiny_target_counts(per_domain=4),
+        domains=DOMAINS,
         seed=101,
         no_relation_extra=3,
     )
     fixtures.build_raw_corpus(
-        root / "raw.jsonl", docs_per_domain=3, sentences_per_doc=16, seed=102
+        root / "raw.jsonl", DOMAINS, docs_per_domain=3, sentences_per_doc=16, seed=102
     )
     return root
 

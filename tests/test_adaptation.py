@@ -257,7 +257,7 @@ class TestAdaptInvariance:
         x_real = backend.featurize_pairs([inst.pair for inst in real])[picked]
         x_domain = sparse.vstack([x, x_real], format="csr")
         domain = np.concatenate([np.ones(len(shuffled)), np.zeros(len(picked))])
-        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain)
+        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain, x.T)
         for key in group_keys(("encoder", "head", "discriminator")):
             assert np.array_equal(trained[key], params[key] - lr * direction[key]), key
         assert np.array_equal(trained["prefix.p"], params["prefix.p"])
@@ -389,9 +389,9 @@ class TestGradients:
         def evaluate(key):
             if key.startswith("disc."):
                 return lambda p: backend.iv_loss_and_grads(p, x_domain, domain)[0]
-            return lambda p: backend.descent_direction(p, x, y, lam, x_domain, domain)[0]
+            return lambda p: backend.descent_direction(p, x, y, lam, x_domain, domain, x.T)[0]
 
-        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain)
+        _, direction = backend.descent_direction(params, x, y, lam, x_domain, domain, x.T)
         rng = np.random.default_rng(77)
         keys = sorted(params)
         for _ in range(10):
@@ -410,10 +410,10 @@ class TestGradients:
 
     def _check_ce_gradient(self, backend, params, x, y, _x_domain, _domain):
         def evaluate(p):
-            loss, _ = backend.ce_loss_and_grads(p, x, y)
+            loss, _ = backend.ce_loss_and_grads(p, x, y, x.T)
             return loss
 
-        _, grads = backend.ce_loss_and_grads(params, x, y)
+        _, grads = backend.ce_loss_and_grads(params, x, y, x.T)
         rng = np.random.default_rng(5)
         for key in ("encoder.W", "head.W", "prefix.p", "encoder.b", "head.b"):
             index = int(rng.integers(params[key].size))
@@ -426,7 +426,10 @@ class TestGradients:
         backend, params, x, y, x_domain, domain = self._setup(seed=31, csr=True)
         dense, dense_domain = x.toarray(), x_domain.toarray()
         for (loss, grads), (dense_loss, dense_grads) in (
-            (backend.ce_loss_and_grads(params, x, y), backend.ce_loss_and_grads(params, dense, y)),
+            (
+                backend.ce_loss_and_grads(params, x, y, x.T),
+                backend.ce_loss_and_grads(params, dense, y, dense.T),
+            ),
             (
                 backend.iv_loss_and_grads(params, x_domain, domain),
                 backend.iv_loss_and_grads(params, dense_domain, domain),
@@ -441,9 +444,9 @@ class TestGradients:
 
     def test_total_loss_value_composition(self):
         backend, params, x, y, x_domain, domain = self._setup(seed=21)
-        ce, _ = backend.ce_loss_and_grads(params, x, y)
+        ce, _ = backend.ce_loss_and_grads(params, x, y, x.T)
         iv, _ = backend.iv_loss_and_grads(params, x_domain, domain)
-        total, _ = backend.descent_direction(params, x, y, 0.3, x_domain, domain)
+        total, _ = backend.descent_direction(params, x, y, 0.3, x_domain, domain, x.T)
         assert total == pytest.approx(ce - 0.3 * iv)
 
 
@@ -547,7 +550,7 @@ class TestArtifacts:
     def test_save_load_round_trip(self, base_model, tmp_path):
         model, _ = base_model
         save_model(model, tmp_path / "artifact")
-        loaded = load_model(tmp_path / "artifact")
+        loaded = load_model(tmp_path / "artifact", ReferenceBackend())
         assert _params_equal(loaded.params, model.params)
         assert loaded.artifact_id == model.artifact_id
         assert loaded.manifest == model.manifest
@@ -568,7 +571,7 @@ class TestArtifacts:
             TrainingConfig(epochs=10, learning_rate=0.5, seed=3, trainable_groups=("prefix",)),
         )
         save_model(adapted, tmp_path / "prefix")
-        loaded = load_model(tmp_path / "prefix")
+        loaded = load_model(tmp_path / "prefix", ReferenceBackend())
         assert np.array_equal(loaded.params["prefix.p"], adapted.params["prefix.p"])
         assert not np.array_equal(loaded.params["prefix.p"], model.params["prefix.p"])
         frozen = ("encoder", "head", "discriminator")
@@ -595,9 +598,9 @@ class TestArtifacts:
         with pytest.raises(OSError, match="swap failed"):
             save_model(newer, path)
         monkeypatch.undo()
-        loaded = load_model(path)
+        loaded = load_model(path, ReferenceBackend())
         assert loaded.artifact_id == model.artifact_id
         assert _params_equal(loaded.params, model.params)
         save_model(newer, path)  # the next save cleans up and swaps in
-        assert load_model(path).artifact_id == newer.artifact_id
+        assert load_model(path, ReferenceBackend()).artifact_id == newer.artifact_id
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]

@@ -17,14 +17,12 @@ from drsynth.evaluation import (
     ClassScores,
     EvalProtocol,
     EvaluationError,
+    METRICS,
     MetricReport,
-    MetricSummary,
-    RunSummary,
     ScoreBatch,
     SignificanceResult,
     VariantMeta,
     _two_tailed_p,
-    aggregate_runs,
     render_results_table,
     report_payload,
     results_tsv,
@@ -35,6 +33,7 @@ from drsynth.records import ArgumentPair, CrowdAnnotatedInstance, gold_label_mas
 from drsynth.taxonomy import NO_RELATION, RelationLabel, all_labels, label_order, resolve_label
 from test_records import _gold_label_set, majority_label
 
+DISCARD = EvalProtocol.DISCARD_ALTERNATIVES
 CAUSE = resolve_label("cause")
 CONCESSION = resolve_label("concession")
 CONJUNCTION = resolve_label("conjunction")
@@ -104,7 +103,7 @@ TWELVE_EXPECTED = {
 
 class TestScoreDiscardAlternatives:
     def test_twelve_item_hand_tally(self):
-        report = score(_batch(TWELVE_ITEMS))
+        report = score(_batch(TWELVE_ITEMS), DISCARD)
         assert report.accuracy == Fraction(7, 12)
         assert report.macro_f1 == Fraction(1, 2)
         for label, (tp, fp, fn, p, r, f1) in TWELVE_EXPECTED.items():
@@ -115,7 +114,7 @@ class TestScoreDiscardAlternatives:
             assert scores.f1 == f1
 
     def test_perfect_singleton(self):
-        report = score(_batch([_item(CAUSE, {CAUSE})]))
+        report = score(_batch([_item(CAUSE, {CAUSE})]), DISCARD)
         assert report.accuracy == Fraction(1)
         assert report.per_class[CAUSE].f1 == Fraction(1)
         assert report.macro_f1 == Fraction(1)
@@ -125,7 +124,7 @@ class TestScoreDiscardAlternatives:
             _item(CAUSE, {CAUSE, CONCESSION}, majority=CAUSE),
             _item(CONJUNCTION, {CONCESSION}, majority=CONCESSION),
         ]
-        report = score(_batch(records))
+        report = score(_batch(records), DISCARD)
         assert report.accuracy == Fraction(1, 2)
         assert (report.per_class[CAUSE].tp, report.per_class[CAUSE].fp) == (1, 0)
         assert report.per_class[CONJUNCTION].fp == 1
@@ -142,14 +141,14 @@ class TestScoreDiscardAlternatives:
             _item(CAUSE, {CAUSE, CONJUNCTION}, majority=CAUSE),
             _item(CONJUNCTION, {CAUSE}),
         ]
-        report = score(_batch(records))
+        report = score(_batch(records), DISCARD)
         assert report.accuracy == Fraction(2, 3)
         assert report.macro_f1 == Fraction(2, 3)
         for label in (CAUSE, CONCESSION, CONJUNCTION):
             assert report.per_class[label].f1 == Fraction(2, 3)
 
     def test_per_item_contribution_is_exactly_one_count(self):
-        report = score(_batch(TWELVE_ITEMS))
+        report = score(_batch(TWELVE_ITEMS), DISCARD)
         total_tp = sum(c.tp for c in report.per_class.values())
         total_fp = sum(c.fp for c in report.per_class.values())
         total_fn = sum(c.fn for c in report.per_class.values())
@@ -158,11 +157,11 @@ class TestScoreDiscardAlternatives:
 
     def test_permutation_invariance(self):
         shuffled = list(reversed(TWELVE_ITEMS))
-        assert score(_batch(shuffled)) == score(_batch(TWELVE_ITEMS))
+        assert score(_batch(shuffled), DISCARD) == score(_batch(TWELVE_ITEMS), DISCARD)
 
     def test_empty_records_rejected(self):
         with pytest.raises(EvaluationError):
-            score(_batch([]))
+            score(_batch([]), DISCARD)
 
     def test_empty_gold_rejected(self):
         with pytest.raises(EvaluationError):
@@ -310,7 +309,7 @@ class TestScoreBatch:
             ScoreBatch(np.array([0]), gold, np.array([1]))
 
     def test_counts_are_python_ints(self):
-        report = score(_batch(TWELVE_ITEMS))
+        report = score(_batch(TWELVE_ITEMS), DISCARD)
         assert all(
             type(count) is int
             for scores in report.per_class.values()
@@ -318,42 +317,44 @@ class TestScoreBatch:
         )
 
 
-class TestAggregateRuns:
-    def _report(self, macro, accuracy):
-        base = score(_batch([_item(CAUSE, {CAUSE})]))
-        # synthesize runs with controlled values
-        return type(base)(
-            accuracy=Fraction(accuracy).limit_denominator(10**6),
-            per_class=base.per_class,
-            macro_f1=Fraction(macro).limit_denominator(10**6),
-            n_items=base.n_items,
-            protocol=base.protocol,
-        )
+DOMAINS = ("EP", "WK", "NV")
 
-    def test_mean_min_max(self):
-        reports = [self._report(m / 100, 0.42) for m in (21.0, 21.5, 22.0)]
-        summary = aggregate_runs(reports)
-        assert summary.metrics["macro_f1"].mean == pytest.approx(21.5)
-        assert summary.metrics["macro_f1"].min == pytest.approx(21.0)
-        assert summary.metrics["macro_f1"].max == pytest.approx(22.0)
-        assert summary.n_runs == 3
+
+def _runs(cells):
+    """Every domain's cells of each variant: variant -> (macro-F1 percents, accuracy percents)."""
+    return {
+        (variant, domain, metric): list(values)
+        for variant, per_metric in cells.items()
+        for domain in DOMAINS
+        for metric, values in zip(METRICS, per_metric)
+    }
+
+
+def _sizes(variants, sizes=None):
+    """Every (variant, domain) size: ``sizes`` where given, else 0 as for the baseline."""
+    sizes = sizes or {}
+    return {(v.variant_id, d): sizes.get((v.variant_id, d), 0) for v in variants for d in DOMAINS}
+
+
+BASELINE = VariantMeta("baseline", "baseline", baseline=True)
+
+
+class TestAggregateRuns:
+    """A report cell is the mean of its per-seed percents."""
 
     def test_single_run(self):
-        summary = aggregate_runs([self._report(0.215, 0.42)])
-        assert summary.metrics["macro_f1"].mean == pytest.approx(21.5)
+        tsv = results_tsv([BASELINE], _runs({"baseline": ([21.5], [42.0])}), {},
+                          _sizes([BASELINE]), DOMAINS)
+        assert tsv.splitlines()[1].split("\t")[3:5] == ["21.500000", "42.000000"]
 
     def test_three_known_reports_match_recomputation(self):
-        values = (19.25, 23.75, 21.0)
-        reports = [self._report(v / 100, 0.4) for v in values]
-        summary = aggregate_runs(reports)
-        assert summary.metrics["macro_f1"].mean == pytest.approx(sum(values) / 3)
-        assert summary.runs("macro_f1") == pytest.approx(list(values))
-
-    def test_mismatched_protocols_rejected(self):
-        a = score(_batch([_item(CAUSE, {CAUSE})]))
-        b = score(_batch([_item(CAUSE, {CAUSE})]), EvalProtocol.ALL_GOLD_FN)
-        with pytest.raises(EvaluationError):
-            aggregate_runs([a, b])
+        # the report stage's per-seed percents: a stored fraction pair, as a float, times 100
+        values = [float(Fraction(v).limit_denominator(10**6)) * 100.0 for v in (0.1925, 0.2375, 0.21)]
+        runs = _runs({"baseline": (values, [40.0] * 3)})
+        tsv = results_tsv([BASELINE], runs, {}, _sizes([BASELINE]), DOMAINS)
+        assert tsv.splitlines()[1].split("\t")[3] == f"{sum(values) / 3:.6f}"
+        table = render_results_table([BASELINE], runs, {}, _sizes([BASELINE]), DOMAINS)
+        assert f"**{sum(values) / 3:.2f}**" in table.splitlines()[2]
 
 
 def _t4_two_tailed(t_abs):
@@ -365,38 +366,36 @@ def _t4_two_tailed(t_abs):
 
 class TestTTest:
     def test_hand_computed_welch_case(self):
-        result = t_test([10.0, 11.0, 12.0], [20.0, 21.0, 22.0])
+        result = t_test([10.0, 11.0, 12.0], [20.0, 21.0, 22.0], 0.05)
         # means 11 vs 21, s^2 = 1 each, n = 3: t = -10 / sqrt(2/3), df = 4
-        assert result.t_statistic == pytest.approx(-math.sqrt(150.0), abs=1e-9)
         assert result.p_value == pytest.approx(_t4_two_tailed(math.sqrt(150.0)), abs=1e-6)
         assert result.p_value < 0.01
         assert result.significant
 
     def test_identical_samples_no_effect(self):
-        result = t_test([21.0, 21.5, 22.0], [21.0, 21.5, 22.0])
+        result = t_test([21.0, 21.5, 22.0], [21.0, 21.5, 22.0], 0.05)
         # equal means with equal variances: t = 0, clearly not significant
         assert not result.significant
         assert result.p_value == pytest.approx(1.0)
 
     def test_close_samples_not_significant(self):
-        result = t_test([21.0, 21.5, 22.0], [21.1, 21.4, 21.9])
+        result = t_test([21.0, 21.5, 22.0], [21.1, 21.4, 21.9], 0.05)
         assert not result.significant
         assert result.p_value > 0.5
 
     def test_zero_variance_equal_means(self):
-        result = t_test([5.0, 5.0], [5.0, 5.0])
-        assert result.t_statistic == 0.0
+        result = t_test([5.0, 5.0], [5.0, 5.0], 0.05)
         assert result.p_value == 1.0
+        assert not result.significant
 
     def test_zero_variance_different_means(self):
-        result = t_test([5.0, 5.0], [7.0, 7.0])
-        assert math.isinf(result.t_statistic)
+        result = t_test([5.0, 5.0], [7.0, 7.0], 0.05)
         assert result.p_value == 0.0
         assert result.significant
 
     def test_short_samples_rejected(self):
         with pytest.raises(EvaluationError):
-            t_test([1.0], [2.0, 3.0])
+            t_test([1.0], [2.0, 3.0], 0.05)
 
     @pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 4.0, 37.3, 1e10])
     @pytest.mark.parametrize("t_abs", [0.0, 5e-324, 1e-300, 0.7, 12.2, 40.0, 1e6])
@@ -416,67 +415,37 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert child.stdout.strip() == "False"
 
 
-def _summary(macro_mean, acc_mean, values=None):
-    values = values or (macro_mean,)
-    return RunSummary(
-        protocol=EvalProtocol.DISCARD_ALTERNATIVES,
-        n_items=100,
-        n_runs=len(values),
-        metrics={
-            "macro_f1": MetricSummary(macro_mean, macro_mean, macro_mean, tuple(values)),
-            "accuracy": MetricSummary(acc_mean, acc_mean, acc_mean, (acc_mean,)),
-        },
-    )
-
-
 class TestResultsTable:
     def test_baseline_only_single_unstarred_row(self):
-        variants = [VariantMeta("baseline", "baseline", baseline=True)]
-        summaries = {
-            ("baseline", d): _summary(21.0 + i, 42.0 + i)
-            for i, d in enumerate(("EP", "WK", "NV"))
-        }
-        table = render_results_table(variants, summaries)
+        runs = _runs({"baseline": ([21.0], [42.0])})
+        table = render_results_table([BASELINE], runs, {}, _sizes([BASELINE]), DOMAINS)
         body = table.splitlines()[2:]
         assert len(body) == 1
         assert "*" not in body[0].replace("**", "")
 
     def test_size_column_averages_domain_specific_sizes(self):
         variants = [
-            VariantMeta("baseline", "baseline", baseline=True),
+            BASELINE,
             VariantMeta(
                 "prefix-specific-syn", "base>syn", llm="mistral", template="DC",
                 screen="strict", config="specific",
             ),
         ]
-        summaries = {}
-        for d in ("EP", "WK", "NV"):
-            summaries[("baseline", d)] = _summary(21.0, 42.0)
-            summaries[("prefix-specific-syn", d)] = _summary(22.0, 43.0)
-        sizes = {
+        runs = _runs({"baseline": ([21.0], [42.0]), "prefix-specific-syn": ([22.0], [43.0])})
+        sizes = _sizes(variants, {
             ("prefix-specific-syn", "EP"): 10724,
             ("prefix-specific-syn", "WK"): 10689,
             ("prefix-specific-syn", "NV"): 10224,
-        }
-        table = render_results_table(variants, summaries, sizes=sizes)
+        })
+        table = render_results_table(variants, runs, {}, sizes, DOMAINS)
         row = [l for l in table.splitlines() if l.startswith("base>syn")][0]
         assert "10546" in row
 
     def test_significant_cells_starred(self):
-        variants = [
-            VariantMeta("baseline", "baseline", baseline=True),
-            VariantMeta("v", "model-v", config="specific"),
-        ]
-        summaries = {}
-        for d in ("EP", "WK", "NV"):
-            summaries[("baseline", d)] = _summary(21.0, 42.0)
-            summaries[("v", d)] = _summary(25.0, 42.5)
-        significance = {
-            ("v", "EP", "macro_f1"): SignificanceResult(
-                "macro_f1", 25.0, 21.0, 5.0, 0.004, 0.05, True
-            )
-        }
-        table = render_results_table(variants, summaries, significance)
+        variants = [BASELINE, VariantMeta("v", "model-v", config="specific")]
+        runs = _runs({"baseline": ([21.0], [42.0]), "v": ([25.0], [42.5])})
+        significance = {("v", "EP", "macro_f1"): SignificanceResult(p_value=0.004, significant=True)}
+        table = render_results_table(variants, runs, significance, _sizes(variants), DOMAINS)
         row = [l for l in table.splitlines() if l.startswith("model-v")][0]
         assert "**25.00***" in row  # best in column and significant
         # exactly the one significant cell is starred
@@ -485,33 +454,17 @@ class TestResultsTable:
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(EvaluationError):
-            render_results_table([VariantMeta("v", "m")], {})
+            render_results_table([VariantMeta("v", "m")], {}, {}, {}, DOMAINS)
 
     def test_tsv_contains_all_cells(self):
-        variants = [VariantMeta("baseline", "baseline", baseline=True)]
-        summaries = {
-            ("baseline", d): _summary(21.0, 42.0) for d in ("EP", "WK", "NV")
-        }
-        tsv = results_tsv(variants, summaries)
+        runs = _runs({"baseline": ([21.0], [42.0])})
+        tsv = results_tsv([BASELINE], runs, {}, _sizes([BASELINE]), DOMAINS)
         assert len(tsv.strip().splitlines()) == 4
 
 
 def test_results_table_golden_regeneration():
     """Stored run values render to the frozen golden table byte-for-byte."""
     from pathlib import Path
-
-    def summary(values_f1, values_acc):
-        def metric(values):
-            return MetricSummary(
-                sum(values) / len(values), min(values), max(values), tuple(values)
-            )
-
-        return RunSummary(
-            protocol=EvalProtocol.DISCARD_ALTERNATIVES,
-            n_items=6203,
-            n_runs=len(values_f1),
-            metrics={"macro_f1": metric(values_f1), "accuracy": metric(values_acc)},
-        )
 
     variants = [
         VariantMeta("baseline", "baseline", baseline=True),
@@ -539,8 +492,15 @@ def test_results_table_golden_regeneration():
         ("pseudo-specific-pseudo", "WK"): ([23.6, 23.7, 23.6], [46.2, 46.3, 46.3]),
         ("pseudo-specific-pseudo", "NV"): ([23.0, 23.1, 23.1], [44.1, 44.1, 44.1]),
     }
-    summaries = {key: summary(*vals) for key, vals in stored.items()}
+    runs = {
+        (variant, domain, metric): values
+        for (variant, domain), per_metric in stored.items()
+        for metric, values in zip(METRICS, per_metric)
+    }
     sizes = {
+        ("baseline", "EP"): 0,
+        ("baseline", "WK"): 0,
+        ("baseline", "NV"): 0,
         ("prefix-specific-syn", "EP"): 10724,
         ("prefix-specific-syn", "WK"): 10689,
         ("prefix-specific-syn", "NV"): 10224,
@@ -558,10 +518,10 @@ def test_results_table_golden_regeneration():
         for domain in ("EP", "WK", "NV"):
             for metric in ("macro_f1", "accuracy"):
                 significance[(meta.variant_id, domain, metric)] = t_test(
-                    summaries[(meta.variant_id, domain)].runs(metric),
-                    summaries[("baseline", domain)].runs(metric),
-                    metric=metric,
+                    runs[(meta.variant_id, domain, metric)],
+                    runs[("baseline", domain, metric)],
+                    0.05,
                 )
-    table = render_results_table(variants, summaries, significance, sizes)
+    table = render_results_table(variants, runs, significance, sizes, DOMAINS)
     golden = Path(__file__).parent / "golden" / "results_table.txt"
     assert table.encode("utf-8") == golden.read_bytes()

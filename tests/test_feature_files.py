@@ -2,8 +2,8 @@
 
 A re-run reads the train rows and the eval arrays from the side files, so
 it parses no train or eval row; a side file that is missing, cut short,
-damaged, stale or written by another featurizer is rebuilt in memory and
-changes no output byte.
+damaged, stale or written by another featurizer is rebuilt, written anew
+for the next run, and changes no output byte.
 """
 
 import hashlib
@@ -213,13 +213,36 @@ def test_damaged_side_file_changes_no_output(cold_run, tmp_path, damage, data_fi
     workdir = tmp_path / "run"
     shutil.copytree(cold, workdir)
     path = features_path(workdir / "data" / f"{data_file}.jsonl")
-    assert path.is_file()
+    intact = path.read_bytes()
     DAMAGE[damage](path)
-    before = path.read_bytes() if path.exists() else None
     run_experiment(PipelineConfig.from_mapping(RERUN), workdir)
     assert _outputs(workdir) == expected
-    # readers never write a side file
-    assert (path.read_bytes() if path.exists() else None) == before
+    # the reader that rebuilt the rows wrote the side file ingest had written
+    assert path.read_bytes() == intact
+
+
+def test_a_rebuilt_side_file_is_rewritten_so_the_next_run_reads_it(
+    cold_run, tmp_path, monkeypatch, caplog
+):
+    """Side files of another featurizer are rebuilt once: the next run reads the rewritten ones."""
+    cold, expected = cold_run
+    combi = {**COLD, "screening.kind": "combi"}  # reads both side files, keeps base.epochs
+    reference = tmp_path / "reference"
+    shutil.copytree(cold, reference)
+    run_experiment(PipelineConfig.from_mapping(combi), reference)
+    workdir = tmp_path / "run"
+    shutil.copytree(cold, workdir)
+    paths = [features_path(workdir / "data" / f"{name}.jsonl") for name in ("train", "eval")]
+    monkeypatch.setattr(feature_files, "_featurizer_sha256", lambda: "f" * 64)
+    for config, outputs in ((RERUN, expected), (combi, _outputs(reference))):
+        before = [path.read_bytes() for path in paths]
+        caplog.clear()
+        with caplog.at_level("INFO", logger="drsynth.feature_files"):
+            run_experiment(PipelineConfig.from_mapping(config), workdir)
+        stale = [path for path in paths if f"{path} is stale; rebuilding" in caplog.text]
+        rewritten = [path for path, data in zip(paths, before) if path.read_bytes() != data]
+        assert stale == rewritten == (paths if config is RERUN else [])
+        assert _outputs(workdir) == outputs
 
 
 def _count_calls(monkeypatch, name) -> list:

@@ -11,7 +11,6 @@ from drsynth.generation import (
     DecodingParams,
     GenerationCache,
     GenerationRejected,
-    GenerationRequest,
     HTTPBackend,
     MockBackend,
     TransportError,
@@ -52,9 +51,11 @@ class StubBackend:
         return reply
 
 
-def _request(arg1="The firms learned a lesson.", label=CAUSE, choice=1):
-    prompt = render_dc_prompt(arg1, label, EXAMPLE, choice=choice)
-    return GenerationRequest(prompt=prompt, arg1=arg1, intended=label, domain="EP")
+ARG1 = "The firms learned a lesson."
+
+
+def _prompt():
+    return render_dc_prompt(ARG1, CAUSE, EXAMPLE, choice=1)
 
 
 class TestPostprocess:
@@ -94,40 +95,40 @@ class TestPostprocess:
 
 
 class TestGenerateArg2:
-    def test_figure_answer_preserved(self):
+    def test_figure_answer_preserved(self, tmp_path):
         backend = StubBackend(["at night he returns to the condemned building he calls home."])
-        result = generate_arg2(_request(), backend)
+        result = generate_arg2(_prompt(), ARG1, backend, GenerationCache(tmp_path / "cache.jsonl"))
         assert result.arg2 == "at night he returns to the condemned building he calls home."
         assert result.cache_hit is False
 
-    def test_two_sentence_reply_truncated(self):
+    def test_two_sentence_reply_truncated(self, tmp_path):
         backend = StubBackend(["The first sentence lands. The second one is dropped."])
-        result = generate_arg2(_request(), backend)
+        result = generate_arg2(_prompt(), ARG1, backend, GenerationCache(tmp_path / "cache.jsonl"))
         assert result.arg2 == "The first sentence lands."
 
     def test_cache_round_trip(self, tmp_path):
         cache = GenerationCache(tmp_path / "cache.jsonl")
         backend = StubBackend(["One answer here."])
-        first = generate_arg2(_request(), backend, cache=cache)
-        second = generate_arg2(_request(), backend, cache=cache)
+        first = generate_arg2(_prompt(), ARG1, backend, cache)
+        second = generate_arg2(_prompt(), ARG1, backend, cache)
         assert first.arg2 == second.arg2
         assert second.cache_hit is True
         assert backend.calls == 1
         reloaded = GenerationCache(tmp_path / "cache.jsonl")
         assert len(reloaded) == 1
 
-    def test_retries_then_succeeds(self, monkeypatch):
+    def test_retries_then_succeeds(self, monkeypatch, tmp_path):
         monkeypatch.setattr(generation, "RETRY_WAIT_S", 0.0)
         backend = StubBackend(["Recovered answer."], failures=2)
-        result = generate_arg2(_request(), backend)
+        result = generate_arg2(_prompt(), ARG1, backend, GenerationCache(tmp_path / "cache.jsonl"))
         assert result.arg2 == "Recovered answer."
         assert backend.calls == 3
 
-    def test_retries_exhausted(self, monkeypatch):
+    def test_retries_exhausted(self, monkeypatch, tmp_path):
         monkeypatch.setattr(generation, "RETRY_WAIT_S", 0.0)
         backend = StubBackend(["never seen"], failures=10)
         with pytest.raises(TransportError, match="after 3 attempts"):
-            generate_arg2(_request(), backend)
+            generate_arg2(_prompt(), ARG1, backend, GenerationCache(tmp_path / "cache.jsonl"))
 
     @pytest.mark.parametrize("fault, posts_made", [
         ("timeout", 3), ("connection", 3), ("429", 3), ("503", 3), ("404", 1), ("400", 1),
@@ -161,15 +162,15 @@ class TestGenerateArg2:
         backend = HTTPBackend(BackendDescriptor(name="remote", endpoint="http://127.0.0.1:9/x"))
         cache = GenerationCache(tmp_path / "cache.jsonl")
         with pytest.raises(TransportError):
-            generate_arg2(_request(), backend, cache=cache)
+            generate_arg2(_prompt(), ARG1, backend, cache)
         assert len(posts) == posts_made
         assert sleeps == ([0.1, 0.2] if posts_made == 3 else [])
         assert len(cache) == 0 and not (tmp_path / "cache.jsonl").exists()
 
-    def test_rejected_on_empty_postprocess(self):
+    def test_rejected_on_empty_postprocess(self, tmp_path):
         backend = StubBackend(["Therefore,"])
         with pytest.raises(GenerationRejected):
-            generate_arg2(_request(), backend)
+            generate_arg2(_prompt(), ARG1, backend, GenerationCache(tmp_path / "cache.jsonl"))
 
 
 class TestCacheFile:
@@ -201,14 +202,6 @@ class TestCacheFile:
         assert path.read_text("utf-8") == original
 
 
-def test_request_label_mismatch_rejected():
-    prompt = render_dc_prompt("Lead.", CAUSE, EXAMPLE, choice=0)
-    with pytest.raises(ValueError, match="intended"):
-        GenerationRequest(
-            prompt=prompt, arg1="Lead.", intended=resolve_label("contrast"), domain="EP"
-        )
-
-
 def test_cache_key_distinguishes_request_tuples():
     base = dict(
         backend_name="mock",
@@ -229,19 +222,21 @@ def test_cache_key_distinguishes_request_tuples():
 
 class TestMockBackend:
     def test_deterministic(self):
-        backend = MockBackend(name="mock")
+        backend = MockBackend(name="mock", decoding=DecodingParams())
         prompt = render_dc_prompt("The lead sentence.", CAUSE, EXAMPLE, choice=1).text
         assert backend.complete(prompt) == backend.complete(prompt)
 
-    def test_faithful_reply_carries_marker(self):
-        backend = MockBackend(name="mock", fidelity=1.0)
+    def test_faithful_reply_carries_marker(self, monkeypatch):
+        monkeypatch.setattr(generation, "_MOCK_FIDELITY", 1.0)
+        backend = MockBackend(name="mock", decoding=DecodingParams())
         prompt = render_dc_prompt("The lead sentence.", CAUSE, EXAMPLE, choice=1).text
         assert marker_token(CAUSE) in backend.complete(prompt)
 
-    def test_dr_prompt_label_recovered(self):
+    def test_dr_prompt_label_recovered(self, monkeypatch):
         from drsynth.prompts import load_definitions, render_dr_prompt
 
-        backend = MockBackend(name="mock", fidelity=1.0)
+        monkeypatch.setattr(generation, "_MOCK_FIDELITY", 1.0)
+        backend = MockBackend(name="mock", decoding=DecodingParams())
         label = resolve_label("concession")
         prompt = render_dr_prompt(
             "The lead sentence.", label, load_definitions()[label], EXAMPLE
@@ -250,15 +245,19 @@ class TestMockBackend:
 
 
 class TestGenerateBatch:
+    @pytest.fixture(autouse=True)
+    def _cache_dir(self, tmp_path):
+        self.cache_dir = tmp_path
+
     def _run(self, sentences, labels, seed=0, cache=None):
         return generate_batch(
             {"EP": sentences},
             labels,
-            [MockBackend(name="mock")],
+            [MockBackend(name="mock", decoding=DecodingParams())],
             PromptTemplateKind.DC,
             example_pool(["EP"]),
             seed=seed,
-            cache=cache,
+            cache=cache or GenerationCache(self.cache_dir / f"cache-{seed}.jsonl"),
         )
 
     def test_product_size(self):
@@ -306,6 +305,7 @@ class TestGenerateBatch:
             [RejectingBackend(["x"], name="rej")],
             PromptTemplateKind.DC,
             example_pool(["EP"]),
+            cache=GenerationCache(self.cache_dir / "cache.jsonl"),
             connective_choice=1,
         )
         assert result.instances == []
@@ -313,13 +313,14 @@ class TestGenerateBatch:
         assert result.failures[0].backend == "rej"
 
 
-def test_fifteen_label_generation_set_renders_with_dr():
+def test_fifteen_label_generation_set_renders_with_dr(tmp_path):
     labels = generation_label_set(include_similarity=True)
     result = generate_batch(
         {"EP": ["Sentence one.", "Sentence two."]},
         labels,
-        [MockBackend(name="mock")],
+        [MockBackend(name="mock", decoding=DecodingParams())],
         PromptTemplateKind.DR,
         example_pool(["EP"]),
+        cache=GenerationCache(tmp_path / "cache.jsonl"),
     )
     assert len(result.instances) == 30

@@ -516,6 +516,10 @@ class TestCli:
         b"adaptation.epochs = -1",
         b"base.learning_rate = 0",
         b"adaptation.learning_rate = -0.0001",
+        b"generation.n_arg1 = -1",
+        b"generation.n_arg1 = 0",
+        b'adaptation.methods = ["prefix", "pseudo"]\npseudo.per_domain_n = -1',
+        b"generation.seed = -1",
     ])
     def test_bad_config_exit_code(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"

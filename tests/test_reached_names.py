@@ -144,3 +144,36 @@ def test_every_optional_parameter_is_passed():
         if not any(_passes(call, parameter, position) for call in others):
             unpassed.append(qualified)
     assert set(unpassed) <= KEPT_UNPASSED, f"passed by no stage, CLI or bench call: {unpassed}"
+
+
+KEPT_UNREAD = {
+    # written whole to failures.json through ``_asdict()``, which reads no field by name
+    "generation.BatchFailure.error",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    named = [getattr(node, "id", None) or getattr(node, "attr", None) for node in decorators + cls.bases]
+    return "dataclass" in named or "NamedTuple" in named
+
+
+def test_every_record_field_is_read():
+    """A field that no stage, CLI or bench code reads is a record kept for tests alone."""
+    read = {
+        node.attr
+        for tree in [*_trees(ROOT / "src" / "drsynth").values(), *_trees(ROOT / "bench").values()]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{cls.name}.{node.target.id}"
+        for module, tree in _trees(ROOT / "src" / "drsynth").items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    ]
+    assert set(unread) <= KEPT_UNREAD, f"read by no stage, CLI or bench: {unread}"

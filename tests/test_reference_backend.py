@@ -233,7 +233,7 @@ class TestKernels:
         backend, params, csr, y, domain = self._inputs()
         for x in (csr, csr.toarray()):
             for kernel, oracle, target, dropped in (
-                (backend.ce_loss_and_grads, _ce_oracle, y, ("disc.w", "disc.b")),
+                (partial(backend.ce_loss_and_grads, x_t=x.T), _ce_oracle, y, ("disc.w", "disc.b")),
                 (backend.iv_loss_and_grads, _iv_oracle, domain, ("head.W", "head.b")),
             ):
                 loss, grads = kernel(params, x, target)
@@ -255,7 +255,7 @@ class TestKernels:
         assert not looped["encoder.W"].flags.c_contiguous
         for x in (csr, csr.toarray()):
             for (loss, grads), (expected_loss, expected) in (
-                (backend.ce_loss_and_grads(looped, x, y, x_t=x.T), _ce_oracle(params, x, y)),
+                (backend.ce_loss_and_grads(looped, x, y, x.T), _ce_oracle(params, x, y)),
                 (backend.iv_loss_and_grads(looped, x, domain), _iv_oracle(params, x, domain)),
             ):
                 assert loss == expected_loss
@@ -268,7 +268,7 @@ class TestKernels:
             ce_loss, ce = _ce_oracle(params, x, y)
             iv_loss, iv = _iv_oracle(params, x, domain)
             for lam in (0.0, 0.3):
-                loss, direction = backend.descent_direction(params, x, y, lam, x, domain)
+                loss, direction = backend.descent_direction(params, x, y, lam, x, domain, x.T)
                 assert loss == ce_loss - lam * iv_loss
                 classifier = {key for key in params if not key.startswith("disc.")}
                 assert set(direction) == (classifier if lam == 0.0 else set(params))
@@ -291,7 +291,7 @@ rng = np.random.default_rng(5)
 n = int(sys.argv[1])
 x = sparse.random_array((n, backend.feature_dim), density=0.04, format="csr", rng=rng)
 y = rng.integers(0, len(backend.labels), size=n)
-loss, grads = backend.ce_loss_and_grads(backend.init_params(rng), x, y)
+loss, grads = backend.ce_loss_and_grads(backend.init_params(rng), x, y, x.T)
 digest = hashlib.sha256(np.float64(loss).tobytes())
 for key in sorted(grads):
     digest.update(key.encode() + np.ascontiguousarray(grads[key]).tobytes())

@@ -75,14 +75,6 @@ def test_unknown_label_error_names_the_label():
         resolve_label("reason-macro")
 
 
-def test_level1_grouping():
-    assert resolve_label("cause").level1 == "Contingency"
-    assert resolve_label("contrast").level1 == "Contrast"
-    assert resolve_label("synchronous").level1 == "Temporal"
-    assert resolve_label("equivalence").level1 == "Expansion"
-    assert resolve_label("similarity").level1 == "Contrast"
-
-
 def test_connectives_for_table_rows():
     options = default_connective_map().options
     assert options(resolve_label("cause")) == ("It is/was because", "Therefore,")
@@ -197,7 +189,7 @@ def test_derive_confusion_map_matches_bruteforce_on_random_matrix():
 
 def _freq_from_counts(counts):
     labeled = {resolve_label(name): n for name, n in counts.items()}
-    return FrequencyTable(counts=labeled, total=sum(labeled.values()), scope="all")
+    return FrequencyTable(counts=labeled, total=sum(labeled.values()))
 
 
 def test_is_rare_reference_ratios():
@@ -233,7 +225,7 @@ def test_first_in_order_tie_break():
 
 
 def test_labels_are_value_objects():
-    assert resolve_label("cause") == RelationLabel("cause", "Contingency")
+    assert resolve_label("cause") == RelationLabel("cause")
     assert str(resolve_label("cause")) == "cause"
     assert resolve_label("level-of-detail").title_name == "Level-of-detail"
     assert resolve_label("cause+belief").upper_name == "CAUSE+BELIEF"
